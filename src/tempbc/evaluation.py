@@ -19,7 +19,6 @@ class EvalReport:
     topk_intersection: int
     k: int
     sample_size: int | None = None
-    runtime_seconds: float | None = None
 
 
 def compare(exact: ScoreVector, approx: ScoreVector, k: int = 50) -> EvalReport:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .graph import TemporalGraph
 from .parallel import run_chunks
+from .rng import draw_source, substream
 from .tbfs import PathOptimality, full_tbfs
 
 __all__ = ["ScoreVector", "GuardrailError", "exact_tbc", "exact_tbc_fractions", "work_estimate"]
@@ -39,7 +40,6 @@ class ScoreVector:
 
     optimality: PathOptimality | None
     values: np.ndarray
-    normalized: bool = True
     sample_size: int | None = None
 
     @property
@@ -81,9 +81,12 @@ def work_estimate(graph: TemporalGraph) -> int:
     return graph.n * max(1, len(graph.edges))
 
 
-def _dependency_chunk(graph: TemporalGraph, opt: PathOptimality, lo: int, hi: int):
+def _rtb_chunk(graph, opt, seed, sources, lo, hi):
+    """Summed dependency vectors of samples lo..hi-1: ``sources[i]``, or a
+    source drawn from substream i when ``sources`` is None."""
     total: dict[int, Fraction] = {}
-    for s in range(lo, hi):
+    for i in range(lo, hi):
+        s = sources[i] if sources is not None else draw_source(substream(seed, i), graph.n)
         for v, val in full_tbfs(graph, s, opt).dependency.items():
             total[v] = total.get(v, Fraction(0)) + val
     return total
@@ -98,7 +101,7 @@ def exact_tbc_fractions(
     if n <= 1:
         return scores
     scale = Fraction(1, n * (n - 1))
-    worker = functools.partial(_dependency_chunk, graph, opt)
+    worker = functools.partial(_rtb_chunk, graph, opt, None, range(n))
     for partial in run_chunks(worker, n, threads, chunk=32):
         for v, val in partial.items():
             scores[v] += val

@@ -23,11 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ScoreVector
+from .exact import ScoreVector, _rtb_chunk
 from .graph import TemporalGraph
 from .parallel import run_chunks
-from .rng import draw_pair, draw_source, randbelow, substream
-from .tbfs import Appearance, PathOptimality, TbfsResult, full_tbfs, truncated_tbfs
+from .rng import draw_pair, randbelow, substream
+from .tbfs import Appearance, PathOptimality, TbfsResult, truncated_tbfs
 
 __all__ = [
     "Algorithm",
@@ -79,15 +79,6 @@ def _require_sampling_pre(graph: TemporalGraph, r: int) -> None:
         raise ValueError("sampling estimators need at least 2 nodes")
     if r < 1:
         raise ValueError("sample size must be >= 1")
-
-
-def _rtb_chunk(graph, opt, seed, sources, lo, hi):
-    total: dict[int, Fraction] = {}
-    for i in range(lo, hi):
-        s = sources[i] if sources is not None else draw_source(substream(seed, i), graph.n)
-        for v, val in full_tbfs(graph, s, opt).dependency.items():
-            total[v] = total.get(v, Fraction(0)) + val
-    return total
 
 
 def rtb_estimate(

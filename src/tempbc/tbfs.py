@@ -12,15 +12,19 @@ optimality criteria are supported:
 
 For ``sh``/``sfm`` the engine runs a hop-layered BFS over appearances; for
 ``pfm`` a single sweep of edges in time order suffices. Path counts are exact
-integers; dependency aggregates are exact rationals.
+integers; dependency aggregates are exact rationals. The backward dependency
+pass runs in Python ints over one common denominator, the lcm of the
+destinations' path counts, and forms one Fraction per node at the end.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 
 from .graph import TemporalGraph
 
@@ -298,56 +302,60 @@ def _accumulate_dependency(
     records: dict[Appearance, AppearanceRecord],
     per_target: dict[int, PairTargets],
 ) -> dict[int, Fraction]:
-    """One backward pass over the predecessor DAG.
+    """One backward pass over the predecessor DAG, in exact integers.
 
-    Each target appearance of destination z is seeded with the fraction of
-    optimal s-z paths arriving there; weight flows to predecessors in
-    proportion to multiplicity times their sigma. The weight arriving at a
-    node's appearances (seeds excluded) is exactly the sum over z of the
-    fraction of optimal s-z paths with that node internal.
+    In rational terms, a target appearance a of destination z starts with
+    weight sigma(a)/sigma_sz, the fraction of optimal s-z paths ending there,
+    and passes its weight to each predecessor p in proportion to
+    mult*sigma(p)/sigma(a). The weight a node's appearances receive (seeds
+    excluded) is the sum over z of the fraction of optimal s-z paths with
+    that node internal.
+
+    The pass tracks W(a) = weight(a)/sigma(a) instead. Then the update is
+    W(p) += W(a)*mult, and every seed of z is 1/sigma_sz. With D the lcm of
+    the nonzero sigma_sz, D*W is an integer at every seed and stays one under
+    the sums and integer products of the walk, so the walk does no division,
+    no gcd and no rounding. The dependency of v is the sum over its
+    appearances of sigma(a)*D*W(a), divided by D once, as an exact Fraction.
     """
-    seeds: dict[Appearance, Fraction] = {}
-    for z, info in per_target.items():
-        if info.sigma == 0:
-            continue
-        for app in info.appearances:
-            seeds[app] = seeds.get(app, Fraction(0)) + Fraction(records[app].sigma, info.sigma)
-
-    if not seeds:
+    sigmas = [info.sigma for info in per_target.values() if info.sigma]
+    if not sigmas:
         return {}
+    scale = math.lcm(*sigmas)
+    seeds: dict[Appearance, int] = {}
+    for info in per_target.values():
+        if info.sigma:
+            for app in info.appearances:
+                seeds[app] = scale // info.sigma
 
-    acc: dict[Appearance, Fraction] = {}
+    reach = _backward_reachable(records, seeds)
+    acc = dict.fromkeys(reach, 0)
+    acc.update(seeds)
     # predecessor times are strictly smaller, so descending time order is a
     # topological order of the appearance DAG
-    for app in sorted(seeds.keys() | _backward_reachable(records, seeds), key=lambda a: -a[1]):
-        weight = seeds.get(app, Fraction(0)) + acc.get(app, Fraction(0))
-        if weight == 0:
-            continue
-        rec = records[app]
-        if not rec.predecessors:
-            continue
-        sigma_here = rec.sigma
-        for pred, mult in rec.predecessors.items():
-            share = weight * Fraction(mult * records[pred].sigma, sigma_here)
-            acc[pred] = acc.get(pred, Fraction(0)) + share
+    for app in sorted(reach, key=itemgetter(1), reverse=True):
+        w = acc[app]
+        for pred, mult in records[app].predecessors.items():
+            acc[pred] += w * mult
+    for app, share in seeds.items():
+        acc[app] -= share
 
-    dependency: dict[int, Fraction] = {}
-    for (v, _), value in acc.items():
-        if v == s:
-            continue
-        dependency[v] = dependency.get(v, Fraction(0)) + value
-    return {v: val for v, val in dependency.items() if val != 0}
+    totals: dict[int, int] = {}
+    for app, w in acc.items():
+        v = app[0]
+        if w and v != s:
+            totals[v] = totals.get(v, 0) + records[app].sigma * w
+    return {v: Fraction(total, scale) for v, total in totals.items()}
 
 
 def _backward_reachable(
-    records: dict[Appearance, AppearanceRecord], seeds: dict[Appearance, Fraction]
+    records: dict[Appearance, AppearanceRecord], seeds: dict[Appearance, int]
 ) -> set[Appearance]:
     seen: set[Appearance] = set()
     stack = list(seeds)
     while stack:
         app = stack.pop()
-        if app in seen:
-            continue
-        seen.add(app)
-        stack.extend(p for p in records[app].predecessors if p not in seen)
+        if app not in seen:
+            seen.add(app)
+            stack.extend(records[app].predecessors)
     return seen

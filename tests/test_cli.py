@@ -8,6 +8,7 @@ from helpers import G1_TEXT, random_temporal_graph_large
 
 from tempbc import hoeffding_size, write_edge_list
 from tempbc.cli import main
+from tempbc.parallel import default_threads
 
 
 @pytest.fixture()
@@ -175,3 +176,13 @@ def test_threads_do_not_change_scores(g1_path, tmp_path, capsys):
             "--seed", "9", "--scores", p, "--threads", threads)
         csvs.append(p.read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def test_default_threads_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    assert default_threads() == 2
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    assert default_threads() == 64
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert default_threads() == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +16,34 @@ from tempbc import (
     exact_tbc,
     exact_tbc_fractions,
     load_edge_list,
+    ob_estimate,
+    rtb_estimate,
+    trk_estimate,
     truncated_tbfs,
 )
 from tempbc.bruteforce import bruteforce_betweenness
 
 SH = PathOptimality.SHORTEST
 PFM = PathOptimality.PREFIX_FOREMOST
+
+# SHA-256 of the score CSVs on the synth200 graph; the estimators run at seed
+# 7 with r=64. Recorded from the Fraction-by-Fraction dependency pass, so a
+# change to how dependencies are accumulated must reproduce these bytes.
+SCORE_CSV_SHA256 = {
+    ("exact", "sh"): "d381641bd207ffdd04e79fa97fcea733ae4cdb7b24e34f6fd0beae2d4b78bd67",
+    ("exact", "sfm"): "90d00715c99c5f59da52ba4dc56c4ae448c9c1ce9bdc37397da080dc9a7460ac",
+    ("exact", "pfm"): "161245406ad05bc436d164dba6bf1d4f5bf73beebf09b5bd527b356f1e2230df",
+    ("rtb", "sh"): "f654c1b40d4c3d4e596a7a2e68802501ecbe66743f34944a4a25efbcf16bda17",
+    ("rtb", "sfm"): "7c2eb048c39740a722eb87daa3233b38ab374846676423411330cf5683ca9c40",
+    ("rtb", "pfm"): "068d45aa9209fb0c96b9652229919fef34fc63c187ebe9efdbec929bd008f382",
+    ("ob", "sh"): "306216941cef79e2dc3f560b46d7065f089594cf80b8a94f95dfe8670bdcc7ce",
+    ("ob", "sfm"): "e0543680b31b60794ca167bb6d094b1564bddfbad2a04e8914cffe6ab7f2bb22",
+    ("ob", "pfm"): "59d3af474a23f69b3eedc83325dc1ff4f6dcdc2f24d9468b3333a9ca2a2e6b02",
+    ("trk", "sh"): "271890cf7fede21e5abc7a09ec3cf71886f0ce19dc357c2e11953129b3106082",
+    ("trk", "sfm"): "b8e28269874518a328ed3612512103958f5f2c702757cf12ad9bddc0fe90624a",
+    ("trk", "pfm"): "59d3af474a23f69b3eedc83325dc1ff4f6dcdc2f24d9468b3333a9ca2a2e6b02",
+}
+ESTIMATORS = {"rtb": rtb_estimate, "ob": ob_estimate, "trk": trk_estimate}
 
 
 def test_g1_exact_values(g1):
@@ -132,6 +156,17 @@ def test_college_msg_pairwise_spot_check_when_present():
             assert tr.pair_sigma(z) == full.pair_sigma(z)
             if full.pair_sigma(z):
                 assert tr.per_target[z] == full.per_target[z]
+
+
+@pytest.mark.parametrize(("run", "tag"), list(SCORE_CSV_SHA256))
+def test_score_csv_bytes_are_pinned(synth200, run, tag):
+    graph, _ = synth200
+    opt = PathOptimality.parse(tag)
+    scores = exact_tbc(graph, opt) if run == "exact" else ESTIMATORS[run](graph, opt, 64, 7)
+    buf = io.StringIO()
+    scores.write_csv(buf)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == SCORE_CSV_SHA256[(run, tag)], (run, tag)
 
 
 def test_score_csv_round_trip(tmp_path, g1):

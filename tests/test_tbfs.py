@@ -6,7 +6,13 @@ import pytest
 
 from helpers import bruteforce_all_optimal, make_g1, random_temporal_graph
 
-from tempbc import PathOptimality, enumerate_paths_bruteforce, full_tbfs, truncated_tbfs
+from tempbc import (
+    PathOptimality,
+    enumerate_paths_bruteforce,
+    full_tbfs,
+    load_edge_list,
+    truncated_tbfs,
+)
 from tempbc.bruteforce import (
     PathBudgetExceeded,
     bruteforce_dependency,
@@ -169,6 +175,31 @@ def test_dependency_total_matches_mean_internal_length(seed):
                         sum(len(internal_nodes(p)) for p in paths), len(paths)
                     )
             assert sum(result.dependency.values(), Fraction(0)) == expected
+
+
+def test_diamond_chain_dependency_is_exact_past_float_range():
+    # x_i -> {a_i, b_i} at 2i+1 and {a_i, b_i} -> x_{i+1} at 2i+2: every
+    # criterion has 2^j optimal paths to x_j, and 2^k overflows a float
+    k = 1100
+    lines = []
+    for i in range(k):
+        x, a, b, x_next = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        lines += [f"{x} {a} {2 * i + 1}", f"{x} {b} {2 * i + 1}"]
+        lines += [f"{a} {x_next} {2 * i + 2}", f"{b} {x_next} {2 * i + 2}"]
+    g = load_edge_list("\n".join(lines) + "\n")
+    x = [g.index_of(3 * i) for i in range(k + 1)]
+    # x_j is internal to every path to the 3(k-j) destinations past it; a_i
+    # and b_i each carry half of the paths to the 3(k-i)-2 destinations past
+    # them
+    expected = {x[j]: Fraction(3 * (k - j)) for j in range(1, k)}
+    for i in range(k):
+        half = Fraction(3 * (k - i) - 2, 2)
+        expected[g.index_of(3 * i + 1)] = half
+        expected[g.index_of(3 * i + 2)] = half
+    for opt in ALL_OPTS:
+        result = full_tbfs(g, x[0], opt)
+        assert result.pair_sigma(x[k]) == 2**k
+        assert result.dependency == expected
 
 
 def test_dependency_bounds(g1):
