@@ -42,7 +42,6 @@ from .progressive import (
 from .samplers import (
     Algorithm,
     SampledPath,
-    SamplerConfig,
     ob_estimate,
     rtb_estimate,
     sample_optimal_path,
@@ -63,7 +62,6 @@ __all__ = [
     "PathOptimality",
     "RademacherState",
     "SampledPath",
-    "SamplerConfig",
     "Schedule",
     "ScoreVector",
     "StopReason",

@@ -3,35 +3,31 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["BoundInputs", "hoeffding_size", "vc_size"]
+__all__ = ["check_bound_inputs", "hoeffding_size", "vc_size"]
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Validated inputs for the sample-size bounds.
+def check_bound_inputs(
+    epsilon: float, delta: float, *, n: int | None = None, vd: int | None = None,
+    c_univ: float = 0.5,
+) -> None:
+    """Raise ValueError unless the inputs of a sample-size bound are valid.
 
-    ``vd`` is the shortest-temporal vertex diameter (node count of the longest
-    shortest temporal path); only the VC-style bound uses it. ``c_univ`` is
-    the universal constant of the standard VC sample-complexity bound.
+    ``n`` is the node count (the union bound uses it). ``vd`` is the
+    shortest-temporal vertex diameter (node count of the longest shortest
+    temporal path); only the VC-style bound uses it. ``c_univ`` is the
+    universal constant of the standard VC sample-complexity bound.
     """
-
-    epsilon: float
-    delta: float
-    n: int = 0
-    vd: int | None = None
-    c_univ: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
-        if self.vd is not None and self.vd < 2:
-            raise ValueError("vertex diameter must be >= 2")
-        if self.c_univ <= 0:
-            raise ValueError("universal constant must be positive")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    if n is not None and n < 1:
+        raise ValueError("node count must be >= 1")
+    if vd is not None and vd < 2:
+        raise ValueError("vertex diameter must be >= 2")
+    if c_univ <= 0:
+        raise ValueError("universal constant must be positive")
 
 
 def hoeffding_size(epsilon: float, delta: float, n: int) -> int:
@@ -40,9 +36,7 @@ def hoeffding_size(epsilon: float, delta: float, n: int) -> int:
     Valid for every optimality criterion; guarantees all n node estimates are
     within epsilon with probability 1 - delta.
     """
-    BoundInputs(epsilon, delta, n)
-    if n < 1:
-        raise ValueError("node count must be >= 1")
+    check_bound_inputs(epsilon, delta, n=n)
     return math.ceil(math.log(2 * n / delta) / (2 * epsilon * epsilon))
 
 
@@ -55,7 +49,7 @@ def vc_size(epsilon: float, delta: float, vd: int, c_univ: float = 0.5) -> int:
     as a heuristic and prefer :func:`hoeffding_size`. For ``vd < 3`` (paths
     with at most one internal node) the bracket degenerates to 1 + ln(1/delta).
     """
-    BoundInputs(epsilon, delta, vd=vd, c_univ=c_univ)
+    check_bound_inputs(epsilon, delta, vd=vd, c_univ=c_univ)
     if vd < 3:
         bracket = 1 + math.log(1 / delta)
     else:

@@ -218,15 +218,16 @@ def _cmd_fixed(args) -> int:
 def _cmd_progressive(args) -> int:
     graph = _load_graph(args)
     opt = PathOptimality.parse(args.opt)
-    params: dict = {"seed": args.seed, "threads": args.threads}
+    params: dict = {"seed": args.seed}
     started = time.perf_counter()
     if args.algo == "prtb":
+        # prtb checks its stop rule after every sample, so it runs serially
         params["c"] = args.c
         if args.max_samples is not None:
             params["max_samples"] = args.max_samples
         scores, stop = prtb_estimate(graph, opt, args.c, args.seed, max_samples=args.max_samples)
     else:
-        params.update(epsilon=args.epsilon, delta=args.delta, alpha=args.alpha)
+        params.update(threads=args.threads, epsilon=args.epsilon, delta=args.delta, alpha=args.alpha)
         cap = args.max_samples
         if args.algo == "trk" and cap is None:
             cap = hoeffding_size(args.epsilon, args.delta, graph.n)
@@ -234,7 +235,7 @@ def _cmd_progressive(args) -> int:
             params["iteration_cap"] = cap
         scores, stop = progressive_estimate(
             graph, opt, args.epsilon, args.delta, args.alpha,
-            Algorithm(args.algo), args.seed, iteration_cap=cap,
+            Algorithm(args.algo), args.seed, iteration_cap=cap, threads=args.threads,
         )
     report = _base_report(args, "progressive")
     report.update(

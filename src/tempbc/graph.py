@@ -57,8 +57,8 @@ class TemporalGraph:
         directed: False when the input was declared undirected.
         node_ids: original input id for each compact id.
         dropped_self_loops: count of self-loop rows removed at load.
-        out_adjacency / in_adjacency: per node, ``(time, other)`` pairs sorted
-            ascending by time, ties by the other endpoint then input order.
+        out_adjacency: per node, ``(time, head)`` pairs of its out-edges,
+            sorted ascending by time, ties by head then input order.
     """
 
     __slots__ = (
@@ -69,10 +69,8 @@ class TemporalGraph:
         "node_ids",
         "dropped_self_loops",
         "out_adjacency",
-        "in_adjacency",
         "edges_by_time",
         "_out_times",
-        "_in_times",
         "_id_index",
         "_rows",
     )
@@ -99,18 +97,12 @@ class TemporalGraph:
         self._id_index = {orig: i for i, orig in enumerate(self.node_ids)}
 
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for idx, e in enumerate(self.edges):
             out[e.src].append((e.time, e.dst, idx))
-            inc[e.dst].append((e.time, e.src, idx))
         self.out_adjacency = tuple(
             tuple((t, w) for t, w, _ in sorted(lst)) for lst in out
         )
-        self.in_adjacency = tuple(
-            tuple((t, w) for t, w, _ in sorted(lst)) for lst in inc
-        )
         self._out_times = tuple([t for t, _ in adj] for adj in self.out_adjacency)
-        self._in_times = tuple([t for t, _ in adj] for adj in self.in_adjacency)
         self.edges_by_time = tuple(sorted(self.edges, key=lambda e: e.time))
 
     def index_of(self, original_id: int) -> int:

@@ -8,12 +8,17 @@ workers therefore produces bit-identical output.
 from __future__ import annotations
 
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, TypeVar
 
 __all__ = ["CHUNK_SIZE", "chunk_ranges", "run_chunks", "default_threads"]
 
 CHUNK_SIZE = 256
+
+# how often a worker checks that the process that started it is still alive
+PARENT_POLL_SECONDS = 0.5
 
 T = TypeVar("T")
 
@@ -43,5 +48,19 @@ def run_chunks(
         for lo, hi in ranges:
             yield worker(lo, hi)
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(
+        max_workers=threads, initializer=_exit_with_parent, initargs=(os.getpid(),)
+    ) as pool:
         yield from pool.map(worker, *zip(*ranges))
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once ``parent`` has died, so a killed
+    run does not leave workers computing queued chunks under pid 1."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()

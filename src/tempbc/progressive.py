@@ -11,6 +11,13 @@ Two schemes:
   accumulated unnormalized dependency reaches ``c * n``; a cheap heuristic
   with guarantees only for high-centrality nodes.
 
+Both draw their samples through :func:`tempbc.samplers.sample_contribution`,
+the per-sample pipeline of the fixed-sample estimators. Each checkpoint batch
+of :func:`progressive_estimate` runs in chunks on up to ``threads`` workers
+and is folded in sample-index order, so the scores and the bound are the
+same for any worker count. :func:`prtb_estimate` is serial, because it checks
+its stop rule after every sample.
+
 The bookkeeping keeps, per node, the running sum of its per-sample values and
 of their squares, plus a multiset of the squared norms; the norm multiset is
 all the bound needs, so the per-sample cost stays constant.
@@ -25,12 +32,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import hoeffding_size
-from .exact import ScoreVector
+from .bounds import check_bound_inputs, hoeffding_size
 from .graph import TemporalGraph
-from .rng import draw_pair, draw_source, substream
-from .samplers import Algorithm, sample_optimal_path
-from .tbfs import PathOptimality, full_tbfs, truncated_tbfs
+from .samplers import Algorithm, ScoreVector, sample_contribution, sampled_contributions
+from .tbfs import PathOptimality
 
 __all__ = [
     "RademacherState",
@@ -106,7 +111,7 @@ class RademacherState:
 def initial_sample_size(epsilon: float, delta: float) -> int:
     """Smallest schedule start at which the zero-complexity stopping bound can
     already reach ``epsilon``: ceil((1 + 8e + sqrt(1 + 16e)) * ln(6/d) / (4e^2))."""
-    _check_eps_delta(epsilon, delta)
+    check_bound_inputs(epsilon, delta)
     closed_form = (1 + 8 * epsilon + math.sqrt(1 + 16 * epsilon)) * math.log(6 / delta)
     return math.ceil(closed_form / (4 * epsilon * epsilon))
 
@@ -228,19 +233,23 @@ def progressive_estimate(
     seed: int,
     *,
     iteration_cap: int | None = None,
+    threads: int = 1,
 ) -> tuple[ScoreVector, StopReport]:
     """Pair sampling along a geometric schedule until the bound meets epsilon.
 
     Per sample: draw an ordered pair, run a truncated search; when the pair is
     connected, fold each internal node's value into the state (the exact path
-    fraction for ``ob``, a 0/1 indicator of one uniformly drawn path for
-    ``trk``). At each checkpoint the supremum-deviation bound is evaluated
-    with confidence budget delta / 2^i. On a bound-met stop, all node
-    estimates are within epsilon of the truth with probability at least
-    1 - delta. For ``trk`` the sample size is additionally capped at the
-    union-bound size, after which the run stops regardless.
+    fraction for ``ob``, by ascending node id, or a 0/1 indicator of one
+    uniformly drawn path for ``trk``, in path order). At each checkpoint the
+    supremum-deviation bound is evaluated with confidence budget delta / 2^i.
+    On a bound-met stop, all node estimates are within epsilon of the truth
+    with probability at least 1 - delta. For ``trk`` the sample size is
+    additionally capped at the union-bound size, after which the run stops
+    regardless. Each checkpoint batch is computed on up to ``threads`` workers
+    and folded in sample-index order, so the result does not depend on
+    ``threads``.
     """
-    _check_eps_delta(epsilon, delta)
+    check_bound_inputs(epsilon, delta)
     if algorithm not in (Algorithm.OB, Algorithm.TRK):
         raise ValueError("progressive_estimate supports the ob and trk estimators")
     if graph.n < 2:
@@ -259,18 +268,14 @@ def progressive_estimate(
         target = schedule.size(iteration)
         if cap is not None:
             target = min(target, cap)
-        for i in range(done, target):
-            rng = substream(seed, i)
-            s, z = draw_pair(rng, graph.n)
-            result = truncated_tbfs(graph, s, z, opt)
-            if result.pair_sigma(z) == 0:
-                continue
-            if algorithm is Algorithm.OB:
-                for u in sorted(result.dependency):
-                    update_values(state, u, float(result.dependency[u]))
-            else:
-                for u in sample_optimal_path(result, rng).internal():
-                    update_values(state, u, 1.0)
+        for contribution in sampled_contributions(
+            graph, opt, algorithm, seed, done, target, threads
+        ):
+            # the state's float sums depend on fold order: ascending node id
+            # for ob, path order for trk
+            nodes = sorted(contribution) if algorithm is Algorithm.OB else contribution
+            for u in nodes:
+                update_values(state, u, float(contribution[u]))
         done = target
         bound = rademacher_bound(state, done)
         xi = stopping_xi(bound, done, delta / 2.0**iteration)
@@ -299,9 +304,10 @@ def prtb_estimate(
     """Source sampling until some node's accumulated dependency reaches c * n.
 
     The estimator itself is the uniform-source one; the threshold only decides
-    when to stop, checked after every sample. Returns each node's accumulated
-    dependency divided by (n - 1) * r. In the stop report, ``xi`` carries the
-    largest accumulated dependency and ``epsilon`` the threshold ``c * n``.
+    when to stop, checked after every sample, so the run is serial. Returns
+    each node's accumulated dependency divided by (n - 1) * r. In the stop
+    report, ``xi`` carries the largest accumulated dependency and ``epsilon``
+    the threshold ``c * n``.
     """
     if c < 2:
         raise ValueError("threshold constant c must be >= 2")
@@ -314,8 +320,7 @@ def prtb_estimate(
     r = 0
     reason = StopReason.ITERATION_CAP
     while True:
-        s = draw_source(substream(seed, r), graph.n)
-        for v, val in full_tbfs(graph, s, opt).dependency.items():
+        for v, val in sample_contribution(graph, opt, Algorithm.RTB, seed, None, r).items():
             cur = totals.get(v, Fraction(0)) + val
             totals[v] = cur
             if cur > max_total:
@@ -333,10 +338,3 @@ def prtb_estimate(
     )
     report = StopReport(r, r, float(max_total), float(threshold), reason)
     return ScoreVector(opt, values, sample_size=r), report
-
-
-def _check_eps_delta(epsilon: float, delta: float) -> None:
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")

@@ -1,17 +1,21 @@
-"""Fixed-sample-size estimators of normalized temporal betweenness.
+"""The per-sample pipeline and the fixed-sample-size estimators built on it.
 
-Three unbiased estimators over different sample spaces:
+Every estimator draws one sample per index and folds a sparse per-node
+contribution; :func:`sample_contribution` is the one place a sample is drawn
+and turned into that contribution:
 
-* ``rtb``: uniform sources; one full TBFS per sample contributes its
-  dependency vector scaled by 1/(n-1).
-* ``ob``: uniform ordered node pairs; one truncated TBFS per sample
-  contributes the per-pair path-fraction of every internal node.
-* ``trk``: uniform ordered pairs, then one optimal path drawn uniformly from
-  the pair's optimal-path set; every internal node of the drawn path gains
-  1/r.
+* ``rtb``: a uniform source; its full-TBFS dependency vector (exact's census
+  is the same over ``sources=range(n)``).
+* ``ob``: a uniform ordered node pair; each internal node's optimal-path
+  fraction from one truncated TBFS.
+* ``trk``: a uniform ordered pair, then one optimal path drawn uniformly from
+  the pair's optimal-path set; 1 for every internal node of the drawn path.
 
-All estimators draw each sample from its own counter-based substream, so a
-seeded run is reproducible for any worker count.
+Sample i draws from its own counter-based substream ``substream(seed, i)``,
+so a seeded run is reproducible for any worker count. The fixed-sample
+estimators sum contributions per chunk and fold the chunk sums; each keeps
+its own normalisation: rtb divides by r(n-1), ob by r, and trk multiplies
+its integer counts by 1/r.
 """
 
 from __future__ import annotations
@@ -19,23 +23,24 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from .exact import ScoreVector, _rtb_chunk
 from .graph import TemporalGraph
-from .parallel import run_chunks
-from .rng import draw_pair, randbelow, substream
-from .tbfs import Appearance, PathOptimality, TbfsResult, truncated_tbfs
+from .parallel import CHUNK_SIZE, run_chunks
+from .rng import draw_pair, draw_source, randbelow, substream
+from .tbfs import Appearance, PathOptimality, TbfsResult, full_tbfs, truncated_tbfs
 
 __all__ = [
     "Algorithm",
-    "SamplerConfig",
     "SampledPath",
+    "ScoreVector",
     "rtb_estimate",
     "ob_estimate",
     "trk_estimate",
+    "sample_contribution",
     "sample_optimal_path",
 ]
 
@@ -46,16 +51,51 @@ class Algorithm(str, Enum):
     TRK = "trk"
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    optimality: PathOptimality
-    sample_size: int
-    seed: int
-    algorithm: Algorithm
+@dataclass
+class ScoreVector:
+    """Per-node scores in [0, 1], indexed by compact node id.
 
-    def __post_init__(self):
-        if self.sample_size < 1:
-            raise ValueError("sample_size must be >= 1")
+    ``sample_size`` is set by the sampling estimators and absent for exact
+    computation. ``optimality`` may be None for vectors read back from CSV.
+    """
+
+    optimality: PathOptimality | None
+    values: np.ndarray
+    sample_size: int | None = None
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
+
+    def write_csv(self, destination: TextIO | str | Path, node_ids=None) -> None:
+        if isinstance(destination, (str, Path)):
+            with open(destination, "w", encoding="utf-8", newline="\n") as fh:
+                self.write_csv(fh, node_ids)
+            return
+        ids = node_ids if node_ids is not None else range(self.n)
+        destination.write("node_id,score\n")
+        for nid, val in zip(ids, self.values):
+            destination.write(f"{nid},{val:.17g}\n")
+
+    @classmethod
+    def read_csv(cls, source: TextIO | str | Path, optimality: PathOptimality | None = None):
+        """Read a score CSV back; returns (vector, node_ids)."""
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8") as fh:
+                return cls.read_csv(fh, optimality)
+        header = source.readline().strip()
+        if header != "node_id,score":
+            raise ValueError(f"unexpected score CSV header: {header!r}")
+        ids: list[int] = []
+        vals: list[float] = []
+        for line in source:
+            line = line.strip()
+            if not line:
+                continue
+            nid, _, val = line.partition(",")
+            ids.append(int(nid))
+            vals.append(float(val))
+        return cls(optimality, np.array(vals, dtype=np.float64)), ids
 
 
 @dataclass(frozen=True)
@@ -68,17 +108,77 @@ class SampledPath:
 
     pair: tuple[int, int]
     appearances: tuple[Appearance, ...]
-    empty: bool = False
 
     def internal(self) -> list[int]:
         return [v for v, _ in self.appearances[1:-1]]
 
 
-def _require_sampling_pre(graph: TemporalGraph, r: int) -> None:
+def sample_contribution(
+    graph: TemporalGraph, opt: PathOptimality, algorithm: Algorithm, seed, fixed, i: int
+) -> dict:
+    """Sparse per-node contribution of sample i.
+
+    The sample is ``fixed[i]`` (a source for rtb, a pair otherwise) or is
+    drawn from ``substream(seed, i)`` when ``fixed`` is None; trk draws its
+    path from that substream either way. rtb and ob give exact rationals, trk
+    gives 1 per internal node of the drawn path, in path order, and nothing
+    for an unconnected pair.
+    """
+    rng = substream(seed, i) if fixed is None or algorithm is Algorithm.TRK else None
+    if algorithm is Algorithm.RTB:
+        s = fixed[i] if fixed is not None else draw_source(rng, graph.n)
+        return full_tbfs(graph, s, opt).dependency
+    s, z = fixed[i] if fixed is not None else draw_pair(rng, graph.n)
+    result = truncated_tbfs(graph, s, z, opt)
+    if algorithm is Algorithm.OB:
+        return result.dependency
+    if result.pair_sigma(z) == 0:
+        return {}
+    return dict.fromkeys(sample_optimal_path(result, rng).internal(), 1)
+
+
+def _sum_chunk(graph, opt, algorithm, seed, fixed, lo, hi) -> dict:
+    total: dict = {}
+    for i in range(lo, hi):
+        for v, val in sample_contribution(graph, opt, algorithm, seed, fixed, i).items():
+            total[v] = total.get(v, 0) + val
+    return total
+
+
+def _sample_chunk(graph, opt, algorithm, seed, start, lo, hi) -> list[dict]:
+    """Contributions of samples start+lo .. start+hi-1, one per sample, in order."""
+    return [
+        sample_contribution(graph, opt, algorithm, seed, None, i)
+        for i in range(start + lo, start + hi)
+    ]
+
+
+def summed_contributions(
+    graph, opt, algorithm, seed, fixed, r: int, threads: int, chunk: int = CHUNK_SIZE
+) -> dict:
+    """Sum of the contributions of samples 0..r-1, folded in chunk order."""
+    worker = functools.partial(_sum_chunk, graph, opt, algorithm, seed, fixed)
+    total: dict = {}
+    for partial in run_chunks(worker, r, threads, chunk):
+        for v, val in partial.items():
+            total[v] = total.get(v, 0) + val
+    return total
+
+
+def sampled_contributions(graph, opt, algorithm, seed, start: int, stop: int, threads: int):
+    """Contributions of samples start..stop-1, one per sample, in index order."""
+    worker = functools.partial(_sample_chunk, graph, opt, algorithm, seed, start)
+    for contributions in run_chunks(worker, stop - start, threads):
+        yield from contributions
+
+
+def _require_sampling_pre(graph: TemporalGraph, r: int, fixed, what: str) -> None:
     if graph.n < 2:
         raise ValueError("sampling estimators need at least 2 nodes")
     if r < 1:
         raise ValueError("sample size must be >= 1")
+    if fixed is not None and len(fixed) != r:
+        raise ValueError(f"explicit {what} list must have length r")
 
 
 def rtb_estimate(
@@ -96,28 +196,11 @@ def rtb_estimate(
     ``sources`` overrides the random draw with an explicit sample sequence
     (used for census checks and cross-estimator tests).
     """
-    _require_sampling_pre(graph, r)
-    if sources is not None and len(sources) != r:
-        raise ValueError("explicit source list must have length r")
-    worker = functools.partial(_rtb_chunk, graph, opt, seed, sources)
-    total: dict[int, Fraction] = {}
-    for partial in run_chunks(worker, r, threads):
-        for v, val in partial.items():
-            total[v] = total.get(v, Fraction(0)) + val
+    _require_sampling_pre(graph, r, sources, "source")
+    total = summed_contributions(graph, opt, Algorithm.RTB, seed, sources, r, threads)
     denom = r * (graph.n - 1)
-    values = np.array(
-        [float(total.get(v, Fraction(0)) / denom) for v in range(graph.n)], dtype=np.float64
-    )
+    values = np.array([float(total.get(v, 0) / denom) for v in range(graph.n)], dtype=np.float64)
     return ScoreVector(opt, values, sample_size=r)
-
-
-def _ob_chunk(graph, opt, seed, pairs, lo, hi):
-    total: dict[int, Fraction] = {}
-    for i in range(lo, hi):
-        s, z = pairs[i] if pairs is not None else draw_pair(substream(seed, i), graph.n)
-        for v, val in truncated_tbfs(graph, s, z, opt).dependency.items():
-            total[v] = total.get(v, Fraction(0)) + val
-    return total
 
 
 def ob_estimate(
@@ -131,17 +214,9 @@ def ob_estimate(
 ) -> ScoreVector:
     """Pair-sampling estimator: the mean over sampled ordered pairs (s, z) of
     each node's optimal-path fraction; unconnected pairs contribute zero."""
-    _require_sampling_pre(graph, r)
-    if pairs is not None and len(pairs) != r:
-        raise ValueError("explicit pair list must have length r")
-    worker = functools.partial(_ob_chunk, graph, opt, seed, pairs)
-    total: dict[int, Fraction] = {}
-    for partial in run_chunks(worker, r, threads):
-        for v, val in partial.items():
-            total[v] = total.get(v, Fraction(0)) + val
-    values = np.array(
-        [float(total.get(v, Fraction(0)) / r) for v in range(graph.n)], dtype=np.float64
-    )
+    _require_sampling_pre(graph, r, pairs, "pair")
+    total = summed_contributions(graph, opt, Algorithm.OB, seed, pairs, r, threads)
+    values = np.array([float(total.get(v, 0) / r) for v in range(graph.n)], dtype=np.float64)
     return ScoreVector(opt, values, sample_size=r)
 
 
@@ -184,19 +259,6 @@ def _weighted_index(rng: np.random.Generator, weights: list[int]) -> int:
     raise AssertionError("unreachable")
 
 
-def _trk_chunk(graph, opt, seed, pairs, lo, hi):
-    counts: dict[int, int] = {}
-    for i in range(lo, hi):
-        rng = substream(seed, i)
-        s, z = pairs[i] if pairs is not None else draw_pair(rng, graph.n)
-        result = truncated_tbfs(graph, s, z, opt)
-        if result.pair_sigma(z) == 0:
-            continue
-        for v in sample_optimal_path(result, rng).internal():
-            counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
 def trk_estimate(
     graph: TemporalGraph,
     opt: PathOptimality,
@@ -208,13 +270,8 @@ def trk_estimate(
 ) -> ScoreVector:
     """Path-sampling estimator: each drawn optimal path adds 1/r to every one
     of its internal nodes."""
-    _require_sampling_pre(graph, r)
-    if pairs is not None and len(pairs) != r:
-        raise ValueError("explicit pair list must have length r")
-    worker = functools.partial(_trk_chunk, graph, opt, seed, pairs)
-    counts = np.zeros(graph.n, dtype=np.int64)
-    for partial in run_chunks(worker, r, threads):
-        for v, c in partial.items():
-            counts[v] += c
+    _require_sampling_pre(graph, r, pairs, "pair")
+    total = summed_contributions(graph, opt, Algorithm.TRK, seed, pairs, r, threads)
+    counts = np.array([total.get(v, 0) for v in range(graph.n)], dtype=np.int64)
     values = counts.astype(np.float64) * (1.0 / r)
     return ScoreVector(opt, values, sample_size=r)

@@ -12,6 +12,7 @@ form evaluates to 630.0323 and 630 samples leave the bound at
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -406,17 +407,32 @@ def test_criterion_10_thread_count_determinism(tmp_path):
             "progressive", str(graph_file), "--algo", "ob",
             "--epsilon", "0.25", "--delta", "0.1", "--seed", "5",
         ],
+        # at eps = 0.1 the first checkpoint batch is 350 samples, two chunks,
+        # so 4 and 8 threads really fan out
+        "prog-ob-eps0.1": [
+            "progressive", str(graph_file), "--algo", "ob",
+            "--epsilon", "0.1", "--delta", "0.1", "--seed", "5",
+        ],
+        "prog-trk-eps0.1": [
+            "progressive", str(graph_file), "--algo", "trk",
+            "--epsilon", "0.1", "--delta", "0.1", "--seed", "5",
+        ],
     }
+    report_path = tmp_path / "report.json"
     for name, argv in commands.items():
         outputs = []
+        stops = []
         for threads in (1, 4, 8):
             out = tmp_path / f"{name}-{threads}.csv"
             code = cli_main(argv + ["--threads", str(threads), "--scores", str(out),
-                                    "--out", str(tmp_path / "report.json")])
+                                    "--out", str(report_path)])
             if code != 0:
                 failures.append(f"{name} at {threads} threads exited {code}")
                 continue
             outputs.append(out.read_bytes())
+            stops.append(json.loads(report_path.read_text()).get("stop"))
         if len(set(outputs)) != 1:
             failures.append(f"{name}: score CSVs differ across 1/4/8 threads")
-    _verdict(10, "byte-identical score CSVs across 1/4/8 worker threads", failures)
+        if any(stop != stops[0] for stop in stops):
+            failures.append(f"{name}: stop sections differ across 1/4/8 threads: {stops}")
+    _verdict(10, "byte-identical score CSVs and stop reports across 1/4/8 threads", failures)

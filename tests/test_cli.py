@@ -1,6 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +120,21 @@ def test_progressive_prtb_reports_stopping_reason(g1_path, capsys):
     assert report["parameters"]["c"] == 2.0
 
 
+def test_progressive_reports_threads_only_where_used(g1_path, capsys):
+    # prtb is serial by design; ob and trk fan their checkpoint batches out
+    code, report = run(
+        capsys, "progressive", g1_path, "--algo", "prtb", "--max-samples", "5", "--threads", "2",
+    )
+    assert code == 0
+    assert "threads" not in report["parameters"]
+    code, report = run(
+        capsys, "progressive", g1_path, "--algo", "ob",
+        "--epsilon", "0.25", "--delta", "0.1", "--threads", "2",
+    )
+    assert code == 0
+    assert report["parameters"]["threads"] == 2
+
+
 def test_progressive_trk_echoes_cap(g1_path, capsys):
     code, report = run(
         capsys, "progressive", g1_path, "--algo", "trk",
@@ -186,3 +207,73 @@ def test_default_threads_follows_cpu_affinity(monkeypatch):
     assert default_threads() == 64
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert default_threads() == 1
+
+
+# a run that fans slow chunks out to two workers and reports their pids
+FANOUT_SCRIPT = """
+import os
+import sys
+import time
+
+from tempbc.parallel import run_chunks
+
+PID_DIR = sys.argv[1]
+
+
+def slow(lo, hi):
+    open(os.path.join(PID_DIR, str(os.getpid())), "w").close()
+    time.sleep(60)
+
+
+if __name__ == "__main__":
+    for _ in run_chunks(slow, 8, 2, chunk=1):
+        pass
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+def _wait_until(condition, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to read process states")
+def test_pool_workers_exit_when_parent_is_killed(tmp_path):
+    script = tmp_path / "fanout.py"
+    script.write_text(FANOUT_SCRIPT)
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    parent = subprocess.Popen([sys.executable, str(script), str(pid_dir)], env=env)
+    workers: set[int] = set()
+    try:
+        assert _wait_until(lambda: len(list(pid_dir.iterdir())) >= 2, 30), "workers did not start"
+        workers = {int(p.name) for p in pid_dir.iterdir()}
+        parent.terminate()
+        parent.wait(timeout=10)
+        assert _wait_until(lambda: not any(_running(pid) for pid in workers), 5), (
+            f"workers still running 5 s after the parent was killed: "
+            f"{[pid for pid in workers if _running(pid)]}"
+        )
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

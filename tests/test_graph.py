@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -88,7 +89,9 @@ def test_undirected_adjacency_is_symmetric(seed):
     g = random_temporal_graph(seed * 31 + 5, allow_undirected=True)
     if g.directed:
         pytest.skip("generator produced a directed graph for this seed")
-    assert g.in_adjacency == g.out_adjacency
+    forward = Counter((u, t, w) for u in range(g.n) for t, w in g.out_adjacency[u])
+    backward = Counter((w, t, u) for u in range(g.n) for t, w in g.out_adjacency[u])
+    assert forward == backward
 
 
 def test_adjacency_sorted_by_time():

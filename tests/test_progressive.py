@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_temporal_graph_large
+
 from tempbc import (
     Algorithm,
     PathOptimality,
@@ -24,6 +26,7 @@ from tempbc import (
     stopping_xi,
     update_values,
 )
+from tempbc.parallel import CHUNK_SIZE
 from tempbc.rng import draw_pair, draw_source, substream
 
 SH = PathOptimality.SHORTEST
@@ -270,6 +273,22 @@ def test_explicit_iteration_cap(g1):
     assert report.final_sample_size == 50
     assert report.stopped_by is StopReason.ITERATION_CAP
     assert scores.sample_size == 50
+
+
+def test_progressive_is_independent_of_thread_count():
+    # at eps = 0.1 the first checkpoint batch (350 samples) spans two chunks,
+    # so two workers really share it; ob goes on to larger batches, trk stops
+    # at its union-bound cap
+    assert initial_sample_size(0.1, 0.1) > CHUNK_SIZE
+    graph = random_temporal_graph_large(77, n=60, m=240, max_time=30)
+    for algo in (Algorithm.OB, Algorithm.TRK):
+        runs = [
+            progressive_estimate(graph, SH, 0.1, 0.1, 1.5, algo, 5, threads=threads)
+            for threads in (1, 2)
+        ]
+        (serial, serial_stop), (fanned, fanned_stop) = runs
+        assert serial.values.tobytes() == fanned.values.tobytes(), algo
+        assert serial_stop == fanned_stop, algo
 
 
 # --- source-sampling heuristic -----------------------------------------------

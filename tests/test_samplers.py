@@ -18,7 +18,6 @@ from helpers import (
 
 from tempbc import (
     PathOptimality,
-    SamplerConfig,
     enumerate_paths_bruteforce,
     exact_tbc,
     exact_tbc_fractions,
@@ -31,7 +30,6 @@ from tempbc import (
     truncated_tbfs,
 )
 from tempbc.rng import draw_source, substream
-from tempbc.samplers import Algorithm
 
 SH = PathOptimality.SHORTEST
 PFM = PathOptimality.PREFIX_FOREMOST
@@ -39,12 +37,6 @@ PFM = PathOptimality.PREFIX_FOREMOST
 
 def all_pairs(n):
     return [(s, z) for s in range(n) for z in range(n) if s != z]
-
-
-def test_sampler_config_validates():
-    with pytest.raises(ValueError):
-        SamplerConfig(SH, 0, 1, Algorithm.OB)
-    SamplerConfig(SH, 5, 1, Algorithm.TRK)
 
 
 def test_rtb_census_equals_exact(g1):
