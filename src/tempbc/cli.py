@@ -319,6 +319,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(effective)
     args._argv = effective
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return _COMMANDS[args.command](args)
     except GuardrailError as exc:
         print(f"error: {exc}", file=sys.stderr)

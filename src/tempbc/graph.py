@@ -51,8 +51,10 @@ class TemporalGraph:
 
     Attributes:
         n: number of nodes.
-        edges: stored directed edges (undirected input is stored in both
-            orientations, so ``len(edges)`` is twice the kept input rows).
+        edges: stored directed edges, one per kept input row in input
+            order; undirected input stores each row as (u, v) then (v, u),
+            so ``len(edges)`` is twice the kept input rows.
+            :func:`write_edge_list` reads the input rows back from here.
         T: life-time, the number of distinct time labels.
         directed: False when the input was declared undirected.
         node_ids: original input id for each compact id.
@@ -72,7 +74,6 @@ class TemporalGraph:
         "edges_by_time",
         "_out_times",
         "_id_index",
-        "_rows",
     )
 
     def __init__(
@@ -84,7 +85,6 @@ class TemporalGraph:
         directed: bool = True,
         node_ids: tuple[int, ...] | None = None,
         dropped_self_loops: int = 0,
-        rows: tuple[tuple[int, int, int], ...] | None = None,
     ):
         self.n = n
         self.edges = tuple(edges)
@@ -92,8 +92,6 @@ class TemporalGraph:
         self.directed = directed
         self.node_ids = node_ids if node_ids is not None else tuple(range(n))
         self.dropped_self_loops = dropped_self_loops
-        # one row per kept input line, in input order, relabeled
-        self._rows = rows if rows is not None else tuple((e.src, e.dst, e.time) for e in edges)
         self._id_index = {orig: i for i, orig in enumerate(self.node_ids)}
 
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -180,9 +178,9 @@ def load_edge_list(
 
     time_rank = {t: i + 1 for i, t in enumerate(sorted({t for _, _, t in rows}))}
 
-    relabeled = tuple((id_index[u], id_index[v], time_rank[t]) for u, v, t in rows)
     edges: list[TemporalEdge] = []
-    for u, v, t in relabeled:
+    for u, v, t in rows:
+        u, v, t = id_index[u], id_index[v], time_rank[t]
         edges.append(TemporalEdge(u, v, t))
         if not directed:
             edges.append(TemporalEdge(v, u, t))
@@ -194,7 +192,6 @@ def load_edge_list(
         directed=directed,
         node_ids=tuple(sorted(id_index, key=id_index.get)),
         dropped_self_loops=dropped,
-        rows=relabeled,
     )
 
 
@@ -213,8 +210,9 @@ def write_edge_list(graph: TemporalGraph, destination: TextIO | str | Path) -> N
         with open(destination, "w", encoding="utf-8") as fh:
             write_edge_list(graph, fh)
         return
-    for u, v, t in graph._rows:
-        destination.write(f"{u} {v} {t}\n")
+    rows = graph.edges if graph.directed else graph.edges[::2]
+    for e in rows:
+        destination.write(f"{e.src} {e.dst} {e.time}\n")
 
 
 def summarize(graph: TemporalGraph) -> tuple[int, int, int]:

@@ -48,8 +48,11 @@ def run_chunks(
         for lo, hi in ranges:
             yield worker(lo, hi)
         return
+    # the pool forks all of its workers up front, so start no idle ones
     with ProcessPoolExecutor(
-        max_workers=threads, initializer=_exit_with_parent, initargs=(os.getpid(),)
+        max_workers=min(threads, len(ranges)),
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
     ) as pool:
         yield from pool.map(worker, *zip(*ranges))
 

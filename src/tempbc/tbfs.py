@@ -10,11 +10,18 @@ optimality criteria are supported:
 * prefix-foremost (``pfm``): earliest arrival such that every prefix also
   arrives earliest.
 
-For ``sh``/``sfm`` the engine runs a hop-layered BFS over appearances; for
-``pfm`` a single sweep of edges in time order suffices. Path counts are exact
-integers; dependency aggregates are exact rationals. The backward dependency
-pass runs in Python ints over one common denominator, the lcm of the
-destinations' path counts, and forms one Fraction per node at the end.
+:func:`full_tbfs` (every destination) and :func:`truncated_tbfs` (one
+destination) run the same routine. For ``sh``/``sfm`` it runs a hop-layered
+BFS over appearances; for ``pfm`` a single sweep of edges in time order
+suffices. One rule then picks each destination's target appearances: ``sh``
+its min-hop appearances, ``sfm`` and ``pfm`` its earliest one.
+
+Path counts are exact integers; dependency aggregates are exact rationals.
+The backward dependency pass walks the records in reverse creation order,
+which is a topological order of the predecessor DAG because every record is
+created after its predecessors. It runs in Python ints over one common
+denominator, the lcm of the destinations' path counts, and forms one Fraction
+per node at the end.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import itemgetter
 
 from .graph import TemporalGraph
 
@@ -60,10 +66,10 @@ class AppearanceRecord:
     ``sigma`` is the number of admissible paths whose last edge arrives here;
     ``predecessors`` maps each predecessor appearance to its edge multiplicity
     (parallel edges count separately). All predecessor times are strictly
-    smaller than this appearance's time.
+    smaller than this appearance's time. The appearance itself is the
+    record's key in ``TbfsResult.records``.
     """
 
-    appearance: Appearance
     hops: int
     sigma: int
     predecessors: dict[Appearance, int] = field(default_factory=dict)
@@ -101,20 +107,7 @@ class TbfsResult:
 
 def full_tbfs(graph: TemporalGraph, s: int, opt: PathOptimality) -> TbfsResult:
     """All-destinations optimal path counts and dependency aggregates from s."""
-    if not 0 <= s < graph.n:
-        raise ValueError(f"source {s} out of range for n={graph.n}")
-    if opt is PathOptimality.PREFIX_FOREMOST:
-        records, settle_time = _prefix_foremost_sweep(graph, s)
-        per_target = {
-            z: PairTargets(((z, t),), records[(z, t)].sigma)
-            for z, t in settle_time.items()
-            if z != s
-        }
-    else:
-        records, settle_hops, settle_apps, min_time = _shortest_bfs(graph, s)
-        per_target = _select_targets(opt, s, records, settle_hops, settle_apps, min_time)
-    dependency = _accumulate_dependency(graph.n, s, records, per_target)
-    return TbfsResult(s, opt, records, per_target, dependency)
+    return _tbfs(graph, s, None, opt)
 
 
 def truncated_tbfs(graph: TemporalGraph, s: int, z: int, opt: PathOptimality) -> TbfsResult:
@@ -125,34 +118,47 @@ def truncated_tbfs(graph: TemporalGraph, s: int, z: int, opt: PathOptimality) ->
     or beyond the destination's earliest arrival. The returned sigma, target
     set, and per-node ratios match the full search restricted to z.
     """
-    if s == z:
-        raise ValueError("source and destination must differ")
-    if not 0 <= z < graph.n:
-        raise ValueError(f"destination {z} out of range for n={graph.n}")
+    return _tbfs(graph, s, z, opt)
+
+
+def _tbfs(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality) -> TbfsResult:
+    """The search behind both entry points; ``z=None`` means every destination.
+
+    Runs the criterion's search, then picks each requested destination's
+    target appearances with one rule: sh takes its min-hop appearances in
+    sorted order, sfm and pfm its earliest appearance.
+    """
+    if not 0 <= s < graph.n:
+        raise ValueError(f"source {s} out of range for n={graph.n}")
+    if z is not None:
+        if not 0 <= z < graph.n:
+            raise ValueError(f"destination {z} out of range for n={graph.n}")
+        if s == z:
+            raise ValueError("source and destination must differ")
 
     if opt is PathOptimality.PREFIX_FOREMOST:
-        records, settle_time = _prefix_foremost_sweep(graph, s, stop_node=z)
-        if z not in settle_time:
-            return TbfsResult(s, opt, records, {z: PairTargets((), 0)}, {})
-        app = (z, settle_time[z])
-        per_target = {z: PairTargets((app,), records[app].sigma)}
-    elif opt is PathOptimality.SHORTEST:
-        records, settle_hops, settle_apps, _ = _shortest_bfs(graph, s, stop_node=z)
-        if z not in settle_hops:
-            return TbfsResult(s, opt, records, {z: PairTargets((), 0)}, {})
-        apps = tuple(sorted(settle_apps[z]))
-        per_target = {z: PairTargets(apps, sum(records[a].sigma for a in apps))}
+        records, first_time = _prefix_foremost_sweep(graph, s, stop_node=z)
+    elif opt is PathOptimality.SHORTEST or z is None:
+        records, settle_apps, first_time = _shortest_bfs(graph, s, stop_node=z)
     else:
+        # one sfm pair: only edges up to z's earliest arrival can be used
         arrival = _foremost_arrival(graph, s, z)
-        if arrival is None:
-            return TbfsResult(s, opt, {}, {z: PairTargets((), 0)}, {})
-        records, _, _, _ = _shortest_bfs(
-            graph, s, stop_node=z, max_time=arrival, max_time_node=z
-        )
-        app = (z, arrival)
-        per_target = {z: PairTargets((app,), records[app].sigma)}
+        records, first_time = {}, {}
+        if arrival is not None:
+            records, _, first_time = _shortest_bfs(
+                graph, s, stop_node=z, max_time=arrival, max_time_node=z
+            )
 
-    dependency = _accumulate_dependency(graph.n, s, records, per_target)
+    per_target: dict[int, PairTargets] = {}
+    for w in [w for w in first_time if w != s] if z is None else [z]:
+        if w not in first_time:  # z is unreachable
+            apps = ()
+        elif opt is PathOptimality.SHORTEST:
+            apps = tuple(sorted(settle_apps[w]))
+        else:
+            apps = ((w, first_time[w]),)
+        per_target[w] = PairTargets(apps, sum(records[a].sigma for a in apps))
+    dependency = _accumulate_dependency(s, records, per_target)
     return TbfsResult(s, opt, records, per_target, dependency)
 
 
@@ -173,9 +179,13 @@ def _shortest_bfs(
     which that node first settles. With ``max_time`` set, edges labeled beyond
     it are skipped, and edges labeled exactly ``max_time`` are followed only
     into ``max_time_node``.
+
+    Returns the records, in creation order, each after all of its
+    predecessors; per node its min-hop appearances; and per node its earliest
+    appearance time.
     """
     src_app = (s, 0)
-    records: dict[Appearance, AppearanceRecord] = {src_app: AppearanceRecord(src_app, 0, 1)}
+    records: dict[Appearance, AppearanceRecord] = {src_app: AppearanceRecord(0, 1)}
     settle_hops: dict[int, int] = {s: 0}
     settle_apps: dict[int, list[Appearance]] = {s: [src_app]}
     min_time: dict[int, int] = {}
@@ -201,7 +211,7 @@ def _shortest_bfs(
                 app = (w, t2)
                 known = records.get(app)
                 if known is None:
-                    known = AppearanceRecord(app, layer, 0)
+                    known = AppearanceRecord(layer, 0)
                     records[app] = known
                     discovered[app] = known
                 elif known.hops != layer:
@@ -220,31 +230,7 @@ def _shortest_bfs(
         frontier = list(discovered)
         if stop_node is not None and stop_node in settle_hops:
             break
-    return records, settle_hops, settle_apps, min_time
-
-
-def _select_targets(
-    opt: PathOptimality,
-    s: int,
-    records: dict[Appearance, AppearanceRecord],
-    settle_hops: dict[int, int],
-    settle_apps: dict[int, list[Appearance]],
-    min_time: dict[int, int],
-) -> dict[int, PairTargets]:
-    per_target: dict[int, PairTargets] = {}
-    if opt is PathOptimality.SHORTEST:
-        for z, apps in settle_apps.items():
-            if z == s:
-                continue
-            chosen = tuple(sorted(apps))
-            per_target[z] = PairTargets(chosen, sum(records[a].sigma for a in chosen))
-    else:  # shortest-foremost: the unique earliest appearance, min-hop counts
-        for z, t_first in min_time.items():
-            if z == s:
-                continue
-            app = (z, t_first)
-            per_target[z] = PairTargets((app,), records[app].sigma)
-    return per_target
+    return records, settle_apps, min_time
 
 
 def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None = None):
@@ -255,9 +241,12 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
     t equals v's settle time. Each node has exactly one appearance, at its
     earliest arrival. Edges tied at one label cannot chain (strict paths), so
     any processing order within a label is correct.
+
+    Returns the records, each created after its predecessors (they settled
+    at earlier labels), and the arrival time of every reached node.
     """
     arrival: dict[int, int] = {s: 0}
-    records: dict[Appearance, AppearanceRecord] = {(s, 0): AppearanceRecord((s, 0), 0, 1)}
+    records: dict[Appearance, AppearanceRecord] = {(s, 0): AppearanceRecord(0, 1)}
     for e in graph.edges_by_time:
         if stop_node is not None and stop_node in arrival and e.time > arrival[stop_node]:
             break
@@ -268,7 +257,7 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
         a_v = arrival.get(e.dst)
         if a_v is None:
             arrival[e.dst] = e.time
-            rec = AppearanceRecord((e.dst, e.time), u_rec.hops + 1, u_rec.sigma)
+            rec = AppearanceRecord(u_rec.hops + 1, u_rec.sigma)
             rec.predecessors[(e.src, a_u)] = 1
             records[(e.dst, e.time)] = rec
         elif a_v == e.time:
@@ -278,8 +267,7 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
             preds = rec.predecessors
             preds[(e.src, a_u)] = preds.get((e.src, a_u), 0) + 1
         # a_v < e.time: arriving later than the earliest time, not foremost
-    settle_time = {v: t for v, t in arrival.items()}
-    return records, settle_time
+    return records, arrival
 
 
 def _foremost_arrival(graph: TemporalGraph, s: int, z: int) -> int | None:
@@ -297,7 +285,6 @@ def _foremost_arrival(graph: TemporalGraph, s: int, z: int) -> int | None:
 
 
 def _accumulate_dependency(
-    n: int,
     s: int,
     records: dict[Appearance, AppearanceRecord],
     per_target: dict[int, PairTargets],
@@ -317,6 +304,10 @@ def _accumulate_dependency(
     the sums and integer products of the walk, so the walk does no division,
     no gcd and no rounding. The dependency of v is the sum over its
     appearances of sigma(a)*D*W(a), divided by D once, as an exact Fraction.
+
+    Both searches create a record after all of its predecessors, so walking
+    the records in reverse creation order reaches each appearance only after
+    every record that passes weight to it.
     """
     sigmas = [info.sigma for info in per_target.values() if info.sigma]
     if not sigmas:
@@ -328,34 +319,16 @@ def _accumulate_dependency(
             for app in info.appearances:
                 seeds[app] = scale // info.sigma
 
-    reach = _backward_reachable(records, seeds)
-    acc = dict.fromkeys(reach, 0)
-    acc.update(seeds)
-    # predecessor times are strictly smaller, so descending time order is a
-    # topological order of the appearance DAG
-    for app in sorted(reach, key=itemgetter(1), reverse=True):
-        w = acc[app]
-        for pred, mult in records[app].predecessors.items():
-            acc[pred] += w * mult
-    for app, share in seeds.items():
-        acc[app] -= share
-
+    acc = dict(seeds)
     totals: dict[int, int] = {}
-    for app, w in acc.items():
+    for app, rec in reversed(records.items()):
+        w = acc.get(app)
+        if not w:
+            continue
+        for pred, mult in rec.predecessors.items():
+            acc[pred] = acc.get(pred, 0) + w * mult
+        through = w - seeds.get(app, 0)
         v = app[0]
-        if w and v != s:
-            totals[v] = totals.get(v, 0) + records[app].sigma * w
+        if through and v != s:
+            totals[v] = totals.get(v, 0) + rec.sigma * through
     return {v: Fraction(total, scale) for v, total in totals.items()}
-
-
-def _backward_reachable(
-    records: dict[Appearance, AppearanceRecord], seeds: dict[Appearance, int]
-) -> set[Appearance]:
-    seen: set[Appearance] = set()
-    stack = list(seeds)
-    while stack:
-        app = stack.pop()
-        if app not in seen:
-            seen.add(app)
-            stack.extend(records[app].predecessors)
-    return seen

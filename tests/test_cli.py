@@ -79,6 +79,13 @@ def test_fixed_rejects_zero_samples(g1_path, capsys):
     assert code == 2
 
 
+def test_threads_below_one_is_a_validation_error(g1_path, capsys):
+    code, _ = run(capsys, "exact", g1_path, "--threads", "0")
+    assert code == 2
+    code, _ = run(capsys, "fixed", g1_path, "--algo", "ob", "--samples", "4", "--threads", "-1")
+    assert code == 2
+
+
 def test_fixed_trk_runs(g1_path, capsys):
     code, report = run(
         capsys, "fixed", g1_path, "--algo", "trk", "--opt", "pfm",

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_temporal_graph
+from helpers import random_temporal_graph, random_temporal_graph_large
 
 from tempbc import (
     GuardrailError,
@@ -21,6 +21,7 @@ from tempbc import (
     trk_estimate,
     truncated_tbfs,
 )
+from tempbc import parallel
 from tempbc.bruteforce import bruteforce_betweenness
 
 SH = PathOptimality.SHORTEST
@@ -43,7 +44,32 @@ SCORE_CSV_SHA256 = {
     ("trk", "sfm"): "b8e28269874518a328ed3612512103958f5f2c702757cf12ad9bddc0fe90624a",
     ("trk", "pfm"): "59d3af474a23f69b3eedc83325dc1ff4f6dcdc2f24d9468b3333a9ca2a2e6b02",
 }
+# The same pins for ob and trk on a 60-node graph with 8 time labels. On
+# synth200 only 2/2/0 of the 64 sampled pairs have more than one optimal path
+# under sh/sfm/pfm, so trk-pfm equals ob-pfm there; here 26/7/23 do, and the
+# trk digests change if the order of any predecessor map changes. Recorded
+# before full and truncated searches shared one routine.
+TIES_CSV_SHA256 = {
+    ("ob", "sh"): "7d91d3a36300162bec5841b80f24e49b788c5d3b24cfdd5b740f05b774ffcb7e",
+    ("ob", "sfm"): "8ee19a4fd62d1341b3e2b8881205086d9862f750126e8a6c3272dbc7529d0586",
+    ("ob", "pfm"): "74e0e4ad95be250b47a29376d0734b7b8788ac0f3dac7bac2d42f40a32d8160a",
+    ("trk", "sh"): "5a3359b97a75525f8cef356f650ee2701642ba580eefe9bec4d0bd7737b6115e",
+    ("trk", "sfm"): "f439f8dc4f6163fec7e37b0a50fb512b0a13966cc29e224ee50cd97d16c32d5e",
+    ("trk", "pfm"): "c41669fb0926dc3cbb974cd27b915b1b28b673e5f6c9807c968ef20ecc7ec171",
+}
 ESTIMATORS = {"rtb": rtb_estimate, "ob": ob_estimate, "trk": trk_estimate}
+PINNED_CSVS = [
+    pytest.param("synth200", run, tag, digest, id=f"{run}-{tag}")
+    for (run, tag), digest in SCORE_CSV_SHA256.items()
+] + [
+    pytest.param("ties", run, tag, digest, id=f"ties-{run}-{tag}")
+    for (run, tag), digest in TIES_CSV_SHA256.items()
+]
+
+
+@pytest.fixture(scope="module")
+def ties():
+    return random_temporal_graph_large(12345, n=60, m=600, max_time=8)
 
 
 def test_g1_exact_values(g1):
@@ -131,6 +157,21 @@ def test_parallel_matches_serial(g1):
         assert np.array_equal(serial.values, parallel.values)
 
 
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # the pool forks every worker when it starts, so 2 chunks must ask for 2
+    asked = []
+
+    class RecordingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    g = random_temporal_graph_large(5, n=40, m=240, max_time=20)  # two 32-source chunks
+    assert exact_tbc_fractions(g, SH, threads=8) == exact_tbc_fractions(g, SH, threads=1)
+    assert asked == [2]
+
+
 def test_college_msg_pairwise_spot_check_when_present():
     # per-source dependencies agree with independent per-pair recomputation on
     # 50 random pairs of the real dataset
@@ -158,15 +199,15 @@ def test_college_msg_pairwise_spot_check_when_present():
                 assert tr.per_target[z] == full.per_target[z]
 
 
-@pytest.mark.parametrize(("run", "tag"), list(SCORE_CSV_SHA256))
-def test_score_csv_bytes_are_pinned(synth200, run, tag):
-    graph, _ = synth200
+@pytest.mark.parametrize(("name", "run", "tag", "expected"), PINNED_CSVS)
+def test_score_csv_bytes_are_pinned(synth200, ties, name, run, tag, expected):
+    graph = synth200[0] if name == "synth200" else ties
     opt = PathOptimality.parse(tag)
     scores = exact_tbc(graph, opt) if run == "exact" else ESTIMATORS[run](graph, opt, 64, 7)
     buf = io.StringIO()
     scores.write_csv(buf)
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
-    assert digest == SCORE_CSV_SHA256[(run, tag)], (run, tag)
+    assert digest == expected, (name, run, tag)
 
 
 def test_score_csv_round_trip(tmp_path, g1):

@@ -11,6 +11,7 @@ from tempbc import (
     enumerate_paths_bruteforce,
     full_tbfs,
     load_edge_list,
+    ob_estimate,
     truncated_tbfs,
 )
 from tempbc.bruteforce import (
@@ -146,18 +147,26 @@ def test_truncated_equals_full_restriction(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_appearance_records_are_consistent(seed):
+    # the backward pass walks records in reverse creation order, so each
+    # predecessor must come before its record; trk's draws read sh and sfm
+    # predecessor maps in ascending (node, time) order
     g = random_temporal_graph(seed + 77)
     for opt in ALL_OPTS:
-        result = full_tbfs(g, 0, opt)
-        for app, rec in result.records.items():
-            assert rec.sigma >= 1
-            for (u, tu), mult in rec.predecessors.items():
-                assert mult >= 1
-                assert tu < app[1]
-            if rec.predecessors:
-                assert rec.sigma == sum(
-                    mult * result.records[p].sigma for p, mult in rec.predecessors.items()
-                )
+        results = [full_tbfs(g, 0, opt)] + [truncated_tbfs(g, 0, z, opt) for z in range(1, g.n)]
+        for result in results:
+            position = {app: i for i, app in enumerate(result.records)}
+            for app, rec in result.records.items():
+                assert rec.sigma >= 1
+                for (u, tu), mult in rec.predecessors.items():
+                    assert mult >= 1
+                    assert tu < app[1]
+                    assert position[(u, tu)] < position[app]
+                if opt is not PFM:
+                    assert list(rec.predecessors) == sorted(rec.predecessors)
+                if rec.predecessors:
+                    assert rec.sigma == sum(
+                        mult * result.records[p].sigma for p, mult in rec.predecessors.items()
+                    )
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -217,3 +226,14 @@ def test_source_out_of_range(g1):
         full_tbfs(g1, 99, SH)
     with pytest.raises(ValueError):
         truncated_tbfs(g1, 0, 0, SH)
+    # a negative id must not index from the end of the adjacency
+    for opt in ALL_OPTS:
+        for bad in (-1, g1.n):
+            with pytest.raises(ValueError):
+                full_tbfs(g1, bad, opt)
+            with pytest.raises(ValueError):
+                truncated_tbfs(g1, bad, 1, opt)
+            with pytest.raises(ValueError):
+                truncated_tbfs(g1, 1, bad, opt)
+    with pytest.raises(ValueError):
+        ob_estimate(g1, SH, 2, 0, pairs=[(-1, 1), (0, 1)])
