@@ -179,11 +179,14 @@ def _fixed_sample_size(args, graph: TemporalGraph) -> tuple[int, dict]:
     elif args.bound == "vc":
         vd = args.vd
         if vd is None:
-            # vertex diameter = hop diameter + 1, estimated by source sampling
+            # vertex diameter = hop diameter + 1, estimated by source sampling;
+            # a graph without paths has no internal nodes, which the bound's
+            # smallest case (vd = 2) already covers
             s = min(graph.n, recommended_sample_size(max(graph.n, 2), 0.25))
-            vd = estimate_distances(graph, s, 1.0, args.seed, threads=args.threads).diameter + 1
+            hops = estimate_distances(graph, s, 1.0, args.seed, threads=args.threads).diameter
+            vd = max(hops + 1, 2)
         params["vd"] = vd
-        r = vc_size(args.epsilon, args.delta, max(vd, 2))
+        r = vc_size(args.epsilon, args.delta, vd)
     else:
         raise ValueError("one of --samples or --bound is required")
     params["bound"] = args.bound
@@ -264,7 +267,7 @@ def _cmd_diameter(args) -> int:
     report = _base_report(args, "diameter")
     report.update(
         graph=_graph_section(args, graph),
-        parameters={"samples": s, "tau": args.tau, "seed": args.seed},
+        parameters={"samples": s, "tau": args.tau, "seed": args.seed, "threads": args.threads},
         wall_seconds=time.perf_counter() - started,
         summary={
             "diameter": summary.diameter,

@@ -1,7 +1,10 @@
 """Hop-distance summary of a temporal graph by source sampling.
 
-For sampled sources, a layered BFS over vertex appearances finds each node's
-minimum strict-temporal hop distance (starting at time 0). The per-hop
+For sampled sources, a hop-layered search finds each node's minimum
+strict-temporal hop distance (starting at time 0). It keeps one earliest
+arrival time per node, not every vertex appearance: layer h expands only the
+nodes whose earliest arrival improved in layer h - 1, which settles every
+node at the same hop count as a BFS over all appearances. The per-hop
 first-settle histogram scales up to an estimate of the cumulative pair-count
 profile, from which diameter, effective diameter, connectivity rate, and
 average distance follow. With every source sampled the summary is exact.
@@ -53,27 +56,34 @@ def recommended_sample_size(n: int, epsilon: float) -> int:
 
 
 def _settle_hops(graph: TemporalGraph, s: int) -> dict[int, int]:
-    """First-settle hop count per node reachable from (s, 0)."""
+    """First-settle hop count per node reachable from (s, 0).
+
+    Hop-bounded Bellman-Ford on earliest arrival times: after layer h,
+    ``arrival[v]`` is v's earliest arrival over paths of at most h hops. A
+    later arrival at v reaches nothing the earliest one does not, so layer
+    h + 1 expands only the nodes whose arrival improved in layer h, each from
+    the time it had at the end of layer h.
+    """
     out_adj = graph.out_adjacency
     out_times = graph._out_times
-    seen_apps: set[tuple[int, int]] = {(s, 0)}
+    never = graph.T + 1
+    arrival = {s: 0}
     settled = {s: 0}
     frontier: list[tuple[int, int]] = [(s, 0)]
     hops = 0
     while frontier:
         hops += 1
-        nxt: list[tuple[int, int]] = []
+        improved: dict[int, int] = {}
         for v, t in frontier:
             adj = out_adj[v]
             for j in range(bisect_right(out_times[v], t), len(adj)):
                 t2, w = adj[j]
-                if (w, t2) in seen_apps:
-                    continue
-                seen_apps.add((w, t2))
-                nxt.append((w, t2))
-                if w not in settled:
-                    settled[w] = hops
-        frontier = nxt
+                if t2 < arrival.get(w, never):
+                    arrival[w] = t2
+                    improved[w] = t2
+                    if w not in settled:
+                        settled[w] = hops
+        frontier = list(improved.items())
     return settled
 
 

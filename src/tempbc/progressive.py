@@ -254,6 +254,8 @@ def progressive_estimate(
         raise ValueError("progressive_estimate supports the ob and trk estimators")
     if graph.n < 2:
         raise ValueError("sampling estimators need at least 2 nodes")
+    if iteration_cap is not None and iteration_cap < 1:
+        raise ValueError(f"iteration cap must be >= 1, got {iteration_cap}")
 
     cap = iteration_cap
     if cap is None and algorithm is Algorithm.TRK:
@@ -313,6 +315,8 @@ def prtb_estimate(
         raise ValueError("threshold constant c must be >= 2")
     if graph.n < 2:
         raise ValueError("sampling estimators need at least 2 nodes")
+    if max_samples is not None and max_samples < 1:
+        raise ValueError(f"sample cap must be >= 1, got {max_samples}")
 
     threshold = c * graph.n
     totals: dict[int, Fraction] = {}

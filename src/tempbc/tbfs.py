@@ -16,6 +16,12 @@ BFS over appearances; for ``pfm`` a single sweep of edges in time order
 suffices. One rule then picks each destination's target appearances: ``sh``
 its min-hop appearances, ``sfm`` and ``pfm`` its earliest one.
 
+The BFS does not expand an appearance that an earlier layer dominates (same
+node, earlier time), since that adds no record. For one ``sh``/``sfm`` pair it
+first sweeps the edges backward from the destination z and then creates only
+appearances that can still reach z, so a truncated result's ``records`` hold
+the source sentinel and the live appearances only.
+
 Path counts are exact integers; dependency aggregates are exact rationals.
 The backward dependency pass walks the records in reverse creation order,
 which is a topological order of the predecessor DAG because every record is
@@ -27,10 +33,11 @@ per node at the end.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 
 from .graph import TemporalGraph
 
@@ -44,6 +51,8 @@ __all__ = [
 ]
 
 Appearance = tuple[int, int]
+
+_edge_time = attrgetter("time")
 
 
 class PathOptimality(str, Enum):
@@ -114,9 +123,13 @@ def truncated_tbfs(graph: TemporalGraph, s: int, z: int, opt: PathOptimality) ->
     """Single-pair variant of :func:`full_tbfs`.
 
     Prunes exploration that cannot lie on an optimal s-z path: hop layers past
-    the destination's optimal depth, and (for the foremost criteria) edges at
-    or beyond the destination's earliest arrival. The returned sigma, target
-    set, and per-node ratios match the full search restricted to z.
+    the destination's optimal depth, (for the foremost criteria) edges at or
+    beyond the destination's earliest arrival, and (for ``sh`` and ``sfm``)
+    appearances from which z can no longer be reached. The returned sigma,
+    target set, and per-node ratios match the full search restricted to z.
+    Under ``sh`` and ``sfm``, ``records`` holds the source sentinel ``(s, 0)``
+    and only the appearances that can still reach z (for ``sfm``, by z's
+    earliest arrival); a disconnected pair gets the sentinel alone.
     """
     return _tbfs(graph, s, z, opt)
 
@@ -138,15 +151,21 @@ def _tbfs(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality) -> T
 
     if opt is PathOptimality.PREFIX_FOREMOST:
         records, first_time = _prefix_foremost_sweep(graph, s, stop_node=z)
-    elif opt is PathOptimality.SHORTEST or z is None:
-        records, settle_apps, first_time = _shortest_bfs(graph, s, stop_node=z)
+    elif z is None:
+        records, settle_apps, first_time = _shortest_bfs(graph, s)
     else:
-        # one sfm pair: only edges up to z's earliest arrival can be used
-        arrival = _foremost_arrival(graph, s, z)
-        records, first_time = {}, {}
-        if arrival is not None:
-            records, _, first_time = _shortest_bfs(
-                graph, s, stop_node=z, max_time=arrival, max_time_node=z
+        # one sh or sfm pair; an sfm path can only use edges up to z's
+        # earliest arrival
+        arrival = None
+        if opt is PathOptimality.SHORTEST_FOREMOST:
+            arrival = _foremost_arrival(graph, s, z)
+        latest = {}
+        if opt is PathOptimality.SHORTEST or arrival is not None:
+            latest = _latest_departure(graph, z, arrival)
+        records, first_time = {(s, 0): AppearanceRecord(0, 1)}, {}
+        if s in latest:
+            records, settle_apps, first_time = _shortest_bfs(
+                graph, s, stop_node=z, max_time=arrival, latest=latest
             )
 
     per_target: dict[int, PairTargets] = {}
@@ -168,7 +187,7 @@ def _shortest_bfs(
     *,
     stop_node: int | None = None,
     max_time: int | None = None,
-    max_time_node: int | None = None,
+    latest: dict[int, int] | None = None,
 ):
     """Hop-layered BFS over vertex appearances from the sentinel (s, 0).
 
@@ -178,17 +197,25 @@ def _shortest_bfs(
     reproducible. With ``stop_node`` set, the search halts after the layer in
     which that node first settles. With ``max_time`` set, edges labeled beyond
     it are skipped, and edges labeled exactly ``max_time`` are followed only
-    into ``max_time_node``.
+    into ``stop_node``. With ``latest`` set (see :func:`_latest_departure`),
+    an appearance (w, t2) is created only when ``latest[w] > t2``, that is,
+    when it can still reach the stop node.
+
+    An appearance (w, t2) is not expanded when w is s, or when w appeared at
+    an earlier layer at a time before t2: that earlier appearance reaches
+    every appearance (w, t2) reaches, each at a lower layer, so expanding
+    (w, t2) would add nothing. Its record is still created and counted.
 
     Returns the records, in creation order, each after all of its
     predecessors; per node its min-hop appearances; and per node its earliest
-    appearance time.
+    appearance time (the source's is 0).
     """
     src_app = (s, 0)
     records: dict[Appearance, AppearanceRecord] = {src_app: AppearanceRecord(0, 1)}
     settle_hops: dict[int, int] = {s: 0}
     settle_apps: dict[int, list[Appearance]] = {s: [src_app]}
-    min_time: dict[int, int] = {}
+    min_time: dict[int, int] = {s: 0}
+    never = graph.T + 1
     out_adj = graph.out_adjacency
     out_times = graph._out_times
 
@@ -206,11 +233,13 @@ def _shortest_bfs(
                 if max_time is not None:
                     if t2 > max_time:
                         break
-                    if t2 == max_time and w != max_time_node:
+                    if t2 == max_time and w != stop_node:
                         continue
                 app = (w, t2)
                 known = records.get(app)
                 if known is None:
+                    if latest is not None and latest.get(w, 0) <= t2:
+                        continue
                     known = AppearanceRecord(layer, 0)
                     records[app] = known
                     discovered[app] = known
@@ -219,18 +248,46 @@ def _shortest_bfs(
                 known.sigma += sigma_v
                 preds = known.predecessors
                 preds[(v, t)] = preds.get((v, t), 0) + 1
+        # leave dominated appearances out; min_time still holds the earlier
+        # layers only, so appearances of one node in this layer all stay
+        frontier = [(w, t2) for w, t2 in discovered if t2 < min_time.get(w, never)]
         for w, t2 in discovered:
             if w not in settle_hops:
                 settle_hops[w] = layer
                 settle_apps[w] = [(w, t2)]
             elif settle_hops[w] == layer:
                 settle_apps[w].append((w, t2))
-            if w not in min_time or t2 < min_time[w]:
+            if t2 < min_time.get(w, never):
                 min_time[w] = t2
-        frontier = list(discovered)
         if stop_node is not None and stop_node in settle_hops:
             break
     return records, settle_apps, min_time
+
+
+def _latest_departure(graph: TemporalGraph, z: int, max_time: int | None = None) -> dict[int, int]:
+    """Per node v, the largest label at which v can leave and still reach z.
+
+    One sweep over the edges in descending time: an edge (u, w, t) lets u
+    leave at t when w can leave after t, and z itself can always "leave"
+    (``graph.T + 1``). Edges tied at one label cannot chain (strict paths),
+    and the strict comparison keeps them apart. Nodes that cannot reach z
+    are absent. With ``max_time`` set, only edges labeled up to it count, and
+    those labeled exactly ``max_time`` only into z.
+    """
+    edges = graph.edges_by_time
+    latest = {z: graph.T + 1}
+    stop = len(edges)
+    if max_time is not None:
+        stop = bisect_left(edges, max_time, key=_edge_time)
+        for e in edges[stop:bisect_right(edges, max_time, key=_edge_time)]:
+            if e.dst == z:
+                latest.setdefault(e.src, max_time)
+    get = latest.get
+    for e in reversed(edges[:stop]):
+        t = e.time
+        if get(e.dst, 0) > t and e.src not in latest:
+            latest[e.src] = t
+    return latest
 
 
 def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None = None):

@@ -57,6 +57,21 @@ def random_temporal_graph_large(seed: int, n: int, m: int, max_time: int) -> Tem
     return load_edge_list("\n".join(lines) + "\n")
 
 
+def bursty_temporal_graph(seed: int, n: int, m: int, max_time: int) -> TemporalGraph:
+    """Hub-heavy graph with clustered times: Zipf endpoints and eight Gaussian
+    time bursts, so many nodes reappear at several hop layers."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** 1.1
+    weights /= weights.sum()
+    src = rng.choice(n, size=m, p=weights)
+    dst = rng.choice(n, size=m, p=weights)
+    centers = rng.uniform(1, max_time, size=8)
+    times = centers[rng.integers(8, size=m)] + rng.normal(0.0, 2.0, size=m)
+    times = np.clip(np.rint(times), 1, max_time).astype(np.int64)
+    lines = [f"{u} {v} {t}" for u, v, t in zip(src, dst, times) if u != v]
+    return load_edge_list("\n".join(lines) + "\n")
+
+
 def path_appearances(path, source: int) -> tuple[tuple[int, int], ...]:
     """Edge-sequence path to its vertex-appearance sequence, with the (s, 0) sentinel."""
     apps = [(source, 0)]

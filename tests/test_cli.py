@@ -107,6 +107,25 @@ def test_fixed_bound_vc(g1_path, capsys):
     assert report["parameters"]["samples"] >= 1
 
 
+def test_explicit_vd_below_two_is_a_validation_error(g1_path, capsys):
+    for vd in ("-4", "1"):
+        code = main(["fixed", str(g1_path), "--algo", "ob", "--bound", "vc", "--vd", vd, "--threads", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "vertex diameter must be >= 2" in captured.err
+
+
+@pytest.mark.parametrize("algo", ["prtb", "ob", "trk"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_max_samples_below_one_is_a_validation_error(g1_path, capsys, algo, cap):
+    code = main(["progressive", str(g1_path), "--algo", algo, "--max-samples", cap, "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cap must be >= 1" in captured.err
+
+
 def test_progressive_ob_start_size(g1_path, capsys):
     code, report = run(
         capsys, "progressive", g1_path, "--algo", "ob",
@@ -154,6 +173,7 @@ def test_progressive_trk_echoes_cap(g1_path, capsys):
 def test_diameter_census(g1_path, capsys):
     code, report = run(capsys, "diameter", g1_path, "--samples", "4", "--threads", "1")
     assert code == 0
+    assert report["parameters"]["threads"] == 1
     summary = report["summary"]
     assert summary["diameter"] == 2
     assert summary["connectivity_rate"] == 0.5

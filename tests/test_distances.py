@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import random_temporal_graph
+from helpers import bursty_temporal_graph, random_temporal_graph, random_temporal_graph_large
 
 from tempbc import TemporalGraph, estimate_distances, recommended_sample_size
+from tempbc.distances import _settle_hops
 
 
 def brute_pair_distances(graph) -> dict[tuple[int, int], int]:
@@ -31,6 +32,20 @@ def _settle_hops_reference(graph, s):
     for (v, _), h in apps.items():
         settled[v] = min(settled.get(v, h), h)
     return settled
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pytest.param(random_temporal_graph_large(12345, n=60, m=600, max_time=8), id="ties"),
+        pytest.param(bursty_temporal_graph(3, n=80, m=700, max_time=60), id="bursty"),
+    ],
+)
+def test_settle_hops_equals_reference_per_source(graph):
+    # graphs where nodes reappear at several hop layers, so an appearance
+    # reached later by fewer hops matters
+    for s in range(graph.n):
+        assert _settle_hops(graph, s) == _settle_hops_reference(graph, s), s
 
 
 def test_census_on_g1(g1):

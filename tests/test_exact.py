@@ -67,11 +67,6 @@ PINNED_CSVS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def ties():
-    return random_temporal_graph_large(12345, n=60, m=600, max_time=8)
-
-
 def test_g1_exact_values(g1):
     i = {k: g1.index_of(k) for k in (1, 2, 3, 4)}
     sh = exact_tbc_fractions(g1, SH)

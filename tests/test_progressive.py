@@ -345,3 +345,13 @@ def test_prtb_cap(g1):
 def test_prtb_validates(g1):
     with pytest.raises(ValueError):
         prtb_estimate(g1, SH, 1.5, 0)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="sample cap"):
+            prtb_estimate(g1, SH, 2.0, 0, max_samples=cap)
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.OB, Algorithm.TRK])
+@pytest.mark.parametrize("cap", [0, -3])
+def test_iteration_cap_below_one_is_rejected(g1, algorithm, cap):
+    with pytest.raises(ValueError, match="iteration cap"):
+        progressive_estimate(g1, SH, 0.1, 0.1, 1.5, algorithm, seed=0, iteration_cap=cap)

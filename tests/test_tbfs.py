@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -237,3 +238,82 @@ def test_source_out_of_range(g1):
                 truncated_tbfs(g1, 1, bad, opt)
     with pytest.raises(ValueError):
         ob_estimate(g1, SH, 2, 0, pairs=[(-1, 1), (0, 1)])
+
+
+# SHA-256 of every full sh and sfm search's records (key, hops, sigma and the
+# predecessor items in order) from each source of the tie graph; a full sfm
+# search runs the sh search, so both give the same digest. Recorded before the
+# search skipped dominated expansions, which must leave every record as it was.
+FULL_RECORDS_SHA256 = "ce7b22dd2f30d6324c881cf7dac382724eac47218a82e214bc45ae917b60ab98"
+
+
+@pytest.mark.parametrize("opt", [SH, SFM], ids=lambda o: o.value)
+def test_full_records_are_pinned(ties, opt):
+    h = hashlib.sha256()
+    for s in range(ties.n):
+        for app, rec in full_tbfs(ties, s, opt).records.items():
+            h.update(f"{s} {app} {rec.hops} {rec.sigma} {list(rec.predecessors.items())}\n".encode())
+    assert h.hexdigest() == FULL_RECORDS_SHA256
+
+
+def _earliest_arrival_from(graph, v, t, z):
+    """Earliest time a strict path leaving v after t reaches z, or None."""
+    best = None
+    seen = {(v, t)}
+    stack = [(v, t)]
+    while stack:
+        u, tu = stack.pop()
+        for t2, w in graph.out_edges_after(u, tu):
+            if w == z:
+                best = t2 if best is None else min(best, t2)
+            elif (w, t2) not in seen:
+                seen.add((w, t2))
+                stack.append((w, t2))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_truncated_records_can_all_reach_the_destination(seed):
+    # a pair search keeps only appearances from which z is still reachable;
+    # for sfm, reachable no later than z's earliest arrival
+    g = random_temporal_graph(seed + 2000)
+    for opt in (SH, SFM):
+        for s in range(g.n):
+            for z in range(g.n):
+                if s == z:
+                    continue
+                result = truncated_tbfs(g, s, z, opt)
+                assert next(iter(result.records)) == (s, 0)
+                if result.pair_sigma(z) == 0:
+                    assert list(result.records) == [(s, 0)]
+                    assert result.dependency == {}
+                    continue
+                deadline = result.per_target[z].appearances[-1][1]
+                for v, t in list(result.records)[1:]:
+                    if v == z:
+                        continue
+                    arrival = _earliest_arrival_from(g, v, t, z)
+                    assert arrival is not None, (seed, opt, s, z, (v, t))
+                    if opt is SFM:
+                        assert arrival <= deadline
+
+
+def test_disconnected_pair_returns_only_the_sentinel(ties):
+    g = load_edge_list("0 1 1\n1 2 2\n3 0 1\n")
+    s, z = g.index_of(2), g.index_of(0)  # 2 has no out-edge
+    for opt in (SH, SFM):
+        result = truncated_tbfs(g, s, z, opt)
+        assert list(result.records) == [(s, 0)]
+        assert result.pair_sigma(z) == 0
+        assert result.dependency == {}
+    disconnected = 0
+    for s in range(ties.n):
+        for z in range(ties.n):
+            if s == z:
+                continue
+            result = truncated_tbfs(ties, s, z, SH)
+            if result.pair_sigma(z) == 0:
+                disconnected += 1
+                assert list(result.records) == [(s, 0)]
+                assert result.dependency == {}
+    assert disconnected > 0
