@@ -77,7 +77,7 @@ def _settle_hops(graph: TemporalGraph, s: int) -> dict[int, int]:
         for v, t in frontier:
             adj = out_adj[v]
             for j in range(bisect_right(out_times[v], t), len(adj)):
-                t2, w = adj[j]
+                t2, _, w = adj[j]
                 if t2 < arrival.get(w, never):
                     arrival[w] = t2
                     improved[w] = t2

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -59,8 +60,11 @@ class TemporalGraph:
         directed: False when the input was declared undirected.
         node_ids: original input id for each compact id.
         dropped_self_loops: count of self-loop rows removed at load.
-        out_adjacency: per node, ``(time, head)`` pairs of its out-edges,
-            sorted ascending by time, ties by head then input order.
+        edges_by_time: every stored edge as a plain ``(time, src, dst)``
+            int tuple, sorted stably by time alone (rows of one label keep
+            input order), for the sweeps of :mod:`tempbc.tbfs`.
+        out_adjacency: per node, the same row objects for its out-edges,
+            sorted ascending by time, ties by head.
     """
 
     __slots__ = (
@@ -94,23 +98,26 @@ class TemporalGraph:
         self.dropped_self_loops = dropped_self_loops
         self._id_index = {orig: i for i, orig in enumerate(self.node_ids)}
 
-        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for idx, e in enumerate(self.edges):
-            out[e.src].append((e.time, e.dst, idx))
-        self.out_adjacency = tuple(
-            tuple((t, w) for t, w, _ in sorted(lst)) for lst in out
+        self.edges_by_time = tuple(
+            sorted(((e.time, e.src, e.dst) for e in self.edges), key=itemgetter(0))
         )
-        self._out_times = tuple([t for t, _ in adj] for adj in self.out_adjacency)
-        self.edges_by_time = tuple(sorted(self.edges, key=lambda e: e.time))
+        # equal rows are indistinguishable, so no input-order tie-break
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for row in self.edges_by_time:
+            out[row[1]].append(row)
+        for lst in out:
+            lst.sort()
+        self.out_adjacency = tuple(map(tuple, out))
+        self._out_times = tuple([row[0] for row in adj] for adj in self.out_adjacency)
 
     def index_of(self, original_id: int) -> int:
         """Compact id of an original input node id."""
         return self._id_index[original_id]
 
     def out_edges_after(self, node: int, time: int) -> list[tuple[int, int]]:
-        """Edges leaving ``node`` with label strictly greater than ``time``."""
+        """``(time, head)`` of the edges leaving ``node`` labeled after ``time``."""
         adj = self.out_adjacency[node]
-        return list(adj[bisect_right(self._out_times[node], time):])
+        return [(t, w) for t, _, w in adj[bisect_right(self._out_times[node], time):]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalGraph):

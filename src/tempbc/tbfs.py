@@ -22,6 +22,11 @@ first sweeps the edges backward from the destination z and then creates only
 appearances that can still reach z, so a truncated result's ``records`` hold
 the source sentinel and the live appearances only.
 
+Every sweep unpacks the plain ``(time, src, dst)`` rows of
+``graph.edges_by_time`` from s's first departure on: a search from s leaves
+s on one of its out-edges, so nothing it creates or follows has an earlier
+label. A source without out-edges keeps the sentinel ``(s, 0)`` alone.
+
 Path counts are exact integers; dependency aggregates are exact rationals.
 The backward dependency pass walks the records in reverse creation order,
 which is a topological order of the predecessor DAG because every record is
@@ -37,7 +42,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
 
 from .graph import TemporalGraph
 
@@ -51,8 +55,6 @@ __all__ = [
 ]
 
 Appearance = tuple[int, int]
-
-_edge_time = attrgetter("time")
 
 
 class PathOptimality(str, Enum):
@@ -139,7 +141,8 @@ def _tbfs(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality) -> T
 
     Runs the criterion's search, then picks each requested destination's
     target appearances with one rule: sh takes its min-hop appearances in
-    sorted order, sfm and pfm its earliest appearance.
+    sorted order, sfm and pfm its earliest appearance. A source without
+    out-edges runs no search or sweep.
     """
     if not 0 <= s < graph.n:
         raise ValueError(f"source {s} out of range for n={graph.n}")
@@ -149,7 +152,10 @@ def _tbfs(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality) -> T
         if s == z:
             raise ValueError("source and destination must differ")
 
-    if opt is PathOptimality.PREFIX_FOREMOST:
+    records, first_time = {(s, 0): AppearanceRecord(0, 1)}, {s: 0}
+    if not graph._out_times[s]:
+        pass  # s reaches nothing: the sentinel alone, no sweep
+    elif opt is PathOptimality.PREFIX_FOREMOST:
         records, first_time = _prefix_foremost_sweep(graph, s, stop_node=z)
     elif z is None:
         records, settle_apps, first_time = _shortest_bfs(graph, s)
@@ -159,14 +165,12 @@ def _tbfs(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality) -> T
         arrival = None
         if opt is PathOptimality.SHORTEST_FOREMOST:
             arrival = _foremost_arrival(graph, s, z)
-        latest = {}
         if opt is PathOptimality.SHORTEST or arrival is not None:
-            latest = _latest_departure(graph, z, arrival)
-        records, first_time = {(s, 0): AppearanceRecord(0, 1)}, {}
-        if s in latest:
-            records, settle_apps, first_time = _shortest_bfs(
-                graph, s, stop_node=z, max_time=arrival, latest=latest
-            )
+            latest = _latest_departure(graph, s, z, arrival)
+            if latest[s]:
+                records, settle_apps, first_time = _shortest_bfs(
+                    graph, s, stop_node=z, max_time=arrival, latest=latest
+                )
 
     per_target: dict[int, PairTargets] = {}
     for w in [w for w in first_time if w != s] if z is None else [z]:
@@ -187,7 +191,7 @@ def _shortest_bfs(
     *,
     stop_node: int | None = None,
     max_time: int | None = None,
-    latest: dict[int, int] | None = None,
+    latest: list[int] | None = None,
 ):
     """Hop-layered BFS over vertex appearances from the sentinel (s, 0).
 
@@ -229,7 +233,7 @@ def _shortest_bfs(
             sigma_v = rec.sigma
             adj = out_adj[v]
             for j in range(bisect_right(out_times[v], t), len(adj)):
-                t2, w = adj[j]
+                t2, _, w = adj[j]
                 if max_time is not None:
                     if t2 > max_time:
                         break
@@ -238,7 +242,7 @@ def _shortest_bfs(
                 app = (w, t2)
                 known = records.get(app)
                 if known is None:
-                    if latest is not None and latest.get(w, 0) <= t2:
+                    if latest is not None and latest[w] <= t2:
                         continue
                     known = AppearanceRecord(layer, 0)
                     records[app] = known
@@ -264,29 +268,32 @@ def _shortest_bfs(
     return records, settle_apps, min_time
 
 
-def _latest_departure(graph: TemporalGraph, z: int, max_time: int | None = None) -> dict[int, int]:
+def _latest_departure(graph: TemporalGraph, s: int, z: int, max_time: int | None = None) -> list[int]:
     """Per node v, the largest label at which v can leave and still reach z.
 
-    One sweep over the edges in descending time: an edge (u, w, t) lets u
-    leave at t when w can leave after t, and z itself can always "leave"
-    (``graph.T + 1``). Edges tied at one label cannot chain (strict paths),
-    and the strict comparison keeps them apart. Nodes that cannot reach z
-    are absent. With ``max_time`` set, only edges labeled up to it count, and
-    those labeled exactly ``max_time`` only into z.
+    Returns a list indexed by node, 0 where v cannot reach z; z itself gets
+    ``graph.T + 1``. One sweep over the rows in descending time: a row
+    (t, u, w) lets u leave at t when w can leave after t. Rows tied at one
+    label cannot chain (strict paths), and the strict comparison keeps them
+    apart. With ``max_time`` set, only rows labeled up to it count, and those
+    labeled exactly ``max_time`` only into z. Labels below s's first
+    departure are skipped, so a value below it reads 0: a search from s asks
+    only about labels t2 at or above it, where ``latest[w] <= t2`` comes out
+    the same either way, and ``latest[s]`` is exact.
     """
     edges = graph.edges_by_time
-    latest = {z: graph.T + 1}
+    latest = [0] * graph.n
+    latest[z] = graph.T + 1
+    start = bisect_left(edges, (graph._out_times[s][0],))
     stop = len(edges)
     if max_time is not None:
-        stop = bisect_left(edges, max_time, key=_edge_time)
-        for e in edges[stop:bisect_right(edges, max_time, key=_edge_time)]:
-            if e.dst == z:
-                latest.setdefault(e.src, max_time)
-    get = latest.get
-    for e in reversed(edges[:stop]):
-        t = e.time
-        if get(e.dst, 0) > t and e.src not in latest:
-            latest[e.src] = t
+        stop = bisect_left(edges, (max_time,))
+        for _, u, w in edges[stop:bisect_left(edges, (max_time + 1,))]:
+            if w == z and not latest[u]:
+                latest[u] = max_time
+    for t, u, w in reversed(edges[start:stop]):
+        if latest[w] > t and not latest[u]:
+            latest[u] = t
     return latest
 
 
@@ -300,45 +307,51 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
     any processing order within a label is correct.
 
     Returns the records, each created after its predecessors (they settled
-    at earlier labels), and the arrival time of every reached node.
+    at earlier labels), and the arrival time of every reached node, in the
+    order reached.
     """
-    arrival: dict[int, int] = {s: 0}
+    never = graph.T + 1
+    arrival = [never] * graph.n
+    arrival[s] = 0
     records: dict[Appearance, AppearanceRecord] = {(s, 0): AppearanceRecord(0, 1)}
-    for e in graph.edges_by_time:
-        if stop_node is not None and stop_node in arrival and e.time > arrival[stop_node]:
+    edges = graph.edges_by_time
+    deadline = never  # the stop node's arrival, once it has one
+    for t, u, v in edges[bisect_left(edges, (graph._out_times[s][0],)):]:
+        if t > deadline:
             break
-        a_u = arrival.get(e.src)
-        if a_u is None or a_u >= e.time:
+        a_u = arrival[u]
+        if a_u >= t:
             continue
-        u_rec = records[(e.src, a_u)]
-        a_v = arrival.get(e.dst)
-        if a_v is None:
-            arrival[e.dst] = e.time
+        u_rec = records[(u, a_u)]
+        a_v = arrival[v]
+        if a_v > t:  # first arrival: rows come in time order
+            arrival[v] = t
+            if v == stop_node:
+                deadline = t
             rec = AppearanceRecord(u_rec.hops + 1, u_rec.sigma)
-            rec.predecessors[(e.src, a_u)] = 1
-            records[(e.dst, e.time)] = rec
-        elif a_v == e.time:
-            rec = records[(e.dst, e.time)]
+            rec.predecessors[(u, a_u)] = 1
+            records[(v, t)] = rec
+        elif a_v == t:
+            rec = records[(v, t)]
             rec.sigma += u_rec.sigma
             rec.hops = min(rec.hops, u_rec.hops + 1)
             preds = rec.predecessors
-            preds[(e.src, a_u)] = preds.get((e.src, a_u), 0) + 1
-        # a_v < e.time: arriving later than the earliest time, not foremost
-    return records, arrival
+            preds[(u, a_u)] = preds.get((u, a_u), 0) + 1
+        # a_v < t: arriving later than the earliest time, not foremost
+    return records, {v: t for v, t in records}
 
 
 def _foremost_arrival(graph: TemporalGraph, s: int, z: int) -> int | None:
     """Earliest arrival time at z from s (None when unreachable)."""
-    arrival: dict[int, int] = {s: 0}
-    for e in graph.edges_by_time:
-        a_u = arrival.get(e.src)
-        if a_u is None or a_u >= e.time:
-            continue
-        if e.dst not in arrival:
-            arrival[e.dst] = e.time
-            if e.dst == z:
-                return e.time
-    return arrival.get(z)
+    arrival = [graph.T + 1] * graph.n
+    arrival[s] = 0
+    edges = graph.edges_by_time
+    for t, u, w in edges[bisect_left(edges, (graph._out_times[s][0],)):]:
+        if arrival[u] < t < arrival[w]:
+            if w == z:
+                return t
+            arrival[w] = t
+    return None
 
 
 def _accumulate_dependency(

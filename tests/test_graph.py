@@ -86,19 +86,45 @@ def test_writer_round_trip_identity(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_undirected_adjacency_is_symmetric(seed):
-    g = random_temporal_graph(seed * 31 + 5, allow_undirected=True)
-    if g.directed:
-        pytest.skip("generator produced a directed graph for this seed")
-    forward = Counter((u, t, w) for u in range(g.n) for t, w in g.out_adjacency[u])
-    backward = Counter((w, t, u) for u in range(g.n) for t, w in g.out_adjacency[u])
+    rows = io.StringIO()
+    write_edge_list(random_temporal_graph(seed * 31 + 5, allow_undirected=False), rows)
+    g = load_edge_list(rows.getvalue(), directed=False)
+    forward = Counter((u, t, w) for u in range(g.n) for t, _, w in g.out_adjacency[u])
+    backward = Counter((w, t, u) for u in range(g.n) for t, _, w in g.out_adjacency[u])
     assert forward == backward
+    assert Counter(g.edges_by_time) == Counter((t, w, u) for t, u, w in g.edges_by_time)
+
+
+def _stable_rows_by_time(g):
+    return tuple((e.time, e.src, e.dst) for e in sorted(g.edges, key=lambda e: e.time))
+
+
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+@pytest.mark.parametrize("seed", range(10))
+def test_edges_by_time_is_a_stable_sort_by_time(seed, directed):
+    rows = io.StringIO()
+    write_edge_list(random_temporal_graph(seed + 600, allow_undirected=False), rows)
+    g = load_edge_list(rows.getvalue(), directed=directed)
+    assert g.edges_by_time == _stable_rows_by_time(g)
+
+
+def test_edges_by_time_keeps_input_order_within_a_label(ties):
+    # rows of one label stay in input order, not sorted by endpoints: the
+    # pfm predecessor order and trk's path draws read that order
+    assert ties.edges_by_time == _stable_rows_by_time(ties)
+    assert ties.edges_by_time != tuple(sorted(ties.edges_by_time))
+    assert all(type(row) is tuple for row in ties.edges_by_time)
 
 
 def test_adjacency_sorted_by_time():
     g = random_temporal_graph(3)
     for u in range(g.n):
-        times = [t for t, _ in g.out_adjacency[u]]
+        times = [t for t, _, _ in g.out_adjacency[u]]
         assert times == sorted(times)
+        assert all(src == u for _, src, _ in g.out_adjacency[u])
+    # the adjacency holds the row objects of edges_by_time, not copies
+    rows = {id(row) for row in g.edges_by_time}
+    assert all(id(row) in rows for adj in g.out_adjacency for row in adj)
 
 
 def test_college_msg_summary_when_present():

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import bruteforce_all_optimal, make_g1, random_temporal_graph
 
+from tempbc import tbfs as tbfs_module
 from tempbc import (
     PathOptimality,
     enumerate_paths_bruteforce,
@@ -317,3 +318,69 @@ def test_disconnected_pair_returns_only_the_sentinel(ties):
                 assert list(result.records) == [(s, 0)]
                 assert result.dependency == {}
     assert disconnected > 0
+
+
+def _latest_departure_reference(graph, z, max_time=None):
+    """Fixpoint of latest[v] = max t over out-edges (v, w, t) with
+    latest[w] > t; with ``max_time``, only labels up to it, and that label
+    only into z."""
+    latest = [0] * graph.n
+    latest[z] = graph.T + 1
+    changed = True
+    while changed:
+        changed = False
+        for v in range(graph.n):
+            for t, w in graph.out_edges_after(v, 0):
+                if max_time is not None and (t > max_time or (t == max_time and w != z)):
+                    continue
+                if latest[w] > t > latest[v]:
+                    latest[v] = t
+                    changed = True
+    return latest
+
+
+def _check_latest_departure(graph):
+    for z in range(graph.n):
+        reference = {None: _latest_departure_reference(graph, z)}
+        for s in range(graph.n):
+            if s == z or not graph.out_adjacency[s]:
+                continue
+            cut = graph.out_adjacency[s][0][0]
+            # sh sweeps every label; sfm stops at z's earliest arrival
+            for max_time in {None, tbfs_module._foremost_arrival(graph, s, z)}:
+                if max_time not in reference:
+                    reference[max_time] = _latest_departure_reference(graph, z, max_time)
+                expected = [t if t >= cut else 0 for t in reference[max_time]]
+                assert tbfs_module._latest_departure(graph, s, z, max_time) == expected, (s, z, max_time)
+
+
+def test_latest_departure_matches_a_fixpoint_on_the_tie_graph(ties):
+    _check_latest_departure(ties)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_latest_departure_matches_a_fixpoint(seed):
+    _check_latest_departure(random_temporal_graph(seed + 5000))
+
+
+def test_source_without_out_edges_runs_no_sweep(monkeypatch):
+    g = load_edge_list("0 1 1\n1 2 2\n3 0 1\n")
+    s = g.index_of(2)  # 2 has no out-edge
+    assert not g.out_adjacency[s]
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a source without out-edges ran a sweep")
+
+    for name in ("_latest_departure", "_foremost_arrival", "_prefix_foremost_sweep", "_shortest_bfs"):
+        monkeypatch.setattr(tbfs_module, name, no_sweep)
+    for opt in ALL_OPTS:
+        for z in range(g.n):
+            if z == s:
+                continue
+            result = truncated_tbfs(g, s, z, opt)
+            assert list(result.records) == [(s, 0)]
+            assert result.pair_sigma(z) == 0
+            assert result.dependency == {}
+        result = full_tbfs(g, s, opt)
+        assert list(result.records) == [(s, 0)]
+        assert result.per_target == {} and result.dependency == {}
