@@ -44,7 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--opt", choices=[o.value for o in PathOptimality], default="sh")
         p.add_argument("--undirected", action="store_true", help="treat input as undirected")
         p.add_argument("--dedupe", action="store_true", help="drop duplicate input rows")
-        p.add_argument("--threads", type=int, default=default_threads())
+        p.add_argument(
+            "--threads", type=int, default=default_threads(),
+            help="most worker processes to use; never more than the CPUs this process may run on",
+        )
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--scores", help="write the score CSV here")
         if seeded:

@@ -128,7 +128,7 @@ def estimate_distances(
 
     dd: dict[int, int] = {}
     worker = functools.partial(_histogram_chunk, graph, sources)
-    for partial in run_chunks(worker, s_used, threads, chunk=64):
+    for partial in run_chunks(worker, s_used, threads):
         for h, c in partial.items():
             dd[h] = dd.get(h, 0) + c
 

@@ -1,10 +1,11 @@
 """Exact normalized temporal betweenness by dependency accumulation.
 
 Exact betweenness is the rtb census: the per-sample pipeline of
-:mod:`tempbc.samplers` run over ``sources=range(n)`` in 32-source chunks.
-Per-source dependencies are summed as exact rationals and divided by n(n-1);
-rounding to float happens once, at the score-vector boundary, so results are
-bit-reproducible regardless of worker count. ``ScoreVector`` is defined in
+:mod:`tempbc.samplers` run over ``sources=range(n)``, in chunks of about
+n / (4 * workers) sources. Per-source dependencies are summed as exact
+rationals and divided by n(n-1); rounding to float happens once, at the
+score-vector boundary, so results are bit-reproducible regardless of worker
+count and chunk size. ``ScoreVector`` is defined in
 :mod:`tempbc.samplers` and re-exported here.
 """
 
@@ -39,7 +40,7 @@ def exact_tbc_fractions(
     n = graph.n
     if n <= 1:
         return {v: Fraction(0) for v in range(n)}
-    total = summed_contributions(graph, opt, Algorithm.RTB, None, range(n), n, threads, chunk=32)
+    total = summed_contributions(graph, opt, Algorithm.RTB, None, range(n), n, threads)
     scale = Fraction(1, n * (n - 1))
     return {v: total.get(v, 0) * scale for v in range(n)}
 

@@ -1,8 +1,14 @@
-"""Deterministic chunked fan-out.
+"""Chunked fan-out over item indices.
 
-Work is split into fixed-size chunks by item index, independent of the worker
-count, and partial results are folded in chunk order. A run with 1, 4, or 8
-workers therefore produces bit-identical output.
+Work over an index range is cut into chunks whose results come back in chunk
+order. Every caller folds them exactly (sums of ints or ``Fraction``s) or one
+sample at a time in index order, so where the chunks are cut never changes
+the output, for any worker count. Chunks are therefore sized from the run:
+``ceil(items / (4 * workers))`` items, about four per worker, so that uneven
+chunk costs even out. ``threads`` is an upper bound: a run starts no more
+workers than the CPUs it may run on, nor more than it has chunks. Each pool
+process receives the worker once, through the pool initializer, so a task
+carries only its ``(lo, hi)`` range.
 """
 
 from __future__ import annotations
@@ -13,14 +19,18 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, TypeVar
 
-__all__ = ["CHUNK_SIZE", "chunk_ranges", "run_chunks", "default_threads"]
+__all__ = ["Fanout", "chunk_ranges", "run_chunks", "default_threads"]
 
-CHUNK_SIZE = 256
+# chunks per worker: enough that one slow chunk does not leave a worker idle
+CHUNKS_PER_WORKER = 4
 
 # how often a worker checks that the process that started it is still alive
 PARENT_POLL_SECONDS = 0.5
 
 T = TypeVar("T")
+
+# the worker function of this pool process, set by the pool initializer
+_installed: Callable | None = None
 
 
 def default_threads() -> int:
@@ -31,35 +41,73 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def chunk_ranges(total: int, chunk: int = CHUNK_SIZE) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+def chunk_ranges(
+    total: int, chunk: int | None = None, workers: int = 1, start: int = 0
+) -> list[tuple[int, int]]:
+    """Ranges of ``chunk`` indices covering start..start+total-1, in order.
+
+    Without ``chunk``, each range holds ``ceil(total / (4 * workers))``
+    indices.
+    """
+    if chunk is None:
+        chunk = max(1, -(-total // (CHUNKS_PER_WORKER * workers)))
+    stop = start + total
+    return [(lo, min(lo + chunk, stop)) for lo in range(start, stop, chunk)]
+
+
+class Fanout:
+    """Runs ``worker(lo, hi)`` over index ranges on up to ``threads`` workers.
+
+    ``worker`` must be picklable (a module-level function or
+    functools.partial over one). The pool starts at the first call with more
+    than one chunk and serves every later call until the ``with`` block ends.
+    """
+
+    def __init__(self, worker: Callable[[int, int], T], threads: int):
+        self.worker = worker
+        self.workers = max(1, min(threads, default_threads()))
+        self._pool: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> "Fanout":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def map(self, start: int, stop: int, chunk: int | None = None) -> Iterator[T]:
+        """Yield worker(lo, hi) per chunk of start..stop-1, in chunk order."""
+        ranges = chunk_ranges(stop - start, chunk, self.workers, start)
+        if self.workers == 1 or len(ranges) <= 1:
+            for lo, hi in ranges:
+                yield self.worker(lo, hi)
+            return
+        if self._pool is None:
+            # the pool forks all of its workers up front, so start no idle ones
+            self._pool = ProcessPoolExecutor(
+                max_workers=min(self.workers, len(ranges)),
+                initializer=_install,
+                initargs=(os.getpid(), self.worker),
+            )
+        yield from self._pool.map(_run_installed, *zip(*ranges))
 
 
 def run_chunks(
-    worker: Callable[[int, int], T], total: int, threads: int, chunk: int = CHUNK_SIZE
+    worker: Callable[[int, int], T], total: int, threads: int, chunk: int | None = None
 ) -> Iterator[T]:
-    """Yield worker(lo, hi) per chunk, in chunk order.
-
-    ``worker`` must be picklable (a module-level function or functools.partial
-    over one) when threads > 1.
-    """
-    ranges = chunk_ranges(total, chunk)
-    if threads <= 1 or len(ranges) <= 1:
-        for lo, hi in ranges:
-            yield worker(lo, hi)
-        return
-    # the pool forks all of its workers up front, so start no idle ones
-    with ProcessPoolExecutor(
-        max_workers=min(threads, len(ranges)),
-        initializer=_exit_with_parent,
-        initargs=(os.getpid(),),
-    ) as pool:
-        yield from pool.map(worker, *zip(*ranges))
+    """Yield worker(lo, hi) per chunk of 0..total-1, in chunk order, on a
+    :class:`Fanout` used for this call alone."""
+    with Fanout(worker, threads) as fan:
+        yield from fan.map(0, total, chunk)
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: end this worker once ``parent`` has died, so a killed
-    run does not leave workers computing queued chunks under pid 1."""
+def _install(parent: int, worker: Callable) -> None:
+    """Pool initializer: keep ``worker`` for this process's tasks, and end the
+    process once ``parent`` has died, so a killed run does not leave workers
+    computing queued chunks under pid 1."""
+    global _installed
+    _installed = worker
 
     def watch() -> None:
         while os.getppid() == parent:
@@ -67,3 +115,7 @@ def _exit_with_parent(parent: int) -> None:
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
+
+
+def _run_installed(lo: int, hi: int):
+    return _installed(lo, hi)

@@ -14,9 +14,10 @@ Two schemes:
 Both draw their samples through :func:`tempbc.samplers.sample_contribution`,
 the per-sample pipeline of the fixed-sample estimators. Each checkpoint batch
 of :func:`progressive_estimate` runs in chunks on up to ``threads`` workers
-and is folded in sample-index order, so the scores and the bound are the
-same for any worker count. :func:`prtb_estimate` is serial, because it checks
-its stop rule after every sample.
+of one pool for the whole run, and is folded in sample-index order, so the
+scores and the bound are the same for any worker count.
+:func:`prtb_estimate` is serial, because it checks its stop rule after every
+sample.
 
 The bookkeeping keeps, per node, the running sum of its per-sample values and
 of their squares, plus a multiset of the squared norms; the norm multiset is
@@ -25,6 +26,7 @@ all the bound needs, so the per-sample cost stays constant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,7 +36,8 @@ import numpy as np
 
 from .bounds import check_bound_inputs, hoeffding_size
 from .graph import TemporalGraph
-from .samplers import Algorithm, ScoreVector, sample_contribution, sampled_contributions
+from .parallel import Fanout
+from .samplers import Algorithm, ScoreVector, sample_contribution
 from .tbfs import PathOptimality
 
 __all__ = [
@@ -246,8 +249,8 @@ def progressive_estimate(
     with probability at least 1 - delta. For ``trk`` the sample size is
     additionally capped at the union-bound size, after which the run stops
     regardless. Each checkpoint batch is computed on up to ``threads`` workers
-    and folded in sample-index order, so the result does not depend on
-    ``threads``.
+    of one pool that serves the whole run, and is folded in sample-index
+    order, so the result does not depend on ``threads``.
     """
     check_bound_inputs(epsilon, delta)
     if algorithm not in (Algorithm.OB, Algorithm.TRK):
@@ -265,34 +268,40 @@ def progressive_estimate(
     state = RademacherState(graph.n)
     done = 0
     iteration = 0
-    while True:
-        iteration += 1
-        target = schedule.size(iteration)
-        if cap is not None:
-            target = min(target, cap)
-        for contribution in sampled_contributions(
-            graph, opt, algorithm, seed, done, target, threads
-        ):
-            # the state's float sums depend on fold order: ascending node id
-            # for ob, path order for trk
-            nodes = sorted(contribution) if algorithm is Algorithm.OB else contribution
-            for u in nodes:
-                update_values(state, u, float(contribution[u]))
-        done = target
-        bound = rademacher_bound(state, done)
-        xi = stopping_xi(bound, done, delta / 2.0**iteration)
-        if xi <= epsilon:
-            reason = StopReason.BOUND_MET
-            break
-        if cap is not None and done >= cap:
-            reason = StopReason.ITERATION_CAP
-            break
+    worker = functools.partial(_sample_chunk, graph, opt, algorithm, seed)
+    with Fanout(worker, threads) as fan:
+        while True:
+            iteration += 1
+            target = schedule.size(iteration)
+            if cap is not None:
+                target = min(target, cap)
+            for contributions in fan.map(done, target):
+                for contribution in contributions:
+                    # the state's float sums depend on fold order: ascending
+                    # node id for ob, path order for trk
+                    nodes = sorted(contribution) if algorithm is Algorithm.OB else contribution
+                    for u in nodes:
+                        update_values(state, u, float(contribution[u]))
+            done = target
+            bound = rademacher_bound(state, done)
+            xi = stopping_xi(bound, done, delta / 2.0**iteration)
+            if xi <= epsilon:
+                reason = StopReason.BOUND_MET
+                break
+            if cap is not None and done >= cap:
+                reason = StopReason.ITERATION_CAP
+                break
 
     values = np.array(
         [state.b1.get(u, 0.0) / done for u in range(graph.n)], dtype=np.float64
     )
     report = StopReport(done, iteration, xi, epsilon, reason)
     return ScoreVector(opt, values, sample_size=done), report
+
+
+def _sample_chunk(graph, opt, algorithm, seed, lo, hi) -> list[dict]:
+    """Contributions of samples lo..hi-1, one per sample, in index order."""
+    return [sample_contribution(graph, opt, algorithm, seed, None, i) for i in range(lo, hi)]
 
 
 def prtb_estimate(

@@ -13,9 +13,9 @@ and turned into that contribution:
 
 Sample i draws from its own counter-based substream ``substream(seed, i)``,
 so a seeded run is reproducible for any worker count. The fixed-sample
-estimators sum contributions per chunk and fold the chunk sums; each keeps
-its own normalisation: rtb divides by r(n-1), ob by r, and trk multiplies
-its integer counts by 1/r.
+estimators sum contributions per chunk and fold the chunk sums exactly, so
+where the chunks are cut does not matter. Each keeps its own normalisation:
+rtb divides by r(n-1), ob by r, and trk multiplies its integer counts by 1/r.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import TextIO
 import numpy as np
 
 from .graph import TemporalGraph
-from .parallel import CHUNK_SIZE, run_chunks
+from .parallel import run_chunks
 from .rng import draw_pair, draw_source, randbelow, substream
 from .tbfs import Appearance, PathOptimality, TbfsResult, full_tbfs, truncated_tbfs
 
@@ -145,31 +145,14 @@ def _sum_chunk(graph, opt, algorithm, seed, fixed, lo, hi) -> dict:
     return total
 
 
-def _sample_chunk(graph, opt, algorithm, seed, start, lo, hi) -> list[dict]:
-    """Contributions of samples start+lo .. start+hi-1, one per sample, in order."""
-    return [
-        sample_contribution(graph, opt, algorithm, seed, None, i)
-        for i in range(start + lo, start + hi)
-    ]
-
-
-def summed_contributions(
-    graph, opt, algorithm, seed, fixed, r: int, threads: int, chunk: int = CHUNK_SIZE
-) -> dict:
+def summed_contributions(graph, opt, algorithm, seed, fixed, r: int, threads: int) -> dict:
     """Sum of the contributions of samples 0..r-1, folded in chunk order."""
     worker = functools.partial(_sum_chunk, graph, opt, algorithm, seed, fixed)
     total: dict = {}
-    for partial in run_chunks(worker, r, threads, chunk):
+    for partial in run_chunks(worker, r, threads):
         for v, val in partial.items():
             total[v] = total.get(v, 0) + val
     return total
-
-
-def sampled_contributions(graph, opt, algorithm, seed, start: int, stop: int, threads: int):
-    """Contributions of samples start..stop-1, one per sample, in index order."""
-    worker = functools.partial(_sample_chunk, graph, opt, algorithm, seed, start)
-    for contributions in run_chunks(worker, stop - start, threads):
-        yield from contributions
 
 
 def _require_sampling_pre(graph: TemporalGraph, r: int, fixed, what: str) -> None:

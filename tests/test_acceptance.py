@@ -403,12 +403,15 @@ def test_criterion_10_thread_count_determinism(tmp_path):
         "rtb": ["fixed", str(graph_file), "--algo", "rtb", "--samples", "400", "--seed", "5"],
         "ob": ["fixed", str(graph_file), "--algo", "ob", "--samples", "400", "--seed", "5"],
         "trk": ["fixed", str(graph_file), "--algo", "trk", "--samples", "400", "--seed", "5"],
+        # the vertex-diameter estimate runs a 60-source distance census first
+        "ob-vc": ["fixed", str(graph_file), "--algo", "ob", "--bound", "vc", "--seed", "5"],
+        "diameter": ["diameter", str(graph_file), "--samples", "40", "--seed", "5"],
         "prog-ob": [
             "progressive", str(graph_file), "--algo", "ob",
             "--epsilon", "0.25", "--delta", "0.1", "--seed", "5",
         ],
-        # at eps = 0.1 the first checkpoint batch is 350 samples, two chunks,
-        # so 4 and 8 threads really fan out
+        # at eps = 0.1 the checkpoint batches are 350/175/263/394 samples,
+        # each cut into about four chunks per worker, so every batch fans out
         "prog-ob-eps0.1": [
             "progressive", str(graph_file), "--algo", "ob",
             "--epsilon", "0.1", "--delta", "0.1", "--seed", "5",
@@ -422,6 +425,7 @@ def test_criterion_10_thread_count_determinism(tmp_path):
     for name, argv in commands.items():
         outputs = []
         stops = []
+        reports = []
         for threads in (1, 4, 8):
             out = tmp_path / f"{name}-{threads}.csv"
             code = cli_main(argv + ["--threads", str(threads), "--scores", str(out),
@@ -429,10 +433,18 @@ def test_criterion_10_thread_count_determinism(tmp_path):
             if code != 0:
                 failures.append(f"{name} at {threads} threads exited {code}")
                 continue
-            outputs.append(out.read_bytes())
-            stops.append(json.loads(report_path.read_text()).get("stop"))
+            # diameter writes no score CSV; its summary is in the report
+            outputs.append(out.read_bytes() if out.exists() else None)
+            report = json.loads(report_path.read_text())
+            stops.append(report.get("stop"))
+            report["parameters"].pop("threads")
+            for key in ("command", "wall_seconds", "scores_path"):
+                report.pop(key, None)
+            reports.append(report)
         if len(set(outputs)) != 1:
             failures.append(f"{name}: score CSVs differ across 1/4/8 threads")
         if any(stop != stops[0] for stop in stops):
             failures.append(f"{name}: stop sections differ across 1/4/8 threads: {stops}")
-    _verdict(10, "byte-identical score CSVs and stop reports across 1/4/8 threads", failures)
+        if any(report != reports[0] for report in reports):
+            failures.append(f"{name}: reports differ across 1/4/8 threads")
+    _verdict(10, "byte-identical score CSVs and reports across 1/4/8 threads", failures)

@@ -153,7 +153,8 @@ def test_parallel_matches_serial(g1):
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
-    # the pool forks every worker when it starts, so 2 chunks must ask for 2
+    # the pool forks every worker when it starts: on 8 CPUs, 3 sources make
+    # 3 one-source chunks, so 8 threads must ask for 3 workers
     asked = []
 
     class RecordingPool(parallel.ProcessPoolExecutor):
@@ -162,9 +163,11 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
-    g = random_temporal_graph_large(5, n=40, m=240, max_time=20)  # two 32-source chunks
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    g = random_temporal_graph_large(5, n=3, m=12, max_time=20)
+    assert len(parallel.chunk_ranges(g.n, workers=8)) == 3
     assert exact_tbc_fractions(g, SH, threads=8) == exact_tbc_fractions(g, SH, threads=1)
-    assert asked == [2]
+    assert asked == [3]
 
 
 def test_college_msg_pairwise_spot_check_when_present():

@@ -26,7 +26,7 @@ from tempbc import (
     stopping_xi,
     update_values,
 )
-from tempbc.parallel import CHUNK_SIZE
+from tempbc.parallel import chunk_ranges
 from tempbc.rng import draw_pair, draw_source, substream
 
 SH = PathOptimality.SHORTEST
@@ -275,11 +275,13 @@ def test_explicit_iteration_cap(g1):
     assert scores.sample_size == 50
 
 
-def test_progressive_is_independent_of_thread_count():
-    # at eps = 0.1 the first checkpoint batch (350 samples) spans two chunks,
-    # so two workers really share it; ob goes on to larger batches, trk stops
-    # at its union-bound cap
-    assert initial_sample_size(0.1, 0.1) > CHUNK_SIZE
+def test_progressive_is_independent_of_thread_count(monkeypatch):
+    # two CPUs, so that two workers run on any box; at eps = 0.1 the first
+    # checkpoint batch (350 samples) is cut into 8 chunks, so two workers
+    # really share it; ob goes on to larger batches, trk stops at its
+    # union-bound cap
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert len(chunk_ranges(initial_sample_size(0.1, 0.1), workers=2)) == 8
     graph = random_temporal_graph_large(77, n=60, m=240, max_time=30)
     for algo in (Algorithm.OB, Algorithm.TRK):
         runs = [
