@@ -172,6 +172,8 @@ def _fixed_sample_size(args, graph: TemporalGraph) -> tuple[int, dict]:
     params: dict = {"epsilon": args.epsilon, "delta": args.delta}
     if args.samples is not None and args.bound:
         raise ValueError("give either --samples or --bound, not both")
+    if args.vd is not None and args.bound != "vc":
+        raise ValueError("--vd applies only with --bound vc")
     if args.samples is not None:
         if args.samples < 1:
             raise ValueError("--samples must be >= 1")

@@ -65,6 +65,9 @@ class TemporalGraph:
             input order), for the sweeps of :mod:`tempbc.tbfs`.
         out_adjacency: per node, the same row objects for its out-edges,
             sorted ascending by time, ties by head.
+
+    ``_out_keys[v]`` holds, per row of ``out_adjacency[v]``, the appearance
+    key ``head * (T + 1) + time`` of the row's head (see :mod:`tempbc.tbfs`).
     """
 
     __slots__ = (
@@ -77,6 +80,7 @@ class TemporalGraph:
         "out_adjacency",
         "edges_by_time",
         "_out_times",
+        "_out_keys",
         "_id_index",
     )
 
@@ -109,6 +113,8 @@ class TemporalGraph:
             lst.sort()
         self.out_adjacency = tuple(map(tuple, out))
         self._out_times = tuple([row[0] for row in adj] for adj in self.out_adjacency)
+        base = T + 1
+        self._out_keys = tuple([w * base + t for t, _, w in adj] for adj in self.out_adjacency)
 
     def index_of(self, original_id: int) -> int:
         """Compact id of an original input node id."""
@@ -164,7 +170,7 @@ def load_edge_list(
         if len(parts) != 3:
             raise ParseError(f"expected 3 fields, got {len(parts)}", lineno)
         try:
-            u, v, t = (int(p) for p in parts)
+            u, v, t = map(int, parts)
         except ValueError:
             raise ParseError(f"non-integer field in {line!r}", lineno) from None
         if u == v:
@@ -192,13 +198,12 @@ def load_edge_list(
         if not directed:
             edges.append(TemporalEdge(v, u, t))
 
+    # compact ids follow first appearance, which is the dict's order
+    node_ids, T = tuple(id_index), len(time_rank)
+    # free the parse temporaries before the graph builds its indexes
+    del rows, seen_rows, time_rank, id_index
     return TemporalGraph(
-        len(id_index),
-        edges,
-        len(time_rank),
-        directed=directed,
-        node_ids=tuple(sorted(id_index, key=id_index.get)),
-        dropped_self_loops=dropped,
+        len(node_ids), edges, T, directed=directed, node_ids=node_ids, dropped_self_loops=dropped
     )
 
 

@@ -209,7 +209,8 @@ def sample_optimal_path(tbfs: TbfsResult, rng: np.random.Generator) -> SampledPa
     Picks a target appearance with probability proportional to its path count,
     then walks the predecessor DAG backward, choosing each predecessor with
     probability proportional to multiplicity times its path count. Every
-    optimal path comes out with probability 1/sigma.
+    optimal path comes out with probability 1/sigma. The walk reads the
+    result's flat state; it never builds ``records``.
     """
     if len(tbfs.per_target) != 1:
         raise ValueError("sample_optimal_path needs a TBFS result restricted to one destination")
@@ -217,17 +218,16 @@ def sample_optimal_path(tbfs: TbfsResult, rng: np.random.Generator) -> SampledPa
     if info.sigma < 1:
         raise ValueError(f"no optimal path from {tbfs.source} to {z} to sample")
 
-    records = tbfs.records
-    weights = [records[a].sigma for a in info.appearances]
-    current = info.appearances[_weighted_index(rng, weights)]
+    base, sigma, preds = tbfs.base, tbfs.sigma, tbfs.preds
+    keys = [v * base + t for v, t in info.appearances]
+    current = keys[_weighted_index(rng, [sigma[key] for key in keys])]
 
-    reversed_apps = [current]
-    while records[current].predecessors:
-        preds = list(records[current].predecessors.items())
-        weights = [mult * records[p].sigma for p, mult in preds]
-        current = preds[_weighted_index(rng, weights)][0]
-        reversed_apps.append(current)
-    return SampledPath((tbfs.source, z), tuple(reversed(reversed_apps)))
+    reversed_keys = [current]
+    while preds[current]:
+        items = list(preds[current].items())
+        current = items[_weighted_index(rng, [mult * sigma[p] for p, mult in items])][0]
+        reversed_keys.append(current)
+    return SampledPath((tbfs.source, z), tuple(divmod(key, base) for key in reversed(reversed_keys)))
 
 
 def _weighted_index(rng: np.random.Generator, weights: list[int]) -> int:

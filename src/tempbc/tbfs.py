@@ -27,12 +27,21 @@ Every sweep unpacks the plain ``(time, src, dst)`` rows of
 s on one of its out-edges, so nothing it creates or follows has an earlier
 label. A source without out-edges keeps the sentinel ``(s, 0)`` alone.
 
+During a search an appearance (w, t) is the integer key ``w * (T + 1) + t``.
+Keys sort like ``(w, t)`` tuples, and the sentinel (s, 0) is ``s * (T + 1)``.
+The BFS reads the head keys of each node's out-edges from
+``graph._out_keys``. The search state is flat: int-keyed dicts of hops, path
+counts and ``{predecessor key: multiplicity}`` maps, in creation order, with
+no object per appearance. ``TbfsResult.records`` builds the
+:class:`AppearanceRecord` view keyed by ``(node, time)`` on first access;
+the dependency pass and path sampling read the flat state.
+
 Path counts are exact integers; dependency aggregates are exact rationals.
-The backward dependency pass walks the records in reverse creation order,
-which is a topological order of the predecessor DAG because every record is
-created after its predecessors. It runs in Python ints over one common
-denominator, the lcm of the destinations' path counts, and forms one Fraction
-per node at the end.
+The backward dependency pass walks the appearances in reverse creation
+order, which is a topological order of the predecessor DAG because every
+appearance is created after its predecessors. It runs in Python ints over one
+common denominator, the lcm of the destinations' path counts, and forms one
+Fraction per node at the end.
 """
 
 from __future__ import annotations
@@ -103,17 +112,47 @@ class TbfsResult:
     of (optimal s-z paths through v) / (optimal s-z paths). For a truncated
     run it is restricted to the single requested destination, i.e. the
     per-pair ratio vector.
+
+    The search state is flat: ``hops``, ``sigma`` and ``preds`` are keyed by
+    appearance key ``node * base + time`` (``base`` is ``T + 1``), in
+    creation order, and ``preds[key]`` maps each predecessor key to its edge
+    multiplicity. ``records`` presents the same state as
+    :class:`AppearanceRecord` objects keyed by ``(node, time)``; it is built
+    on first access and cached.
     """
 
     source: int
     optimality: PathOptimality
-    records: dict[Appearance, AppearanceRecord]
     per_target: dict[int, PairTargets]
     dependency: dict[int, Fraction]
+    base: int
+    hops: dict[int, int]
+    sigma: dict[int, int]
+    preds: dict[int, dict[int, int]]
+    _records: dict[Appearance, AppearanceRecord] | None = field(
+        default=None, init=False, repr=False
+    )
+
+    @property
+    def records(self) -> dict[Appearance, AppearanceRecord]:
+        if self._records is None:
+            self._records = _build_records(self)
+        return self._records
 
     def pair_sigma(self, z: int) -> int:
         info = self.per_target.get(z)
         return info.sigma if info is not None else 0
+
+
+def _build_records(result: TbfsResult) -> dict[Appearance, AppearanceRecord]:
+    """The ``records`` view: one record per appearance, in creation order."""
+    base, sigma, preds = result.base, result.sigma, result.preds
+    return {
+        divmod(key, base): AppearanceRecord(
+            hops, sigma[key], {divmod(p, base): mult for p, mult in preds[key].items()}
+        )
+        for key, hops in result.hops.items()
+    }
 
 
 def full_tbfs(graph: TemporalGraph, s: int, opt: PathOptimality) -> TbfsResult:
@@ -152,13 +191,15 @@ def _tbfs(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality) -> T
         if s == z:
             raise ValueError("source and destination must differ")
 
-    records, first_time = {(s, 0): AppearanceRecord(0, 1)}, {s: 0}
+    base = graph.T + 1
+    src = s * base
+    hops, sigma, preds, first_time = {src: 0}, {src: 1}, {src: {}}, {s: 0}
     if not graph._out_times[s]:
         pass  # s reaches nothing: the sentinel alone, no sweep
     elif opt is PathOptimality.PREFIX_FOREMOST:
-        records, first_time = _prefix_foremost_sweep(graph, s, stop_node=z)
+        hops, sigma, preds, first_time = _prefix_foremost_sweep(graph, s, stop_node=z)
     elif z is None:
-        records, settle_apps, first_time = _shortest_bfs(graph, s)
+        hops, sigma, preds, settled, first_time = _shortest_bfs(graph, s)
     else:
         # one sh or sfm pair; an sfm path can only use edges up to z's
         # earliest arrival
@@ -168,21 +209,23 @@ def _tbfs(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality) -> T
         if opt is PathOptimality.SHORTEST or arrival is not None:
             latest = _latest_departure(graph, s, z, arrival)
             if latest[s]:
-                records, settle_apps, first_time = _shortest_bfs(
+                hops, sigma, preds, settled, first_time = _shortest_bfs(
                     graph, s, stop_node=z, max_time=arrival, latest=latest
                 )
 
     per_target: dict[int, PairTargets] = {}
     for w in [w for w in first_time if w != s] if z is None else [z]:
         if w not in first_time:  # z is unreachable
-            apps = ()
+            keys = []
         elif opt is PathOptimality.SHORTEST:
-            apps = tuple(sorted(settle_apps[w]))
+            keys = sorted(settled[w])
         else:
-            apps = ((w, first_time[w]),)
-        per_target[w] = PairTargets(apps, sum(records[a].sigma for a in apps))
-    dependency = _accumulate_dependency(s, records, per_target)
-    return TbfsResult(s, opt, records, per_target, dependency)
+            keys = [w * base + first_time[w]]
+        per_target[w] = PairTargets(
+            tuple(divmod(key, base) for key in keys), sum(sigma[key] for key in keys)
+        )
+    dependency = _accumulate_dependency(s, base, sigma, preds, per_target)
+    return TbfsResult(s, opt, per_target, dependency, base, hops, sigma, preds)
 
 
 def _shortest_bfs(
@@ -197,75 +240,86 @@ def _shortest_bfs(
 
     Computes, per appearance, the minimum hop count, the number of minimum-hop
     paths ending there, and the predecessor appearances realizing them. Within
-    a layer, appearances are expanded in sorted order so predecessor maps are
-    reproducible. With ``stop_node`` set, the search halts after the layer in
-    which that node first settles. With ``max_time`` set, edges labeled beyond
-    it are skipped, and edges labeled exactly ``max_time`` are followed only
-    into ``stop_node``. With ``latest`` set (see :func:`_latest_departure`),
-    an appearance (w, t2) is created only when ``latest[w] > t2``, that is,
-    when it can still reach the stop node.
+    a layer, appearances are expanded in ascending key order, that is in
+    (node, time) order, so predecessor maps are reproducible. With
+    ``stop_node`` set, the search halts after the layer in which that node
+    first settles. With ``max_time`` set, edges labeled beyond it are skipped,
+    and edges labeled exactly ``max_time`` are followed only into
+    ``stop_node``. With ``latest`` set (see :func:`_latest_departure`), an
+    appearance (w, t2) is created only when ``latest[w] > t2``, that is, when
+    it can still reach the stop node.
 
     An appearance (w, t2) is not expanded when w is s, or when w appeared at
     an earlier layer at a time before t2: that earlier appearance reaches
     every appearance (w, t2) reaches, each at a lower layer, so expanding
     (w, t2) would add nothing. Its record is still created and counted.
 
-    Returns the records, in creation order, each after all of its
-    predecessors; per node its min-hop appearances; and per node its earliest
-    appearance time (the source's is 0).
+    Returns the hops, sigma and predecessor maps by appearance key, in
+    creation order, each appearance after all of its predecessors; per node
+    its min-hop appearance keys; and per node its earliest appearance time
+    (the source's is 0).
     """
-    src_app = (s, 0)
-    records: dict[Appearance, AppearanceRecord] = {src_app: AppearanceRecord(0, 1)}
-    settle_hops: dict[int, int] = {s: 0}
-    settle_apps: dict[int, list[Appearance]] = {s: [src_app]}
-    min_time: dict[int, int] = {s: 0}
-    never = graph.T + 1
-    out_adj = graph.out_adjacency
+    base = graph.T + 1
+    src = s * base
+    hops = {src: 0}
+    sigma = {src: 1}
+    preds: dict[int, dict[int, int]] = {src: {}}
+    settled = {s: [src]}
+    min_time = {s: 0}
+    out_keys = graph._out_keys
     out_times = graph._out_times
+    if max_time is not None:
+        stop_key = stop_node * base + max_time
 
-    frontier: list[Appearance] = [src_app]
+    frontier = [src]
     layer = 0
     while frontier:
         layer += 1
-        discovered: dict[Appearance, AppearanceRecord] = {}
-        for v, t in sorted(frontier):
-            rec = records[(v, t)]
-            sigma_v = rec.sigma
-            adj = out_adj[v]
-            for j in range(bisect_right(out_times[v], t), len(adj)):
-                t2, _, w = adj[j]
-                if max_time is not None:
-                    if t2 > max_time:
-                        break
-                    if t2 == max_time and w != stop_node:
-                        continue
-                app = (w, t2)
-                known = records.get(app)
-                if known is None:
-                    if latest is not None and latest[w] <= t2:
-                        continue
-                    known = AppearanceRecord(layer, 0)
-                    records[app] = known
-                    discovered[app] = known
-                elif known.hops != layer:
-                    continue
-                known.sigma += sigma_v
-                preds = known.predecessors
-                preds[(v, t)] = preds.get((v, t), 0) + 1
+        discovered = []
+        for vk in sorted(frontier):
+            v, t = divmod(vk, base)
+            sigma_v = sigma[vk]
+            times = out_times[v]
+            lo = bisect_right(times, t)
+            keys = out_keys[v]
+            if max_time is None:
+                heads = keys[lo:]
+            else:
+                # rows labeled max_time come last and count only into the
+                # stop node
+                hi = bisect_left(times, max_time, lo)
+                at_max = keys[hi:bisect_right(times, max_time, hi)]
+                heads = keys[lo:hi] + [stop_key] * at_max.count(stop_key)
+            for key in heads:
+                h = hops.get(key)
+                if h is None:
+                    if latest is not None:
+                        w, t2 = divmod(key, base)
+                        if latest[w] <= t2:
+                            continue
+                    hops[key] = layer
+                    sigma[key] = sigma_v
+                    preds[key] = {vk: 1}
+                    discovered.append(key)
+                elif h == layer:
+                    sigma[key] += sigma_v
+                    p = preds[key]
+                    p[vk] = p.get(vk, 0) + 1
         # leave dominated appearances out; min_time still holds the earlier
         # layers only, so appearances of one node in this layer all stay
-        frontier = [(w, t2) for w, t2 in discovered if t2 < min_time.get(w, never)]
-        for w, t2 in discovered:
-            if w not in settle_hops:
-                settle_hops[w] = layer
-                settle_apps[w] = [(w, t2)]
-            elif settle_hops[w] == layer:
-                settle_apps[w].append((w, t2))
-            if t2 < min_time.get(w, never):
+        frontier = [key for key in discovered if key % base < min_time.get(key // base, base)]
+        for key in discovered:
+            w, t2 = divmod(key, base)
+            apps = settled.get(w)
+            if apps is None:
+                settled[w] = [key]
+            elif hops[apps[0]] == layer:
+                apps.append(key)
+            if t2 < min_time.get(w, base):
                 min_time[w] = t2
-        if stop_node is not None and stop_node in settle_hops:
+        if stop_node is not None and stop_node in settled:
             break
-    return records, settle_apps, min_time
+    return hops, sigma, preds, settled, min_time
 
 
 def _latest_departure(graph: TemporalGraph, s: int, z: int, max_time: int | None = None) -> list[int]:
@@ -306,14 +360,17 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
     earliest arrival. Edges tied at one label cannot chain (strict paths), so
     any processing order within a label is correct.
 
-    Returns the records, each created after its predecessors (they settled
-    at earlier labels), and the arrival time of every reached node, in the
-    order reached.
+    Returns the hops, sigma and predecessor maps by appearance key, each
+    appearance created after its predecessors (they settled at earlier
+    labels), and the arrival time of every reached node, in the order reached.
     """
-    never = graph.T + 1
+    base = never = graph.T + 1
     arrival = [never] * graph.n
     arrival[s] = 0
-    records: dict[Appearance, AppearanceRecord] = {(s, 0): AppearanceRecord(0, 1)}
+    src = s * base
+    hops = {src: 0}
+    sigma = {src: 1}
+    preds: dict[int, dict[int, int]] = {src: {}}
     edges = graph.edges_by_time
     deadline = never  # the stop node's arrival, once it has one
     for t, u, v in edges[bisect_left(edges, (graph._out_times[s][0],)):]:
@@ -322,23 +379,24 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
         a_u = arrival[u]
         if a_u >= t:
             continue
-        u_rec = records[(u, a_u)]
+        uk = u * base + a_u
         a_v = arrival[v]
         if a_v > t:  # first arrival: rows come in time order
             arrival[v] = t
             if v == stop_node:
                 deadline = t
-            rec = AppearanceRecord(u_rec.hops + 1, u_rec.sigma)
-            rec.predecessors[(u, a_u)] = 1
-            records[(v, t)] = rec
+            key = v * base + t
+            hops[key] = hops[uk] + 1
+            sigma[key] = sigma[uk]
+            preds[key] = {uk: 1}
         elif a_v == t:
-            rec = records[(v, t)]
-            rec.sigma += u_rec.sigma
-            rec.hops = min(rec.hops, u_rec.hops + 1)
-            preds = rec.predecessors
-            preds[(u, a_u)] = preds.get((u, a_u), 0) + 1
+            key = v * base + t
+            sigma[key] += sigma[uk]
+            hops[key] = min(hops[key], hops[uk] + 1)
+            p = preds[key]
+            p[uk] = p.get(uk, 0) + 1
         # a_v < t: arriving later than the earliest time, not foremost
-    return records, {v: t for v, t in records}
+    return hops, sigma, preds, {key // base: key % base for key in hops}
 
 
 def _foremost_arrival(graph: TemporalGraph, s: int, z: int) -> int | None:
@@ -356,7 +414,9 @@ def _foremost_arrival(graph: TemporalGraph, s: int, z: int) -> int | None:
 
 def _accumulate_dependency(
     s: int,
-    records: dict[Appearance, AppearanceRecord],
+    base: int,
+    sigma: dict[int, int],
+    preds: dict[int, dict[int, int]],
     per_target: dict[int, PairTargets],
 ) -> dict[int, Fraction]:
     """One backward pass over the predecessor DAG, in exact integers.
@@ -375,30 +435,30 @@ def _accumulate_dependency(
     no gcd and no rounding. The dependency of v is the sum over its
     appearances of sigma(a)*D*W(a), divided by D once, as an exact Fraction.
 
-    Both searches create a record after all of its predecessors, so walking
-    the records in reverse creation order reaches each appearance only after
-    every record that passes weight to it.
+    Both searches create an appearance after all of its predecessors, so
+    walking ``preds`` in reverse creation order reaches each appearance only
+    after every one that passes weight to it.
     """
     sigmas = [info.sigma for info in per_target.values() if info.sigma]
     if not sigmas:
         return {}
     scale = math.lcm(*sigmas)
-    seeds: dict[Appearance, int] = {}
+    seeds: dict[int, int] = {}
     for info in per_target.values():
         if info.sigma:
-            for app in info.appearances:
-                seeds[app] = scale // info.sigma
+            for v, t in info.appearances:
+                seeds[v * base + t] = scale // info.sigma
 
     acc = dict(seeds)
     totals: dict[int, int] = {}
-    for app, rec in reversed(records.items()):
-        w = acc.get(app)
+    for key, key_preds in reversed(preds.items()):
+        w = acc.get(key)
         if not w:
             continue
-        for pred, mult in rec.predecessors.items():
-            acc[pred] = acc.get(pred, 0) + w * mult
-        through = w - seeds.get(app, 0)
-        v = app[0]
+        for p, mult in key_preds.items():
+            acc[p] = acc.get(p, 0) + w * mult
+        through = w - seeds.get(key, 0)
+        v = key // base
         if through and v != s:
-            totals[v] = totals.get(v, 0) + rec.sigma * through
+            totals[v] = totals.get(v, 0) + sigma[key] * through
     return {v: Fraction(total, scale) for v, total in totals.items()}

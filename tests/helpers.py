@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import os
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +12,14 @@ import numpy as np
 
 from tempbc import TemporalGraph, load_edge_list
 from tempbc.bruteforce import _all_paths_from, _filter_optimal
-from tempbc.tbfs import PathOptimality, TbfsResult
+from tempbc.tbfs import (
+    AppearanceRecord,
+    PairTargets,
+    PathOptimality,
+    TbfsResult,
+    _foremost_arrival,
+    _latest_departure,
+)
 
 G1_TEXT = "1 2 1\n2 3 2\n1 3 2\n3 4 3\n2 4 3\n"
 
@@ -194,3 +203,152 @@ def dataset_path(name: str) -> Path | None:
         if c.is_file():
             return c
     return None
+
+
+# Reference searches: the tuple-keyed engine that kept one AppearanceRecord per
+# appearance, keyed by (node, time). tempbc.tbfs keeps the same state in flat
+# int-keyed dicts; tests hold it to these records, targets and dependencies.
+
+
+def tbfs_reference(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality):
+    """(records, per_target, dependency) of one search; ``z=None`` means every
+    destination, as in ``tempbc.tbfs._tbfs``."""
+    records, first_time = {(s, 0): AppearanceRecord(0, 1)}, {s: 0}
+    if not graph._out_times[s]:
+        pass
+    elif opt is PathOptimality.PREFIX_FOREMOST:
+        records, first_time = _prefix_foremost_sweep_reference(graph, s, stop_node=z)
+    elif z is None:
+        records, settle_apps, first_time = _shortest_bfs_reference(graph, s)
+    else:
+        arrival = None
+        if opt is PathOptimality.SHORTEST_FOREMOST:
+            arrival = _foremost_arrival(graph, s, z)
+        if opt is PathOptimality.SHORTEST or arrival is not None:
+            latest = _latest_departure(graph, s, z, arrival)
+            if latest[s]:
+                records, settle_apps, first_time = _shortest_bfs_reference(
+                    graph, s, stop_node=z, max_time=arrival, latest=latest
+                )
+
+    per_target: dict[int, PairTargets] = {}
+    for w in [w for w in first_time if w != s] if z is None else [z]:
+        if w not in first_time:
+            apps = ()
+        elif opt is PathOptimality.SHORTEST:
+            apps = tuple(sorted(settle_apps[w]))
+        else:
+            apps = ((w, first_time[w]),)
+        per_target[w] = PairTargets(apps, sum(records[a].sigma for a in apps))
+    return records, per_target, _accumulate_dependency_reference(s, records, per_target)
+
+
+def _shortest_bfs_reference(graph, s, *, stop_node=None, max_time=None, latest=None):
+    """Hop-layered BFS over (node, time) appearances, one record each."""
+    src_app = (s, 0)
+    records = {src_app: AppearanceRecord(0, 1)}
+    settle_hops = {s: 0}
+    settle_apps = {s: [src_app]}
+    min_time = {s: 0}
+    never = graph.T + 1
+    out_adj = graph.out_adjacency
+    out_times = graph._out_times
+
+    frontier = [src_app]
+    layer = 0
+    while frontier:
+        layer += 1
+        discovered = {}
+        for v, t in sorted(frontier):
+            sigma_v = records[(v, t)].sigma
+            adj = out_adj[v]
+            for j in range(bisect_right(out_times[v], t), len(adj)):
+                t2, _, w = adj[j]
+                if max_time is not None:
+                    if t2 > max_time:
+                        break
+                    if t2 == max_time and w != stop_node:
+                        continue
+                app = (w, t2)
+                known = records.get(app)
+                if known is None:
+                    if latest is not None and latest[w] <= t2:
+                        continue
+                    known = AppearanceRecord(layer, 0)
+                    records[app] = known
+                    discovered[app] = known
+                elif known.hops != layer:
+                    continue
+                known.sigma += sigma_v
+                preds = known.predecessors
+                preds[(v, t)] = preds.get((v, t), 0) + 1
+        frontier = [(w, t2) for w, t2 in discovered if t2 < min_time.get(w, never)]
+        for w, t2 in discovered:
+            if w not in settle_hops:
+                settle_hops[w] = layer
+                settle_apps[w] = [(w, t2)]
+            elif settle_hops[w] == layer:
+                settle_apps[w].append((w, t2))
+            if t2 < min_time.get(w, never):
+                min_time[w] = t2
+        if stop_node is not None and stop_node in settle_hops:
+            break
+    return records, settle_apps, min_time
+
+
+def _prefix_foremost_sweep_reference(graph, s, stop_node=None):
+    """One pass over the rows in time order, one record per reached node."""
+    never = graph.T + 1
+    arrival = [never] * graph.n
+    arrival[s] = 0
+    records = {(s, 0): AppearanceRecord(0, 1)}
+    edges = graph.edges_by_time
+    deadline = never
+    for t, u, v in edges[bisect_left(edges, (graph._out_times[s][0],)):]:
+        if t > deadline:
+            break
+        a_u = arrival[u]
+        if a_u >= t:
+            continue
+        u_rec = records[(u, a_u)]
+        a_v = arrival[v]
+        if a_v > t:
+            arrival[v] = t
+            if v == stop_node:
+                deadline = t
+            rec = AppearanceRecord(u_rec.hops + 1, u_rec.sigma)
+            rec.predecessors[(u, a_u)] = 1
+            records[(v, t)] = rec
+        elif a_v == t:
+            rec = records[(v, t)]
+            rec.sigma += u_rec.sigma
+            rec.hops = min(rec.hops, u_rec.hops + 1)
+            preds = rec.predecessors
+            preds[(u, a_u)] = preds.get((u, a_u), 0) + 1
+    return records, {v: t for v, t in records}
+
+
+def _accumulate_dependency_reference(s, records, per_target):
+    """Backward pass over the records in exact integers, one Fraction per node."""
+    sigmas = [info.sigma for info in per_target.values() if info.sigma]
+    if not sigmas:
+        return {}
+    scale = math.lcm(*sigmas)
+    seeds = {}
+    for info in per_target.values():
+        if info.sigma:
+            for app in info.appearances:
+                seeds[app] = scale // info.sigma
+    acc = dict(seeds)
+    totals = {}
+    for app, rec in reversed(records.items()):
+        w = acc.get(app)
+        if not w:
+            continue
+        for pred, mult in rec.predecessors.items():
+            acc[pred] = acc.get(pred, 0) + w * mult
+        through = w - seeds.get(app, 0)
+        v = app[0]
+        if through and v != s:
+            totals[v] = totals.get(v, 0) + rec.sigma * through
+    return {v: Fraction(total, scale) for v, total in totals.items()}

@@ -116,6 +116,15 @@ def test_explicit_vd_below_two_is_a_validation_error(g1_path, capsys):
         assert "vertex diameter must be >= 2" in captured.err
 
 
+@pytest.mark.parametrize("size", [["--samples", "64"], ["--bound", "hoeffding"], []])
+def test_vd_without_the_vc_bound_is_a_validation_error(g1_path, capsys, size):
+    code = main(["fixed", str(g1_path), "--algo", "ob", *size, "--vd", "5", "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--bound vc" in captured.err
+
+
 @pytest.mark.parametrize("algo", ["prtb", "ob", "trk"])
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_max_samples_below_one_is_a_validation_error(g1_path, capsys, algo, cap):

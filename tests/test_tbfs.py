@@ -3,9 +3,17 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from helpers import bruteforce_all_optimal, make_g1, random_temporal_graph
+from helpers import (
+    bruteforce_all_optimal,
+    bursty_temporal_graph,
+    make_g1,
+    random_temporal_graph,
+    random_temporal_graph_large,
+    tbfs_reference,
+)
 
 from tempbc import tbfs as tbfs_module
 from tempbc import (
@@ -241,20 +249,90 @@ def test_source_out_of_range(g1):
         ob_estimate(g1, SH, 2, 0, pairs=[(-1, 1), (0, 1)])
 
 
-# SHA-256 of every full sh and sfm search's records (key, hops, sigma and the
-# predecessor items in order) from each source of the tie graph; a full sfm
-# search runs the sh search, so both give the same digest. Recorded before the
-# search skipped dominated expansions, which must leave every record as it was.
-FULL_RECORDS_SHA256 = "ce7b22dd2f30d6324c881cf7dac382724eac47218a82e214bc45ae917b60ab98"
+# SHA-256 of the records (key, hops, sigma and the predecessor items in order)
+# of every full search from each source of the tie graph, and of every
+# truncated search over each ordered pair. A full sfm search runs the sh
+# search, so both give the same digest. The sh/sfm digest was recorded before
+# the search skipped dominated expansions, and all of them before the searches
+# kept their state in int-keyed dicts behind the ``records`` view: neither may
+# change a record.
+FULL_RECORDS_SHA256 = {
+    SH: "ce7b22dd2f30d6324c881cf7dac382724eac47218a82e214bc45ae917b60ab98",
+    SFM: "ce7b22dd2f30d6324c881cf7dac382724eac47218a82e214bc45ae917b60ab98",
+    PFM: "f09f658542e083336cf1d2f4ba510e63f8434551de4a3d59c6da47c43e992882",
+}
+TRUNCATED_RECORDS_SHA256 = {
+    SH: "88e2ec661e147980539bbd8be92c55383e6d2adeb41ea8eb67fe2f3bda9b575d",
+    SFM: "acc071ba4d9e507a32ad45d6c78d79d8d10c3dc0b13cb63f1c9451e2f717a439",
+    PFM: "49ee5fde0a1ff095827fc167ad24480859a4647d5f004d80c4c457363ec2c825",
+}
 
 
-@pytest.mark.parametrize("opt", [SH, SFM], ids=lambda o: o.value)
-def test_full_records_are_pinned(ties, opt):
+def _records_digest(results) -> str:
     h = hashlib.sha256()
-    for s in range(ties.n):
-        for app, rec in full_tbfs(ties, s, opt).records.items():
+    for s, result in results:
+        for app, rec in result.records.items():
             h.update(f"{s} {app} {rec.hops} {rec.sigma} {list(rec.predecessors.items())}\n".encode())
-    assert h.hexdigest() == FULL_RECORDS_SHA256
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("opt", ALL_OPTS, ids=lambda o: o.value)
+def test_full_records_are_pinned(ties, opt):
+    digest = _records_digest((s, full_tbfs(ties, s, opt)) for s in range(ties.n))
+    assert digest == FULL_RECORDS_SHA256[opt]
+
+
+@pytest.mark.parametrize("opt", ALL_OPTS, ids=lambda o: o.value)
+def test_truncated_records_are_pinned(ties, opt):
+    pairs = [(s, z) for s in range(ties.n) for z in range(ties.n) if s != z]
+    digest = _records_digest((s, truncated_tbfs(ties, s, z, opt)) for s, z in pairs)
+    assert digest == TRUNCATED_RECORDS_SHA256[opt]
+
+
+def _record_items(records):
+    return [(app, rec.hops, rec.sigma, list(rec.predecessors.items())) for app, rec in records.items()]
+
+
+def _check_against_reference(graph, pairs):
+    for opt in ALL_OPTS:
+        searches = [(s, None) for s in range(graph.n)] + list(pairs)
+        for s, z in searches:
+            result = full_tbfs(graph, s, opt) if z is None else truncated_tbfs(graph, s, z, opt)
+            records, per_target, dependency = tbfs_reference(graph, s, z, opt)
+            assert _record_items(result.records) == _record_items(records), (opt, s, z)
+            assert list(result.per_target.items()) == list(per_target.items()), (opt, s, z)
+            assert list(result.dependency.items()) == list(dependency.items()), (opt, s, z)
+
+
+def _sampled_pairs(graph, seed, count=40):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        s, z = (int(x) for x in rng.integers(graph.n, size=2))
+        if s != z:
+            pairs.append((s, z))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_search_state_matches_the_reference(seed):
+    g = random_temporal_graph(seed + 6000)
+    _check_against_reference(g, _sampled_pairs(g, seed))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_temporal_graph_large(7, n=60, m=600, max_time=8),
+        lambda: random_temporal_graph_large(8, n=120, m=900, max_time=40),
+        lambda: bursty_temporal_graph(3, n=60, m=500, max_time=40),
+        lambda: bursty_temporal_graph(4, n=120, m=1000, max_time=80),
+    ],
+    ids=["dense-60", "uniform-120", "bursty-60", "bursty-120"],
+)
+def test_search_state_matches_the_reference_on_larger_graphs(make):
+    g = make()
+    _check_against_reference(g, _sampled_pairs(g, g.n))
 
 
 def _earliest_arrival_from(graph, v, t, z):
@@ -384,3 +462,22 @@ def test_source_without_out_edges_runs_no_sweep(monkeypatch):
         result = full_tbfs(g, s, opt)
         assert list(result.records) == [(s, 0)]
         assert result.per_target == {} and result.dependency == {}
+
+
+def test_estimators_never_build_records(ties, monkeypatch):
+    # the estimators read dependencies and the flat search state only; the
+    # records view is for callers that ask for it
+    from tempbc import Algorithm, exact_tbc, progressive_estimate, rtb_estimate, trk_estimate
+
+    def no_records(result):
+        raise AssertionError("an estimator built the records view")
+
+    monkeypatch.setattr(tbfs_module, "_build_records", no_records)
+    for opt in ALL_OPTS:
+        exact_tbc(ties, opt, threads=1)
+        rtb_estimate(ties, opt, 20, 1, threads=1)
+        ob_estimate(ties, opt, 60, 1, threads=1)
+        trk_estimate(ties, opt, 60, 1, threads=1)
+        progressive_estimate(ties, opt, 0.3, 0.1, 1.5, Algorithm.OB, 1, threads=1)
+    with pytest.raises(AssertionError, match="records view"):
+        full_tbfs(ties, 0, SH).records
