@@ -11,13 +11,13 @@ Two schemes:
   accumulated unnormalized dependency reaches ``c * n``; a cheap heuristic
   with guarantees only for high-centrality nodes.
 
-Both draw their samples through :func:`tempbc.samplers.sample_contribution`,
-the per-sample pipeline of the fixed-sample estimators. Each checkpoint batch
-of :func:`progressive_estimate` runs in chunks on up to ``threads`` workers
-of one pool for the whole run, and is folded in sample-index order, so the
+Both draw their samples through :func:`tempbc.samplers.chunk_contributions`,
+the sample pipeline of the fixed-sample estimators. Each checkpoint batch of
+:func:`progressive_estimate` runs in chunks on up to ``threads`` workers of
+one pool for the whole run, and is folded in sample-index order, so the
 scores and the bound are the same for any worker count.
-:func:`prtb_estimate` is serial, because it checks its stop rule after every
-sample.
+:func:`prtb_estimate` is serial and draws one sample per call, because it
+checks its stop rule after every sample.
 
 The bookkeeping keeps, per node, the running sum of its per-sample values and
 of their squares, plus a multiset of the squared norms; the norm multiset is
@@ -37,7 +37,7 @@ import numpy as np
 from .bounds import check_bound_inputs, hoeffding_size
 from .graph import TemporalGraph
 from .parallel import Fanout
-from .samplers import Algorithm, ScoreVector, sample_contribution
+from .samplers import Algorithm, ScoreVector, chunk_contributions
 from .tbfs import PathOptimality
 
 __all__ = [
@@ -301,7 +301,7 @@ def progressive_estimate(
 
 def _sample_chunk(graph, opt, algorithm, seed, lo, hi) -> list[dict]:
     """Contributions of samples lo..hi-1, one per sample, in index order."""
-    return [sample_contribution(graph, opt, algorithm, seed, None, i) for i in range(lo, hi)]
+    return list(chunk_contributions(graph, opt, algorithm, seed, None, lo, hi))
 
 
 def prtb_estimate(
@@ -333,7 +333,8 @@ def prtb_estimate(
     r = 0
     reason = StopReason.ITERATION_CAP
     while True:
-        for v, val in sample_contribution(graph, opt, Algorithm.RTB, seed, None, r).items():
+        contribution, = chunk_contributions(graph, opt, Algorithm.RTB, seed, None, r, r + 1)
+        for v, val in contribution.items():
             cur = totals.get(v, Fraction(0)) + val
             totals[v] = cur
             if cur > max_total:

@@ -1,8 +1,8 @@
-"""The per-sample pipeline and the fixed-sample-size estimators built on it.
+"""The sample pipeline and the fixed-sample-size estimators built on it.
 
 Every estimator draws one sample per index and folds a sparse per-node
-contribution; :func:`sample_contribution` is the one place a sample is drawn
-and turned into that contribution:
+contribution; :func:`chunk_contributions` is the one place samples are drawn
+and turned into those contributions, a chunk of indices at a time:
 
 * ``rtb``: a uniform source; its full-TBFS dependency vector (exact's census
   is the same over ``sources=range(n)``).
@@ -12,7 +12,9 @@ and turned into that contribution:
   the pair's optimal-path set; 1 for every internal node of the drawn path.
 
 Sample i draws from its own counter-based substream ``substream(seed, i)``,
-so a seeded run is reproducible for any worker count. The fixed-sample
+so a seeded run is reproducible for any worker count. A chunk draws all of
+its pairs before it searches, so that :func:`tempbc.tbfs.pair_searches` can
+share one latest-departure sweep among its ``sh`` pairs. The fixed-sample
 estimators sum contributions per chunk and fold the chunk sums exactly, so
 where the chunks are cut does not matter. Each keeps its own normalisation:
 rtb divides by r(n-1), ob by r, and trk multiplies its integer counts by 1/r.
@@ -21,6 +23,7 @@ rtb divides by r(n-1), ob by r, and trk multiplies its integer counts by 1/r.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -31,7 +34,7 @@ import numpy as np
 from .graph import TemporalGraph
 from .parallel import run_chunks
 from .rng import draw_pair, draw_source, randbelow, substream
-from .tbfs import Appearance, PathOptimality, TbfsResult, full_tbfs, truncated_tbfs
+from .tbfs import Appearance, PathOptimality, TbfsResult, full_tbfs, pair_searches
 
 __all__ = [
     "Algorithm",
@@ -40,7 +43,7 @@ __all__ = [
     "rtb_estimate",
     "ob_estimate",
     "trk_estimate",
-    "sample_contribution",
+    "chunk_contributions",
     "sample_optimal_path",
 ]
 
@@ -113,34 +116,50 @@ class SampledPath:
         return [v for v, _ in self.appearances[1:-1]]
 
 
-def sample_contribution(
-    graph: TemporalGraph, opt: PathOptimality, algorithm: Algorithm, seed, fixed, i: int
-) -> dict:
-    """Sparse per-node contribution of sample i.
+def chunk_contributions(
+    graph: TemporalGraph, opt: PathOptimality, algorithm: Algorithm, seed, fixed, lo: int, hi: int
+) -> Iterator[dict]:
+    """Sparse per-node contributions of samples lo..hi-1, in index order.
 
-    The sample is ``fixed[i]`` (a source for rtb, a pair otherwise) or is
-    drawn from ``substream(seed, i)`` when ``fixed`` is None; trk draws its
-    path from that substream either way. rtb and ob give exact rationals, trk
-    gives 1 per internal node of the drawn path, in path order, and nothing
-    for an unconnected pair.
+    Sample i is ``fixed[i]`` (a source for rtb, a pair otherwise) or is drawn
+    from ``substream(seed, i)`` when ``fixed`` is None; trk draws its path
+    from that substream either way. Every sample of the chunk is drawn (and
+    every pair checked) before the first search, and the pair searches run
+    through :func:`tempbc.tbfs.pair_searches`, which shares backward sweeps
+    among sh pairs. rtb and ob give exact rationals, trk gives 1 per internal
+    node of the drawn path, in path order, and nothing for an unconnected
+    pair. The searches run as the contributions are read.
     """
-    rng = substream(seed, i) if fixed is None or algorithm is Algorithm.TRK else None
+    samples = range(lo, hi)
     if algorithm is Algorithm.RTB:
-        s = fixed[i] if fixed is not None else draw_source(rng, graph.n)
-        return full_tbfs(graph, s, opt).dependency
-    s, z = fixed[i] if fixed is not None else draw_pair(rng, graph.n)
-    result = truncated_tbfs(graph, s, z, opt)
+        if fixed is None:
+            sources = [draw_source(substream(seed, i), graph.n) for i in samples]
+        else:
+            sources = fixed[lo:hi]
+        return (full_tbfs(graph, s, opt).dependency for s in sources)
+    # only trk reads its substream after the pair draw
+    rngs = [substream(seed, i) for i in samples] if algorithm is Algorithm.TRK else None
+    if fixed is not None:
+        pairs = fixed[lo:hi]
+    elif rngs is not None:
+        pairs = [draw_pair(rng, graph.n) for rng in rngs]
+    else:
+        pairs = [draw_pair(substream(seed, i), graph.n) for i in samples]
+    results = pair_searches(graph, pairs, opt)
     if algorithm is Algorithm.OB:
-        return result.dependency
-    if result.pair_sigma(z) == 0:
-        return {}
-    return dict.fromkeys(sample_optimal_path(result, rng).internal(), 1)
+        return (result.dependency for result in results)
+    return (
+        dict.fromkeys(sample_optimal_path(result, rng).internal(), 1)
+        if result.pair_sigma(z)
+        else {}
+        for (_, z), result, rng in zip(pairs, results, rngs)
+    )
 
 
 def _sum_chunk(graph, opt, algorithm, seed, fixed, lo, hi) -> dict:
     total: dict = {}
-    for i in range(lo, hi):
-        for v, val in sample_contribution(graph, opt, algorithm, seed, fixed, i).items():
+    for contribution in chunk_contributions(graph, opt, algorithm, seed, fixed, lo, hi):
+        for v, val in contribution.items():
             total[v] = total.get(v, 0) + val
     return total
 

@@ -20,12 +20,23 @@ The BFS does not expand an appearance that an earlier layer dominates (same
 node, earlier time), since that adds no record. For one ``sh``/``sfm`` pair it
 first sweeps the edges backward from the destination z and then creates only
 appearances that can still reach z, so a truncated result's ``records`` hold
-the source sentinel and the live appearances only.
+the source sentinel and the live appearances only. An appearance (v, t)
+scans its out-edges only up to label ``latest[v]``: a row past it leads to no
+appearance that can reach z.
+
+:func:`pair_searches` runs many pair searches. It shares the backward sweep
+among up to ``GROUP_WIDTH`` sh pairs: one descending pass over the rows
+carries, per node, an int mask with bit k set once pair k's destination is
+reachable from it, and a pair's latest departures are decoded from that pass
+only when the pair is searched. A group of one pair and every sfm pair sweep
+alone with :func:`_latest_departure`; an sfm sweep stops at z's earliest
+arrival, which a shared sweep could not.
 
 Every sweep unpacks the plain ``(time, src, dst)`` rows of
-``graph.edges_by_time`` from s's first departure on: a search from s leaves
-s on one of its out-edges, so nothing it creates or follows has an earlier
-label. A source without out-edges keeps the sentinel ``(s, 0)`` alone.
+``graph.edges_by_time`` from s's first departure on (a group sweep from its
+sources' earliest one): a search from s leaves s on one of its out-edges, so
+nothing it creates or follows has an earlier label. A source without
+out-edges keeps the sentinel ``(s, 0)`` alone.
 
 During a search an appearance (w, t) is the integer key ``w * (T + 1) + t``.
 Keys sort like ``(w, t)`` tuples, and the sentinel (s, 0) is ``s * (T + 1)``.
@@ -48,9 +59,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+
+import numpy as np
 
 from .graph import TemporalGraph
 
@@ -61,9 +75,14 @@ __all__ = [
     "TbfsResult",
     "full_tbfs",
     "truncated_tbfs",
+    "pair_searches",
 ]
 
 Appearance = tuple[int, int]
+
+# sh pairs per shared backward sweep: pair k of a group is bit k of a node's
+# mask, and the masks are decoded as uint64 words
+GROUP_WIDTH = 64
 
 
 class PathOptimality(str, Enum):
@@ -157,6 +176,7 @@ def _build_records(result: TbfsResult) -> dict[Appearance, AppearanceRecord]:
 
 def full_tbfs(graph: TemporalGraph, s: int, opt: PathOptimality) -> TbfsResult:
     """All-destinations optimal path counts and dependency aggregates from s."""
+    _check_node(graph, s, "source")
     return _tbfs(graph, s, None, opt)
 
 
@@ -172,25 +192,62 @@ def truncated_tbfs(graph: TemporalGraph, s: int, z: int, opt: PathOptimality) ->
     and only the appearances that can still reach z (for ``sfm``, by z's
     earliest arrival); a disconnected pair gets the sentinel alone.
     """
-    return _tbfs(graph, s, z, opt)
+    return next(pair_searches(graph, [(s, z)], opt))
 
 
-def _tbfs(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality) -> TbfsResult:
-    """The search behind both entry points; ``z=None`` means every destination.
+def pair_searches(
+    graph: TemporalGraph, pairs: list[tuple[int, int]], opt: PathOptimality
+) -> Iterator[TbfsResult]:
+    """The :func:`truncated_tbfs` result of each pair, lazily, in order.
+
+    Every pair is checked before any search runs. Under ``sh`` the pairs are
+    cut into groups of up to ``GROUP_WIDTH`` that share one backward sweep
+    (:func:`_group_latest_departure`); a result is the same as the one-pair
+    search gives.
+    """
+    for s, z in pairs:
+        _check_node(graph, s, "source")
+        _check_node(graph, z, "destination")
+        if s == z:
+            raise ValueError("source and destination must differ")
+    return _pair_searches(graph, pairs, opt)
+
+
+def _check_node(graph: TemporalGraph, v: int, role: str) -> None:
+    if not 0 <= v < graph.n:
+        raise ValueError(f"{role} {v} out of range for n={graph.n}")
+
+
+def _pair_searches(graph, pairs, opt):
+    out_times = graph._out_times
+    for lo in range(0, len(pairs), GROUP_WIDTH):
+        group = pairs[lo:lo + GROUP_WIDTH]
+        gains = None
+        if opt is PathOptimality.SHORTEST and len(group) > 1:
+            gains = _group_latest_departure(graph, group)
+        for k, (s, z) in enumerate(group):
+            latest = None
+            if gains is not None and out_times[s]:
+                latest = _pair_latest_departure(graph, gains, k, z)
+            yield _tbfs(graph, s, z, opt, latest)
+
+
+def _tbfs(
+    graph: TemporalGraph,
+    s: int,
+    z: int | None,
+    opt: PathOptimality,
+    latest: list[int] | None = None,
+) -> TbfsResult:
+    """The search behind every entry point; ``z=None`` means every destination.
 
     Runs the criterion's search, then picks each requested destination's
     target appearances with one rule: sh takes its min-hop appearances in
     sorted order, sfm and pfm its earliest appearance. A source without
-    out-edges runs no search or sweep.
+    out-edges runs no search or sweep. An sh pair whose latest departures a
+    group sweep already gave passes them as ``latest``. The caller has
+    checked s and z.
     """
-    if not 0 <= s < graph.n:
-        raise ValueError(f"source {s} out of range for n={graph.n}")
-    if z is not None:
-        if not 0 <= z < graph.n:
-            raise ValueError(f"destination {z} out of range for n={graph.n}")
-        if s == z:
-            raise ValueError("source and destination must differ")
-
     base = graph.T + 1
     src = s * base
     hops, sigma, preds, first_time = {src: 0}, {src: 1}, {src: {}}, {s: 0}
@@ -207,10 +264,11 @@ def _tbfs(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality) -> T
         if opt is PathOptimality.SHORTEST_FOREMOST:
             arrival = _foremost_arrival(graph, s, z)
         if opt is PathOptimality.SHORTEST or arrival is not None:
-            latest = _latest_departure(graph, s, z, arrival)
+            if latest is None:
+                latest = _latest_departure(graph, s, z, arrival)
             if latest[s]:
                 hops, sigma, preds, settled, first_time = _shortest_bfs(
-                    graph, s, stop_node=z, max_time=arrival, latest=latest
+                    graph, s, stop_node=z, latest=latest
                 )
 
     per_target: dict[int, PairTargets] = {}
@@ -233,7 +291,6 @@ def _shortest_bfs(
     s: int,
     *,
     stop_node: int | None = None,
-    max_time: int | None = None,
     latest: list[int] | None = None,
 ):
     """Hop-layered BFS over vertex appearances from the sentinel (s, 0).
@@ -243,11 +300,14 @@ def _shortest_bfs(
     a layer, appearances are expanded in ascending key order, that is in
     (node, time) order, so predecessor maps are reproducible. With
     ``stop_node`` set, the search halts after the layer in which that node
-    first settles. With ``max_time`` set, edges labeled beyond it are skipped,
-    and edges labeled exactly ``max_time`` are followed only into
-    ``stop_node``. With ``latest`` set (see :func:`_latest_departure`), an
+    first settles. With ``latest`` set (see :func:`_latest_departure`), an
     appearance (w, t2) is created only when ``latest[w] > t2``, that is, when
-    it can still reach the stop node.
+    it can still reach the stop node, and an appearance of v follows only
+    edges labeled up to ``latest[v]``: a row (t2, v, w) with
+    ``latest[w] > t2`` lets v leave at t2, so the rows past ``latest[v]``
+    lead nowhere live. For an sfm pair, ``latest`` counts no edge past z's
+    earliest arrival, and at that label only edges into z, so the same rule
+    keeps the search within the foremost deadline.
 
     An appearance (w, t2) is not expanded when w is s, or when w appeared at
     an earlier layer at a time before t2: that earlier appearance reaches
@@ -268,8 +328,6 @@ def _shortest_bfs(
     min_time = {s: 0}
     out_keys = graph._out_keys
     out_times = graph._out_times
-    if max_time is not None:
-        stop_key = stop_node * base + max_time
 
     frontier = [src]
     layer = 0
@@ -281,15 +339,10 @@ def _shortest_bfs(
             sigma_v = sigma[vk]
             times = out_times[v]
             lo = bisect_right(times, t)
-            keys = out_keys[v]
-            if max_time is None:
-                heads = keys[lo:]
+            if latest is None:
+                heads = out_keys[v][lo:]
             else:
-                # rows labeled max_time come last and count only into the
-                # stop node
-                hi = bisect_left(times, max_time, lo)
-                at_max = keys[hi:bisect_right(times, max_time, hi)]
-                heads = keys[lo:hi] + [stop_key] * at_max.count(stop_key)
+                heads = out_keys[v][lo:bisect_right(times, latest[v], lo)]
             for key in heads:
                 h = hops.get(key)
                 if h is None:
@@ -348,6 +401,69 @@ def _latest_departure(graph: TemporalGraph, s: int, z: int, max_time: int | None
     for t, u, w in reversed(edges[start:stop]):
         if latest[w] > t and not latest[u]:
             latest[u] = t
+    return latest
+
+
+def _group_latest_departure(graph: TemporalGraph, group) -> tuple[np.ndarray, ...] | None:
+    """One descending sweep for a group of up to ``GROUP_WIDTH`` sh pairs.
+
+    Keeps per node v an int mask whose bit k is set once v can leave at the
+    current label or later and still reach z_k, the destination of pair k.
+    A row (t, u, w) passes to u the bits w gained above label t: when w
+    gained bits at t itself, its mask from before t is read instead, so rows
+    tied at one label cannot chain (strict paths). A bit reaches a node
+    first at the node's latest departure for that pair.
+
+    Returns the gains as arrays ``(labels, nodes, bits)`` in descending label
+    order, for :func:`_pair_latest_departure`; None when no source has an
+    out-edge. The sweep starts at the group's earliest first departure, so a
+    pair gets :func:`_latest_departure`'s value at every label from its own
+    source's first departure on.
+    """
+    out_times = graph._out_times
+    first = min((out_times[s][0] for s, _ in group if out_times[s]), default=None)
+    if first is None:
+        return None
+    mask = [0] * graph.n
+    for k, (_, z) in enumerate(group):
+        mask[z] |= 1 << k
+    before = [0] * graph.n  # a node's mask before the label it last gained at
+    gained_at = [-1] * graph.n
+    edges = graph.edges_by_time
+    labels: list[int] = []
+    nodes: list[int] = []
+    bits: list[int] = []
+    for t, u, w in reversed(edges[bisect_left(edges, (first,)):]):
+        mw = mask[w] if gained_at[w] != t else before[w]
+        if mw:
+            mu = mask[u]
+            gain = mw & ~mu
+            if gain:
+                if gained_at[u] != t:
+                    before[u] = mu
+                    gained_at[u] = t
+                mask[u] = mu | gain
+                labels.append(t)
+                nodes.append(u)
+                bits.append(gain)
+    return (
+        np.array(labels, dtype=np.int64),
+        np.array(nodes, dtype=np.int64),
+        np.array(bits, dtype=np.uint64),
+    )
+
+
+def _pair_latest_departure(graph: TemporalGraph, gains, k: int, z: int) -> list[int]:
+    """Pair k's latest departures, decoded from its group's sweep: the list
+    :func:`_latest_departure` gives at every label from the pair's source's
+    first departure on (0 where v cannot reach z, ``graph.T + 1`` at z)."""
+    # a node gains each bit once, so no node is written twice
+    labels, nodes, bits = gains
+    has = ((bits >> np.uint64(k)) & np.uint64(1)).astype(bool)
+    latest = np.zeros(graph.n, dtype=np.int64)
+    latest[nodes[has]] = labels[has]
+    latest = latest.tolist()
+    latest[z] = graph.T + 1
     return latest
 
 

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bursty_temporal_graph,
     enumerate_dag_paths,
     expectation_ob,
     expectation_rtb,
     expectation_trk,
     path_appearances,
     random_temporal_graph,
+    random_temporal_graph_large,
 )
 
 from tempbc import (
@@ -29,9 +31,12 @@ from tempbc import (
     trk_estimate,
     truncated_tbfs,
 )
-from tempbc.rng import draw_source, substream
+from tempbc import tbfs as tbfs_module
+from tempbc.rng import draw_pair, draw_source, substream
+from tempbc.samplers import Algorithm, chunk_contributions
 
 SH = PathOptimality.SHORTEST
+SFM = PathOptimality.SHORTEST_FOREMOST
 PFM = PathOptimality.PREFIX_FOREMOST
 
 
@@ -219,3 +224,91 @@ def test_preconditions():
     g = load_edge_list("0 1 1\n")
     with pytest.raises(ValueError):
         ob_estimate(g, SH, 0, 0)
+
+
+def _per_pair_contribution(graph, opt, algorithm, seed, fixed, i):
+    """Sample i of a pair estimator from its own truncated_tbfs search."""
+    rng = substream(seed, i)
+    s, z = fixed[i] if fixed is not None else draw_pair(rng, graph.n)
+    result = truncated_tbfs(graph, s, z, opt)
+    if algorithm is Algorithm.OB:
+        return result.dependency
+    if result.pair_sigma(z) == 0:
+        return {}
+    return dict.fromkeys(sample_optimal_path(result, rng).internal(), 1)
+
+
+def _explicit_pairs(graph, seed, count=130):
+    """Seeded pairs with repeats, disconnected pairs and, where the graph has
+    them, sources without out-edges, in a seeded order."""
+    rng = np.random.default_rng(seed)
+    pairs = [draw_pair(substream(seed, i), graph.n) for i in range(count // 2)]
+    pairs += pairs[: count // 8]
+    sinks = [s for s in range(graph.n) if not graph.out_adjacency[s]]
+    for s in sinks[:4]:
+        pairs.append((s, (s + 1) % graph.n))
+    for s, z in all_pairs(graph.n):
+        if len(pairs) >= count:
+            break
+        if graph.out_adjacency[s] and truncated_tbfs(graph, s, z, SH).pair_sigma(z) == 0:
+            pairs.append((s, z))
+    while len(pairs) < count:
+        pairs.append(pairs[int(rng.integers(len(pairs)))])
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+def _check_chunks_match_per_pair_searches(graph, seed):
+    r = 130
+    for fixed in (None, _explicit_pairs(graph, seed, r)):
+        for algorithm in (Algorithm.OB, Algorithm.TRK):
+            for opt in (SH, SFM, PFM):
+                expected = [
+                    list(_per_pair_contribution(graph, opt, algorithm, seed, fixed, i).items())
+                    for i in range(r)
+                ]
+                for width in (1, 2, 7, 64, 65):
+                    got = [
+                        list(contribution.items())
+                        for lo in range(0, r, width)
+                        for contribution in chunk_contributions(
+                            graph, opt, algorithm, seed, fixed, lo, min(lo + width, r)
+                        )
+                    ]
+                    assert got == expected, (algorithm, opt, width, fixed is None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chunk_contributions_match_per_pair_searches(seed):
+    _check_chunks_match_per_pair_searches(random_temporal_graph(seed + 8000), seed)
+
+
+def test_chunk_contributions_match_per_pair_searches_on_the_tie_graph(ties):
+    _check_chunks_match_per_pair_searches(ties, 3)
+
+
+def test_chunk_contributions_match_per_pair_searches_on_a_bursty_graph():
+    graph = bursty_temporal_graph(3, n=60, m=500, max_time=40)
+    assert any(not graph.out_adjacency[s] for s in range(graph.n))
+    _check_chunks_match_per_pair_searches(graph, 4)
+
+
+def test_sh_pairs_share_one_sweep_per_chunk(monkeypatch):
+    # 40 samples at one worker are 4 chunks of 10 pairs: one group sweep
+    # each, and no pair sweeps alone
+    graph = random_temporal_graph_large(21, n=40, m=400, max_time=30)
+    assert all(graph.out_adjacency[s] for s in range(graph.n))
+    calls = {"group": 0, "pair": 0}
+    group_sweep = tbfs_module._group_latest_departure
+
+    def count_group(*args):
+        calls["group"] += 1
+        return group_sweep(*args)
+
+    def no_pair_sweep(*args):
+        calls["pair"] += 1
+        raise AssertionError("an sh pair of a group swept alone")
+
+    monkeypatch.setattr(tbfs_module, "_group_latest_departure", count_group)
+    monkeypatch.setattr(tbfs_module, "_latest_departure", no_pair_sweep)
+    ob_estimate(graph, SH, 40, 1, threads=1)
+    assert calls == {"group": 4, "pair": 0}

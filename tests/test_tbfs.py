@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -249,6 +250,37 @@ def test_source_out_of_range(g1):
         ob_estimate(g1, SH, 2, 0, pairs=[(-1, 1), (0, 1)])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_invalid_explicit_pairs_fail_before_any_sweep(threads, monkeypatch):
+    from tempbc import trk_estimate
+
+    g = random_temporal_graph_large(77, n=60, m=240, max_time=30)
+    if threads == 1:
+        # the bad pair shares the first chunk with a valid one
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran before the pairs were checked")
+
+        for name in (
+            "_group_latest_departure",
+            "_latest_departure",
+            "_foremost_arrival",
+            "_prefix_foremost_sweep",
+            "_shortest_bfs",
+        ):
+            monkeypatch.setattr(tbfs_module, name, no_sweep)
+    bad_pairs = {
+        (3, 3): "source and destination must differ",
+        (-1, 0): "source -1 out of range for n=60",
+        (0, g.n): "destination 60 out of range for n=60",
+    }
+    for bad, message in bad_pairs.items():
+        for pairs in ([bad, (0, 1)] * 4, [(0, 1), bad, (1, 2), (2, 5)] * 2):
+            for estimator in (ob_estimate, trk_estimate):
+                for opt in ALL_OPTS:
+                    with pytest.raises(ValueError, match=re.escape(message)):
+                        estimator(g, opt, len(pairs), 1, threads=threads, pairs=pairs)
+
+
 # SHA-256 of the records (key, hops, sigma and the predecessor items in order)
 # of every full search from each source of the tie graph, and of every
 # truncated search over each ordered pair. A full sfm search runs the sh
@@ -417,7 +449,7 @@ def _latest_departure_reference(graph, z, max_time=None):
     return latest
 
 
-def _check_latest_departure(graph):
+def _check_latest_departure(graph, monkeypatch):
     for z in range(graph.n):
         reference = {None: _latest_departure_reference(graph, z)}
         for s in range(graph.n):
@@ -431,14 +463,45 @@ def _check_latest_departure(graph):
                 expected = [t if t >= cut else 0 for t in reference[max_time]]
                 assert tbfs_module._latest_departure(graph, s, z, max_time) == expected, (s, z, max_time)
 
+    # the lists a group sweep hands to the sh pair searches: every ordered
+    # pair in a seeded order, cycled up to the group size, so sources differ
+    # and, past n(n-1) pairs, pairs repeat
+    handed = []
+    search = tbfs_module._tbfs
 
-def test_latest_departure_matches_a_fixpoint_on_the_tie_graph(ties):
-    _check_latest_departure(ties)
+    def record(graph, s, z, opt, latest=None):
+        handed.append(latest)
+        return search(graph, s, z, opt, latest)
+
+    monkeypatch.setattr(tbfs_module, "_tbfs", record)
+    width = tbfs_module.GROUP_WIDTH
+    pairs = [(s, z) for s in range(graph.n) for z in range(graph.n) if s != z]
+    order = np.random.default_rng(graph.n).permutation(len(pairs))
+    reference = {}
+    for size in (2, 5, width, width + 1):
+        group = [pairs[order[k % len(pairs)]] for k in range(size)]
+        handed.clear()
+        list(tbfs_module.pair_searches(graph, group, SH))
+        assert len(handed) == size
+        for k, ((s, z), latest) in enumerate(zip(group, handed)):
+            if not graph.out_adjacency[s] or k == width:
+                # no sweep, or the one pair of a second group: it sweeps alone
+                assert latest is None, (size, k)
+                continue
+            if z not in reference:
+                reference[z] = _latest_departure_reference(graph, z)
+            cut = graph.out_adjacency[s][0][0]
+            expected = [t if t >= cut else 0 for t in reference[z]]
+            assert [t if t >= cut else 0 for t in latest] == expected, (size, k, s, z)
+
+
+def test_latest_departure_matches_a_fixpoint_on_the_tie_graph(ties, monkeypatch):
+    _check_latest_departure(ties, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_latest_departure_matches_a_fixpoint(seed):
-    _check_latest_departure(random_temporal_graph(seed + 5000))
+def test_latest_departure_matches_a_fixpoint(seed, monkeypatch):
+    _check_latest_departure(random_temporal_graph(seed + 5000), monkeypatch)
 
 
 def test_source_without_out_edges_runs_no_sweep(monkeypatch):
