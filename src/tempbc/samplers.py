@@ -229,21 +229,22 @@ def sample_optimal_path(tbfs: TbfsResult, rng: np.random.Generator) -> SampledPa
     then walks the predecessor DAG backward, choosing each predecessor with
     probability proportional to multiplicity times its path count. Every
     optimal path comes out with probability 1/sigma. The walk reads the
-    result's flat state; it never builds ``records``.
+    result's flat state, expanding compressed predecessors in the order
+    ``records`` lists them; it never builds ``records``.
     """
-    if len(tbfs.per_target) != 1:
+    if len(tbfs.targets) != 1:
         raise ValueError("sample_optimal_path needs a TBFS result restricted to one destination")
-    (z, info), = tbfs.per_target.items()
-    if info.sigma < 1:
+    (z, keys), = tbfs.targets.items()
+    if not keys:
         raise ValueError(f"no optimal path from {tbfs.source} to {z} to sample")
 
-    base, sigma, preds = tbfs.base, tbfs.sigma, tbfs.preds
-    keys = [v * base + t for v, t in info.appearances]
+    base, sigma = tbfs.base, tbfs.sigma
+    keys = sorted(keys)
     current = keys[_weighted_index(rng, [sigma[key] for key in keys])]
 
     reversed_keys = [current]
-    while preds[current]:
-        items = list(preds[current].items())
+    while tbfs.preds[current]:
+        items = tbfs.predecessors(current)
         current = items[_weighted_index(rng, [mult * sigma[p] for p, mult in items])][0]
         reversed_keys.append(current)
     return SampledPath((tbfs.source, z), tuple(divmod(key, base) for key in reversed(reversed_keys)))

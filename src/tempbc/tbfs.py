@@ -43,9 +43,22 @@ Keys sort like ``(w, t)`` tuples, and the sentinel (s, 0) is ``s * (T + 1)``.
 The BFS reads the head keys of each node's out-edges from
 ``graph._out_keys``. The search state is flat: int-keyed dicts of hops, path
 counts and ``{predecessor key: multiplicity}`` maps, in creation order, with
-no object per appearance. ``TbfsResult.records`` builds the
-:class:`AppearanceRecord` view keyed by ``(node, time)`` on first access;
-the dependency pass and path sampling read the flat state.
+no object per appearance, and per destination its target keys.
+``TbfsResult.records`` and ``TbfsResult.per_target`` build the views keyed
+by ``(node, time)`` on first access; the dependency pass and path sampling
+read the flat state.
+
+The sh/sfm BFS scans each node's out-edges once per layer. When a node v has
+several appearances t_1 < ... < t_k in one layer's frontier, a row labeled
+in (t_c, t_{c+1}] extends exactly the first c of them, so v scans its rows
+once from t_1 on, carrying the running sum of their path counts, and the
+row's head records one compressed predecessor "the first c members of this
+group" instead of c explicit ones. The dependency pass adds a compressed
+predecessor's weight to a difference array over the group and resolves it
+when the walk leaves the heads' layer. ``TbfsResult.predecessors``, the
+``records`` view and path sampling expand it into the members in ascending
+(node, time) order, each with the entry's multiplicity: the order and
+multiplicities a scan per appearance would give.
 
 Path counts are exact integers; dependency aggregates are exact rationals.
 The backward dependency pass walks the appearances in reverse creation
@@ -63,6 +76,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -134,23 +148,46 @@ class TbfsResult:
 
     The search state is flat: ``hops``, ``sigma`` and ``preds`` are keyed by
     appearance key ``node * base + time`` (``base`` is ``T + 1``), in
-    creation order, and ``preds[key]`` maps each predecessor key to its edge
-    multiplicity. ``records`` presents the same state as
-    :class:`AppearanceRecord` objects keyed by ``(node, time)``; it is built
-    on first access and cached.
+    creation order, and ``preds[key]`` maps each predecessor to its edge
+    multiplicity. Under ``sh`` and ``sfm`` a predecessor may be compressed: a
+    negative key ``~(g * base + c)`` stands for the first c members of
+    ``groups[g]`` (``(cut, member keys)``, see :func:`_shortest_bfs`), each
+    with the entry's multiplicity. :meth:`predecessors` expands it, in
+    ascending (node, time) order. ``targets[z]`` holds destination z's target
+    appearance keys (empty when z is unreachable).
+
+    ``per_target`` and ``records`` present the same state keyed by
+    ``(node, time)``, with compressed predecessors expanded; each is built on
+    first access and cached.
     """
 
     source: int
     optimality: PathOptimality
-    per_target: dict[int, PairTargets]
     dependency: dict[int, Fraction]
     base: int
     hops: dict[int, int]
     sigma: dict[int, int]
     preds: dict[int, dict[int, int]]
+    groups: list[tuple[int, list[int]]]
+    targets: dict[int, list[int]]
+    _per_target: dict[int, PairTargets] | None = field(default=None, init=False, repr=False)
     _records: dict[Appearance, AppearanceRecord] | None = field(
         default=None, init=False, repr=False
     )
+
+    @property
+    def per_target(self) -> dict[int, PairTargets]:
+        """Per destination, its target appearances in sorted order and the
+        optimal-path count."""
+        if self._per_target is None:
+            base, sigma = self.base, self.sigma
+            self._per_target = {
+                z: PairTargets(
+                    tuple(divmod(key, base) for key in sorted(keys)), sum(sigma[key] for key in keys)
+                )
+                for z, keys in self.targets.items()
+            }
+        return self._per_target
 
     @property
     def records(self) -> dict[Appearance, AppearanceRecord]:
@@ -158,17 +195,29 @@ class TbfsResult:
             self._records = _build_records(self)
         return self._records
 
+    def predecessors(self, key: int) -> list[tuple[int, int]]:
+        """``(predecessor key, multiplicity)`` of appearance ``key``, with every
+        compressed predecessor expanded into its members."""
+        items = []
+        for p, mult in self.preds[key].items():
+            if p >= 0:
+                items.append((p, mult))
+            else:
+                g, c = divmod(~p, self.base)
+                items += [(m, mult) for m in self.groups[g][1][:c]]
+        return items
+
     def pair_sigma(self, z: int) -> int:
-        info = self.per_target.get(z)
-        return info.sigma if info is not None else 0
+        sigma = self.sigma
+        return sum(sigma[key] for key in self.targets.get(z, ()))
 
 
 def _build_records(result: TbfsResult) -> dict[Appearance, AppearanceRecord]:
     """The ``records`` view: one record per appearance, in creation order."""
-    base, sigma, preds = result.base, result.sigma, result.preds
+    base, sigma = result.base, result.sigma
     return {
         divmod(key, base): AppearanceRecord(
-            hops, sigma[key], {divmod(p, base): mult for p, mult in preds[key].items()}
+            hops, sigma[key], {divmod(p, base): mult for p, mult in result.predecessors(key)}
         )
         for key, hops in result.hops.items()
     }
@@ -242,21 +291,23 @@ def _tbfs(
     """The search behind every entry point; ``z=None`` means every destination.
 
     Runs the criterion's search, then picks each requested destination's
-    target appearances with one rule: sh takes its min-hop appearances in
-    sorted order, sfm and pfm its earliest appearance. A source without
-    out-edges runs no search or sweep. An sh pair whose latest departures a
-    group sweep already gave passes them as ``latest``. The caller has
-    checked s and z.
+    target appearance keys with one rule: sh takes its min-hop appearances,
+    sfm and pfm its earliest appearance. They seed the dependency pass as
+    keys; ``per_target`` turns them into sorted tuples only when read. A
+    source without out-edges runs no search or sweep. An sh pair whose latest
+    departures a group sweep already gave passes them as ``latest``. The
+    caller has checked s and z.
     """
     base = graph.T + 1
     src = s * base
-    hops, sigma, preds, first_time = {src: 0}, {src: 1}, {src: {}}, {s: 0}
+    hops, sigma, preds, groups = {src: 0}, {src: 1}, {src: {}}, []
+    settled, first_time = {s: [src]}, {s: 0}
     if not graph._out_times[s]:
         pass  # s reaches nothing: the sentinel alone, no sweep
     elif opt is PathOptimality.PREFIX_FOREMOST:
         hops, sigma, preds, first_time = _prefix_foremost_sweep(graph, s, stop_node=z)
     elif z is None:
-        hops, sigma, preds, settled, first_time = _shortest_bfs(graph, s)
+        hops, sigma, preds, groups, settled, first_time = _shortest_bfs(graph, s)
     else:
         # one sh or sfm pair; an sfm path can only use edges up to z's
         # earliest arrival
@@ -267,23 +318,23 @@ def _tbfs(
             if latest is None:
                 latest = _latest_departure(graph, s, z, arrival)
             if latest[s]:
-                hops, sigma, preds, settled, first_time = _shortest_bfs(
+                hops, sigma, preds, groups, settled, first_time = _shortest_bfs(
                     graph, s, stop_node=z, latest=latest
                 )
 
-    per_target: dict[int, PairTargets] = {}
-    for w in [w for w in first_time if w != s] if z is None else [z]:
-        if w not in first_time:  # z is unreachable
-            keys = []
-        elif opt is PathOptimality.SHORTEST:
-            keys = sorted(settled[w])
+    if z is not None:
+        if opt is PathOptimality.SHORTEST:
+            keys = settled.get(z, [])
         else:
-            keys = [w * base + first_time[w]]
-        per_target[w] = PairTargets(
-            tuple(divmod(key, base) for key in keys), sum(sigma[key] for key in keys)
-        )
-    dependency = _accumulate_dependency(s, base, sigma, preds, per_target)
-    return TbfsResult(s, opt, per_target, dependency, base, hops, sigma, preds)
+            keys = [z * base + first_time[z]] if z in first_time else []
+        targets = {z: keys}
+    elif opt is PathOptimality.SHORTEST:
+        del settled[s]
+        targets = settled
+    else:
+        targets = {w: [w * base + t] for w, t in first_time.items() if w != s}
+    dependency = _accumulate_dependency(s, base, sigma, preds, groups, targets)
+    return TbfsResult(s, opt, dependency, base, hops, sigma, preds, groups, targets)
 
 
 def _shortest_bfs(
@@ -314,36 +365,62 @@ def _shortest_bfs(
     every appearance (w, t2) reaches, each at a lower layer, so expanding
     (w, t2) would add nothing. Its record is still created and counted.
 
+    A node v with k >= 2 appearances t_1 < ... < t_k in one layer's frontier
+    forms a group and scans its out-edges once: member c scans only the rows
+    labeled in (t_c, t_{c+1}] (the last one every row after t_k), with the
+    summed sigma of members 1..c, since a row there extends exactly those
+    members. A head reached that way records one compressed predecessor
+    ``~(g * base + c)``, "the first c members of group g", in place of c
+    explicit ones; for c = 1 it records member 1's key. Each group is kept as
+    ``(cut, members)``: its members' keys in time order, and the number of
+    appearances created before its heads' layer.
+
     Returns the hops, sigma and predecessor maps by appearance key, in
-    creation order, each appearance after all of its predecessors; per node
-    its min-hop appearance keys; and per node its earliest appearance time
-    (the source's is 0).
+    creation order, each appearance after all of its predecessors; the
+    groups; per node its min-hop appearance keys; and per node its earliest
+    appearance time (the source's is 0).
     """
     base = graph.T + 1
     src = s * base
     hops = {src: 0}
     sigma = {src: 1}
     preds: dict[int, dict[int, int]] = {src: {}}
+    groups: list[tuple[int, list[int]]] = []
     settled = {s: [src]}
     min_time = {s: 0}
     out_keys = graph._out_keys
     out_times = graph._out_times
+    past = graph.n * base  # above every key: the successor of the last one
 
     frontier = [src]
     layer = 0
     while frontier:
         layer += 1
         discovered = []
-        for vk in sorted(frontier):
+        frontier.sort()
+        cut = len(hops)
+        members = None  # the open group, whose next member is the next key
+        for vk, after in zip(frontier, frontier[1:] + [past]):
             v, t = divmod(vk, base)
-            sigma_v = sigma[vk]
             times = out_times[v]
             lo = bisect_right(times, t)
-            if latest is None:
-                heads = out_keys[v][lo:]
+            hi = None if latest is None else bisect_right(times, latest[v], lo)
+            if members is None:
+                pk, sigma_v = vk, sigma[vk]
             else:
-                heads = out_keys[v][lo:bisect_right(times, latest[v], lo)]
-            for key in heads:
+                members.append(vk)
+                pk = ~(gbase + len(members))
+                sigma_v += sigma[vk]
+            if after < vk - t + base:
+                # v appears again in this layer: that appearance scans on
+                hi = bisect_right(times, after - vk + t, lo, hi)
+                if members is None:
+                    members = [vk]
+                    gbase = len(groups) * base
+                    groups.append((cut, members))
+            else:
+                members = None
+            for key in out_keys[v][lo:hi]:
                 h = hops.get(key)
                 if h is None:
                     if latest is not None:
@@ -352,12 +429,12 @@ def _shortest_bfs(
                             continue
                     hops[key] = layer
                     sigma[key] = sigma_v
-                    preds[key] = {vk: 1}
+                    preds[key] = {pk: 1}
                     discovered.append(key)
                 elif h == layer:
                     sigma[key] += sigma_v
                     p = preds[key]
-                    p[vk] = p.get(vk, 0) + 1
+                    p[pk] = p.get(pk, 0) + 1
         # leave dominated appearances out; min_time still holds the earlier
         # layers only, so appearances of one node in this layer all stay
         frontier = [key for key in discovered if key % base < min_time.get(key // base, base)]
@@ -372,7 +449,7 @@ def _shortest_bfs(
                 min_time[w] = t2
         if stop_node is not None and stop_node in settled:
             break
-    return hops, sigma, preds, settled, min_time
+    return hops, sigma, preds, groups, settled, min_time
 
 
 def _latest_departure(graph: TemporalGraph, s: int, z: int, max_time: int | None = None) -> list[int]:
@@ -459,7 +536,7 @@ def _pair_latest_departure(graph: TemporalGraph, gains, k: int, z: int) -> list[
     first departure on (0 where v cannot reach z, ``graph.T + 1`` at z)."""
     # a node gains each bit once, so no node is written twice
     labels, nodes, bits = gains
-    has = ((bits >> np.uint64(k)) & np.uint64(1)).astype(bool)
+    has = np.flatnonzero(bits & np.uint64(1 << k))
     latest = np.zeros(graph.n, dtype=np.int64)
     latest[nodes[has]] = labels[has]
     latest = latest.tolist()
@@ -533,7 +610,8 @@ def _accumulate_dependency(
     base: int,
     sigma: dict[int, int],
     preds: dict[int, dict[int, int]],
-    per_target: dict[int, PairTargets],
+    groups: list[tuple[int, list[int]]],
+    targets: dict[int, list[int]],
 ) -> dict[int, Fraction]:
     """One backward pass over the predecessor DAG, in exact integers.
 
@@ -553,21 +631,44 @@ def _accumulate_dependency(
 
     Both searches create an appearance after all of its predecessors, so
     walking ``preds`` in reverse creation order reaches each appearance only
-    after every one that passes weight to it.
+    after every one that passes weight to it. A compressed predecessor (g, c)
+    collects its weight under its own key, one entry of a difference array
+    over group g; member c receives the sum over every prefix c' >= c. Those
+    prefixes are complete once the walk has passed every appearance from
+    the group's cut on, since the group's heads all lie in the layer after
+    its members, so the group is resolved there, before any member is walked.
     """
-    sigmas = [info.sigma for info in per_target.values() if info.sigma]
-    if not sigmas:
+    ends = []
+    for keys in targets.values():
+        total = sum(sigma[key] for key in keys)
+        if total:
+            ends.append((keys, total))
+    if not ends:
         return {}
-    scale = math.lcm(*sigmas)
-    seeds: dict[int, int] = {}
-    for info in per_target.values():
-        if info.sigma:
-            for v, t in info.appearances:
-                seeds[v * base + t] = scale // info.sigma
+    scale = math.lcm(*[total for _, total in ends])
+    seeds = {key: scale // total for keys, total in ends for key in keys}
 
     acc = dict(seeds)
     totals: dict[int, int] = {}
-    for key, key_preds in reversed(preds.items()):
+    walk = reversed(preds.items())
+    left = len(preds)
+    for g in range(len(groups) - 1, -1, -1):
+        cut, members = groups[g]
+        _pass_weight_back(islice(walk, left - cut), acc, seeds, sigma, base, s, totals)
+        left = cut
+        running = 0
+        for c in range(len(members), 0, -1):
+            running += acc.pop(~(g * base + c), 0)
+            if running:
+                m = members[c - 1]
+                acc[m] = acc.get(m, 0) + running
+    _pass_weight_back(walk, acc, seeds, sigma, base, s, totals)
+    return {v: Fraction(total, scale) for v, total in totals.items()}
+
+
+def _pass_weight_back(items, acc, seeds, sigma, base, s, totals) -> None:
+    """The walk of :func:`_accumulate_dependency` over ``(key, preds)`` items."""
+    for key, key_preds in items:
         w = acc.get(key)
         if not w:
             continue
@@ -577,4 +678,3 @@ def _accumulate_dependency(
         v = key // base
         if through and v != s:
             totals[v] = totals.get(v, 0) + sigma[key] * through
-    return {v: Fraction(total, scale) for v, total in totals.items()}

@@ -31,6 +31,8 @@ from tempbc.bruteforce import (
     bruteforce_pair_stats,
     internal_nodes,
 )
+from tempbc.rng import substream
+from tempbc.samplers import SampledPath, _weighted_index, sample_optimal_path
 
 SH = PathOptimality.SHORTEST
 SFM = PathOptimality.SHORTEST_FOREMOST
@@ -319,6 +321,117 @@ def test_truncated_records_are_pinned(ties, opt):
     pairs = [(s, z) for s in range(ties.n) for z in range(ties.n) if s != z]
     digest = _records_digest((s, truncated_tbfs(ties, s, z, opt)) for s, z in pairs)
     assert digest == TRUNCATED_RECORDS_SHA256[opt]
+
+
+# The same digests over the bursty graph below, where many nodes have several
+# appearances in one frontier layer, so the sh/sfm search scans them as groups
+# and records compressed predecessors. Recorded before the search grouped
+# them: the expanded records must not change.
+BURSTY_RECORDS_SHA256 = {
+    (SH, "full"): "fef4b4fc317f018c67e733f0c63598cc02bfb0299543bcdf79cc9cd5812d1e2d",
+    (SFM, "full"): "fef4b4fc317f018c67e733f0c63598cc02bfb0299543bcdf79cc9cd5812d1e2d",
+    (SH, "truncated"): "ccf80eaff3c315bd57dd6f7264e007c45897a5fc370f2f095c1aaa60283085e1",
+    (SFM, "truncated"): "6ce8aacc71cf313b6bf3101a78c2eeec0186528202a6c49a91f76e64d6d071d5",
+}
+
+
+@pytest.fixture(scope="module")
+def bursty60():
+    return bursty_temporal_graph(3, n=60, m=500, max_time=40)
+
+
+@pytest.mark.parametrize(
+    "opt, kind", list(BURSTY_RECORDS_SHA256), ids=lambda x: getattr(x, "value", x)
+)
+def test_bursty_records_are_pinned(bursty60, opt, kind):
+    g = bursty60
+    if kind == "full":
+        results = ((s, full_tbfs(g, s, opt)) for s in range(g.n))
+    else:
+        pairs = [(s, z) for s in range(g.n) for z in range(g.n) if s != z]
+        results = ((s, truncated_tbfs(g, s, z, opt)) for s, z in pairs)
+    assert _records_digest(results) == BURSTY_RECORDS_SHA256[opt, kind]
+
+
+def _compressed_entries(result):
+    return sum(p < 0 for key_preds in result.preds.values() for p in key_preds)
+
+
+@pytest.mark.parametrize("graph", ["ties", "bursty60"])
+def test_grouped_state_expands_to_the_reference(graph, request):
+    # the full sh search must record compressed predecessors on these graphs
+    # (no silent fall-back to one scan per appearance), and expanded they
+    # must give the reference's records, targets and dependencies
+    g = request.getfixturevalue(graph)
+    groups = compressed = 0
+    for s in range(g.n):
+        result = full_tbfs(g, s, SH)
+        groups += len(result.groups)
+        compressed += _compressed_entries(result)
+        for cut, members in result.groups:
+            times = [key % result.base for key in members]
+            assert len(members) >= 2 and times == sorted(set(times))
+            assert len({key // result.base for key in members}) == 1
+            assert all(result.hops[key] == result.hops[members[0]] for key in members)
+            assert all(list(result.hops).index(key) < cut for key in members)
+        records, per_target, dependency = tbfs_reference(g, s, None, SH)
+        assert _record_items(result.records) == _record_items(records), s
+        assert list(result.per_target.items()) == list(per_target.items()), s
+        assert list(result.dependency.items()) == list(dependency.items()), s
+    assert groups > 0 and compressed > 0
+
+
+def test_group_members_created_out_of_time_order():
+    # s reaches 1 and 2 at label 1; 1 creates (3, 4) before 2 creates (3, 2),
+    # so 3's group in layer 2 has its members in reverse creation order. The
+    # head (4, 3) follows (3, 2) alone (an explicit predecessor); (4, 5), over
+    # two parallel rows, and (5, 5) follow both members (compressed ones).
+    g = load_edge_list("0 1 1\n0 1 1\n0 2 1\n1 3 4\n2 3 2\n3 4 3\n3 4 5\n3 4 5\n3 5 5\n")
+    s, v, w, x = (g.index_of(u) for u in (0, 3, 4, 5))
+    result = full_tbfs(g, s, SH)
+    base = result.base
+    (g3, (cut, members)), = [(k, gr) for k, gr in enumerate(result.groups) if gr[1][0] // base == v]
+    assert members == [v * base + 2, v * base + 4]
+    order = list(result.hops)
+    assert order.index(members[0]) > order.index(members[1])
+    assert result.preds[w * base + 3] == {members[0]: 1}
+    both = ~(g3 * base + 2)
+    assert result.preds[w * base + 5] == {both: 2}
+    assert result.preds[x * base + 5] == {both: 1}
+    assert result.predecessors(w * base + 5) == [(members[0], 2), (members[1], 2)]
+    assert result.dependency == bruteforce_dependency(g, s, SH)
+    records, _, dependency = tbfs_reference(g, s, None, SH)
+    assert _record_items(result.records) == _record_items(records)
+    assert list(result.dependency.items()) == list(dependency.items())
+
+
+def _draw_from_records(result, rng):
+    """trk's backward walk over the expanded ``records`` view."""
+    (z, info), = result.per_target.items()
+    records = result.records
+    apps = info.appearances
+    current = apps[_weighted_index(rng, [records[a].sigma for a in apps])]
+    path = [current]
+    while records[current].predecessors:
+        items = list(records[current].predecessors.items())
+        current = items[_weighted_index(rng, [mult * records[p].sigma for p, mult in items])][0]
+        path.append(current)
+    return SampledPath((result.source, z), tuple(reversed(path)))
+
+
+@pytest.mark.parametrize("opt", [SH, SFM], ids=lambda o: o.value)
+def test_path_draws_match_a_walk_over_the_records(bursty60, opt):
+    pairs = _sampled_pairs(bursty60, 11, count=200)
+    drawn = compressed = 0
+    for i, ((s, z), result) in enumerate(zip(pairs, tbfs_module.pair_searches(bursty60, pairs, opt))):
+        if not result.pair_sigma(z):
+            continue
+        compressed += _compressed_entries(result)
+        for j in range(3):
+            path = sample_optimal_path(result, substream(i, j))
+            assert path == _draw_from_records(result, substream(i, j)), (s, z, j)
+            drawn += 1
+    assert drawn > 100 and compressed > 0
 
 
 def _record_items(records):
