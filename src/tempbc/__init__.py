@@ -20,7 +20,6 @@ from .evaluation import EvalReport, compare, weighted_kendall
 from .exact import GuardrailError, ScoreVector, exact_tbc, exact_tbc_fractions
 from .graph import (
     ParseError,
-    TemporalEdge,
     TemporalGraph,
     load_edge_list,
     read_edge_list,
@@ -67,7 +66,6 @@ __all__ = [
     "StopReason",
     "StopReport",
     "TbfsResult",
-    "TemporalEdge",
     "TemporalGraph",
     "compare",
     "enumerate_paths_bruteforce",

@@ -6,17 +6,18 @@ import math
 
 __all__ = ["check_bound_inputs", "hoeffding_size", "vc_size"]
 
+# universal constant c of the standard VC sample-complexity bound
+C_UNIV = 0.5
+
 
 def check_bound_inputs(
-    epsilon: float, delta: float, *, n: int | None = None, vd: int | None = None,
-    c_univ: float = 0.5,
+    epsilon: float, delta: float, *, n: int | None = None, vd: int | None = None
 ) -> None:
     """Raise ValueError unless the inputs of a sample-size bound are valid.
 
     ``n`` is the node count (the union bound uses it). ``vd`` is the
     shortest-temporal vertex diameter (node count of the longest shortest
-    temporal path); only the VC-style bound uses it. ``c_univ`` is the
-    universal constant of the standard VC sample-complexity bound.
+    temporal path); only the VC-style bound uses it.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -26,8 +27,6 @@ def check_bound_inputs(
         raise ValueError("node count must be >= 1")
     if vd is not None and vd < 2:
         raise ValueError("vertex diameter must be >= 2")
-    if c_univ <= 0:
-        raise ValueError("universal constant must be positive")
 
 
 def hoeffding_size(epsilon: float, delta: float, n: int) -> int:
@@ -40,19 +39,19 @@ def hoeffding_size(epsilon: float, delta: float, n: int) -> int:
     return math.ceil(math.log(2 * n / delta) / (2 * epsilon * epsilon))
 
 
-def vc_size(epsilon: float, delta: float, vd: int, c_univ: float = 0.5) -> int:
+def vc_size(epsilon: float, delta: float, vd: int) -> int:
     """Vertex-diameter sample size for the shortest criterion:
-    ceil((c / epsilon^2) * (floor(log2(vd - 2)) + 1 + ln(1/delta))).
+    ceil((c / epsilon^2) * (floor(log2(vd - 2)) + 1 + ln(1/delta))), c = C_UNIV.
 
     Independent of the node count. The epsilon guarantee only holds when every
     connected pair has a unique shortest temporal path; otherwise treat this
     as a heuristic and prefer :func:`hoeffding_size`. For ``vd < 3`` (paths
     with at most one internal node) the bracket degenerates to 1 + ln(1/delta).
     """
-    check_bound_inputs(epsilon, delta, vd=vd, c_univ=c_univ)
+    check_bound_inputs(epsilon, delta, vd=vd)
     if vd < 3:
         bracket = 1 + math.log(1 / delta)
     else:
         # exact floor(log2) on the integer
         bracket = ((vd - 2).bit_length() - 1) + 1 + math.log(1 / delta)
-    return math.ceil(c_univ / (epsilon * epsilon) * bracket)
+    return math.ceil(C_UNIV / (epsilon * epsilon) * bracket)

@@ -179,6 +179,8 @@ def _fixed_sample_size(args, graph: TemporalGraph) -> tuple[int, dict]:
             raise ValueError("--samples must be >= 1")
         params["samples"] = args.samples
         return args.samples, params
+    if args.bound and graph.n < 2:
+        raise ValueError("sampling estimators need at least 2 nodes")
     if args.bound == "hoeffding":
         r = hoeffding_size(args.epsilon, args.delta, graph.n)
     elif args.bound == "vc":
@@ -187,7 +189,7 @@ def _fixed_sample_size(args, graph: TemporalGraph) -> tuple[int, dict]:
             # vertex diameter = hop diameter + 1, estimated by source sampling;
             # a graph without paths has no internal nodes, which the bound's
             # smallest case (vd = 2) already covers
-            s = min(graph.n, recommended_sample_size(max(graph.n, 2), 0.25))
+            s = min(graph.n, recommended_sample_size(graph.n, 0.25))
             hops = estimate_distances(graph, s, 1.0, args.seed, threads=args.threads).diameter
             vd = max(hops + 1, 2)
         params["vd"] = vd

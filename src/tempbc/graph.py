@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
 __all__ = [
-    "TemporalEdge",
     "TemporalGraph",
     "ParseError",
     "load_edge_list",
@@ -38,33 +36,26 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True, slots=True)
-class TemporalEdge:
-    """One directed contact. ``time`` is a relabeled label in ``1..T``."""
-
-    src: int
-    dst: int
-    time: int
-
-
 class TemporalGraph:
     """Immutable relabeled temporal edge set with time-sorted adjacency.
 
+    Every stored directed edge is one ``(time, src, dst)`` int tuple; the
+    three edge views below share these row objects.
+
     Attributes:
         n: number of nodes.
-        edges: stored directed edges, one per kept input row in input
-            order; undirected input stores each row as (u, v) then (v, u),
-            so ``len(edges)`` is twice the kept input rows.
+        edges: the rows, one per kept input row in input order; undirected
+            input stores each row as ``(t, u, v)`` then ``(t, v, u)``, so
+            ``len(edges)`` is twice the kept input rows.
             :func:`write_edge_list` reads the input rows back from here.
         T: life-time, the number of distinct time labels.
         directed: False when the input was declared undirected.
         node_ids: original input id for each compact id.
         dropped_self_loops: count of self-loop rows removed at load.
-        edges_by_time: every stored edge as a plain ``(time, src, dst)``
-            int tuple, sorted stably by time alone (rows of one label keep
-            input order), for the sweeps of :mod:`tempbc.tbfs`.
-        out_adjacency: per node, the same row objects for its out-edges,
-            sorted ascending by time, ties by head.
+        edges_by_time: the rows sorted stably by time alone (rows of one
+            label keep input order), for the sweeps of :mod:`tempbc.tbfs`.
+        out_adjacency: per node, its out-edge rows sorted ascending by
+            time, ties by head.
 
     ``_out_keys[v]`` holds, per row of ``out_adjacency[v]``, the appearance
     key ``head * (T + 1) + time`` of the row's head (see :mod:`tempbc.tbfs`).
@@ -87,7 +78,7 @@ class TemporalGraph:
     def __init__(
         self,
         n: int,
-        edges: list[TemporalEdge],
+        edges: Iterable[tuple[int, int, int]],
         T: int,
         *,
         directed: bool = True,
@@ -102,9 +93,7 @@ class TemporalGraph:
         self.dropped_self_loops = dropped_self_loops
         self._id_index = {orig: i for i, orig in enumerate(self.node_ids)}
 
-        self.edges_by_time = tuple(
-            sorted(((e.time, e.src, e.dst) for e in self.edges), key=itemgetter(0))
-        )
+        self.edges_by_time = tuple(sorted(self.edges, key=itemgetter(0)))
         # equal rows are indistinguishable, so no input-order tie-break
         out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for row in self.edges_by_time:
@@ -162,6 +151,8 @@ def load_edge_list(
     rows: list[tuple[int, int, int]] = []
     dropped = 0
     seen_rows: set[tuple[int, int, int]] = set()
+    # compact ids follow first appearance among kept rows, the dict's order
+    id_index: dict[int, int] = {}
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith(_COMMENT_PREFIXES):
@@ -180,25 +171,17 @@ def load_edge_list(
             if (u, v, t) in seen_rows:
                 continue
             seen_rows.add((u, v, t))
-        rows.append((u, v, t))
+        u = id_index.setdefault(u, len(id_index))
+        rows.append((t, u, id_index.setdefault(v, len(id_index))))
 
-    id_index: dict[int, int] = {}
-    for u, v, _ in rows:
-        if u not in id_index:
-            id_index[u] = len(id_index)
-        if v not in id_index:
-            id_index[v] = len(id_index)
-
-    time_rank = {t: i + 1 for i, t in enumerate(sorted({t for _, _, t in rows}))}
-
-    edges: list[TemporalEdge] = []
-    for u, v, t in rows:
-        u, v, t = id_index[u], id_index[v], time_rank[t]
-        edges.append(TemporalEdge(u, v, t))
+    time_rank = {t: i + 1 for i, t in enumerate(sorted({t for t, _, _ in rows}))}
+    edges: list[tuple[int, int, int]] = []
+    for t, u, v in rows:
+        t = time_rank[t]
+        edges.append((t, u, v))
         if not directed:
-            edges.append(TemporalEdge(v, u, t))
+            edges.append((t, v, u))
 
-    # compact ids follow first appearance, which is the dict's order
     node_ids, T = tuple(id_index), len(time_rank)
     # free the parse temporaries before the graph builds its indexes
     del rows, seen_rows, time_rank, id_index
@@ -223,8 +206,8 @@ def write_edge_list(graph: TemporalGraph, destination: TextIO | str | Path) -> N
             write_edge_list(graph, fh)
         return
     rows = graph.edges if graph.directed else graph.edges[::2]
-    for e in rows:
-        destination.write(f"{e.src} {e.dst} {e.time}\n")
+    for t, u, v in rows:
+        destination.write(f"{u} {v} {t}\n")
 
 
 def summarize(graph: TemporalGraph) -> tuple[int, int, int]:

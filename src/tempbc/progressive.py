@@ -11,13 +11,13 @@ Two schemes:
   accumulated unnormalized dependency reaches ``c * n``; a cheap heuristic
   with guarantees only for high-centrality nodes.
 
-Both draw their samples through :func:`tempbc.samplers.chunk_contributions`,
+Both run their samples through :func:`tempbc.samplers.chunk_contributions`,
 the sample pipeline of the fixed-sample estimators. Each checkpoint batch of
 :func:`progressive_estimate` runs in chunks on up to ``threads`` workers of
 one pool for the whole run, and is folded in sample-index order, so the
 scores and the bound are the same for any worker count.
-:func:`prtb_estimate` is serial and draws one sample per call, because it
-checks its stop rule after every sample.
+:func:`prtb_estimate` is serial and runs one sample per call, because it
+checks its stop rules after every sample (one of them reads the source).
 
 The bookkeeping keeps, per node, the running sum of its per-sample values and
 of their squares, plus a multiset of the squared norms; the norm multiset is
@@ -37,6 +37,7 @@ import numpy as np
 from .bounds import check_bound_inputs, hoeffding_size
 from .graph import TemporalGraph
 from .parallel import Fanout
+from .rng import draw_source, substream
 from .samplers import Algorithm, ScoreVector, chunk_contributions
 from .tbfs import PathOptimality
 
@@ -315,7 +316,9 @@ def prtb_estimate(
     """Source sampling until some node's accumulated dependency reaches c * n.
 
     The estimator itself is the uniform-source one; the threshold only decides
-    when to stop, checked after every sample, so the run is serial. Returns
+    when to stop, checked after every sample, so the run is serial. It also
+    stops, by the iteration cap, once every node was drawn as a source while
+    every dependency is still zero: no sample can then reach c * n. Returns
     each node's accumulated dependency divided by (n - 1) * r. In the stop
     report, ``xi`` carries the largest accumulated dependency and ``epsilon``
     the threshold ``c * n``.
@@ -332,8 +335,10 @@ def prtb_estimate(
     max_total = Fraction(0)
     r = 0
     reason = StopReason.ITERATION_CAP
+    undrawn = set(range(graph.n))
     while True:
-        contribution, = chunk_contributions(graph, opt, Algorithm.RTB, seed, None, r, r + 1)
+        source = draw_source(substream(seed, r), graph.n)
+        contribution, = chunk_contributions(graph, opt, Algorithm.RTB, seed, [source], 0, 1)
         for v, val in contribution.items():
             cur = totals.get(v, Fraction(0)) + val
             totals[v] = cur
@@ -345,6 +350,10 @@ def prtb_estimate(
             break
         if max_samples is not None and r >= max_samples:
             break
+        if not max_total:
+            undrawn.discard(source)
+            if not undrawn:
+                break
 
     denom = (graph.n - 1) * r
     values = np.array(

@@ -26,7 +26,7 @@ def test_hoeffding_doubling_n_adds_log2_term():
 
 
 def test_vc_example():
-    assert vc_size(0.05, 0.1, 34, 0.5) == 1661
+    assert vc_size(0.05, 0.1, 34) == 1661
 
 
 def test_vc_is_independent_of_n():
@@ -35,8 +35,8 @@ def test_vc_is_independent_of_n():
 
 
 def test_vc_bracket_steps_with_log2():
-    base = vc_size(0.1, 0.1, 10, 0.5)
-    doubled = vc_size(0.1, 0.1, 18, 0.5)  # floor(log2(vd-2)) goes 3 -> 4
+    base = vc_size(0.1, 0.1, 10)
+    doubled = vc_size(0.1, 0.1, 18)  # floor(log2(vd-2)) goes 3 -> 4
     assert doubled - base == math.ceil(0.5 / 0.01 * (4 + 1 + math.log(10))) - math.ceil(
         0.5 / 0.01 * (3 + 1 + math.log(10))
     )
@@ -55,8 +55,6 @@ def test_validation():
         hoeffding_size(0.1, 0.1, 0)
     with pytest.raises(ValueError):
         vc_size(0.1, 0.1, 1)
-    with pytest.raises(ValueError):
-        vc_size(0.1, 0.1, 10, c_univ=0.0)
 
 
 def test_inverse_quadratic_scaling():

@@ -155,6 +155,32 @@ def test_progressive_prtb_reports_stopping_reason(g1_path, capsys):
     assert report["parameters"]["c"] == 2.0
 
 
+def test_progressive_prtb_stops_when_no_node_can_gain(tmp_path, capsys):
+    # one edge: no node is ever internal, so no sample can reach c * n
+    p = tmp_path / "g.txt"
+    p.write_text("1 2 3\n")
+    code, report = run(capsys, "progressive", p, "--algo", "prtb")
+    assert code == 0
+    assert report["stop"]["stopped_by"] == "iteration_cap"
+    assert report["stop"]["xi"] == 0.0
+    assert [row["score"] for row in report["scores"]] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("text", ["", "1 1 3\n2 2 4\n"], ids=["empty", "self-loops-only"])
+@pytest.mark.parametrize(
+    "size", [["--bound", "vc"], ["--bound", "hoeffding"], ["--samples", "8"]],
+    ids=["vc", "hoeffding", "samples"],
+)
+def test_fixed_on_a_graph_without_nodes_names_the_node_count(tmp_path, capsys, text, size):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    code = main(["fixed", str(p), "--algo", "ob", *size, "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "sampling estimators need at least 2 nodes" in captured.err
+
+
 def test_progressive_reports_threads_only_where_used(g1_path, capsys):
     # prtb is serial by design; ob and trk fan their checkpoint batches out
     code, report = run(

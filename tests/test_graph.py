@@ -8,13 +8,13 @@ from hypothesis import given, strategies as st
 
 from helpers import random_temporal_graph
 
-from tempbc import ParseError, load_edge_list, summarize, write_edge_list
+from tempbc import ParseError, TemporalGraph, load_edge_list, summarize, write_edge_list
 
 
 def test_relabeling_ranks_distinct_timestamps():
     g = load_edge_list("0 1 5\n1 2 9\n0 2 9\n")
     assert summarize(g) == (3, 3, 2)
-    assert [(e.src, e.dst, e.time) for e in g.edges] == [(0, 1, 1), (1, 2, 2), (0, 2, 2)]
+    assert [(u, v, t) for t, u, v in g.edges] == [(0, 1, 1), (1, 2, 2), (0, 2, 2)]
 
 
 def test_self_loops_dropped_and_counted():
@@ -26,7 +26,7 @@ def test_self_loops_dropped_and_counted():
 def test_undirected_rows_stored_in_both_orientations():
     g = load_edge_list("0 1 7\n", directed=False)
     assert summarize(g) == (2, 2, 1)
-    assert {(e.src, e.dst, e.time) for e in g.edges} == {(0, 1, 1), (1, 0, 1)}
+    assert {(u, v, t) for t, u, v in g.edges} == {(0, 1, 1), (1, 0, 1)}
 
 
 def test_empty_input_gives_empty_graph():
@@ -59,14 +59,14 @@ def test_arbitrary_ids_are_compacted_with_id_map():
     assert g.n == 3
     assert g.node_ids == (100, 7, 5)
     assert g.index_of(5) == 2
-    assert [(e.src, e.dst) for e in g.edges] == [(0, 1), (1, 0), (2, 0)]
+    assert [(u, v) for _, u, v in g.edges] == [(0, 1), (1, 0), (2, 0)]
 
 
 @given(st.lists(st.integers(min_value=-(10**12), max_value=10**12), min_size=1, max_size=30))
 def test_relabeling_is_order_isomorphic(raw_times):
     lines = "".join(f"0 1 {t}\n" for t in raw_times)
     g = load_edge_list(lines)
-    relabeled = [e.time for e in g.edges]
+    relabeled = [t for t, _, _ in g.edges]
     for a, ta in zip(relabeled, raw_times):
         for b, tb in zip(relabeled, raw_times):
             assert (ta < tb) == (a < b)
@@ -96,7 +96,7 @@ def test_undirected_adjacency_is_symmetric(seed):
 
 
 def _stable_rows_by_time(g):
-    return tuple((e.time, e.src, e.dst) for e in sorted(g.edges, key=lambda e: e.time))
+    return tuple(sorted(g.edges, key=lambda row: row[0]))
 
 
 @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
@@ -125,6 +125,43 @@ def test_adjacency_sorted_by_time():
     # the adjacency holds the row objects of edges_by_time, not copies
     rows = {id(row) for row in g.edges_by_time}
     assert all(id(row) in rows for adj in g.out_adjacency for row in adj)
+
+
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+@pytest.mark.parametrize("seed", range(5))
+def test_edge_views_share_one_row_object_per_edge(seed, directed):
+    rows = io.StringIO()
+    write_edge_list(random_temporal_graph(seed + 900, allow_undirected=False), rows)
+    g = load_edge_list(rows.getvalue(), directed=directed)
+    assert all(type(row) is tuple and len(row) == 3 for row in g.edges)
+    # every stored edge is one tuple, and each view holds that same object
+    edge_ids = sorted(map(id, g.edges))
+    assert len(set(edge_ids)) == len(g.edges)
+    assert sorted(map(id, g.edges_by_time)) == edge_ids
+    assert sorted(id(row) for adj in g.out_adjacency for row in adj) == edge_ids
+
+
+_ROUND_TRIP_TEXT = {
+    "directed": ("5 7 10\n7 9 20\n5 9 20\n9 5 30\n7 9 20\n", True),
+    "undirected": ("5 7 10\n7 9 20\n5 9 20\n9 5 30\n7 9 20\n", False),
+    "self-loops-dropped": ("5 5 1\n5 7 10\n7 7 15\n7 9 20\n9 9 25\n", True),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROUND_TRIP_TEXT))
+def test_constructor_round_trip_from_rows(case):
+    text, directed = _ROUND_TRIP_TEXT[case]
+    g = load_edge_list(text, directed=directed)
+    again = TemporalGraph(
+        g.n, list(g.edges), g.T, directed=g.directed,
+        node_ids=g.node_ids, dropped_self_loops=g.dropped_self_loops,
+    )
+    assert again == g
+    assert again.out_adjacency == g.out_adjacency
+    assert again.edges_by_time == g.edges_by_time
+    assert (again.node_ids, again.dropped_self_loops) == (g.node_ids, g.dropped_self_loops)
+    if case == "self-loops-dropped":
+        assert g.dropped_self_loops == 3
 
 
 def test_college_msg_summary_when_present():

@@ -344,6 +344,57 @@ def test_prtb_cap(g1):
     assert report.stopped_by is StopReason.ITERATION_CAP
 
 
+def _first_index_with_all_sources(seed: int, n: int) -> int:
+    seen: set[int] = set()
+    i = 0
+    while len(seen) < n:
+        seen.add(draw_source(substream(seed, i), n))
+        i += 1
+    return i
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 2 3\n",
+        # every 2-hop path is beaten by a direct edge, so no node is internal
+        "0 1 1\n1 2 2\n0 2 3\n",
+    ],
+    ids=["one-edge", "direct-edges-win"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_prtb_stops_once_every_source_gave_zero_dependency(text, seed):
+    # with every sh dependency zero no sample can reach c * n; the run stops
+    # as soon as every node has been drawn as a source
+    g = load_edge_list(text)
+    scores, report = prtb_estimate(g, SH, 2.0, seed)
+    r = _first_index_with_all_sources(seed, g.n)
+    assert report.final_sample_size == report.iterations == r
+    assert report.stopped_by is StopReason.ITERATION_CAP
+    assert report.xi == 0.0
+    assert scores.values.tolist() == [0.0] * g.n
+    assert scores.sample_size == r
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_prtb_with_a_nonzero_dependency_still_stops_by_bound(seed):
+    # under pfm node 1 relays 0 -> 2 (arrival 2 beats the direct edge's 3):
+    # source 0 gives it dependency 1 and every other source gives nothing,
+    # so the run stops at the c * n = 6th draw of source 0
+    g = load_edge_list("0 1 1\n1 2 2\n0 2 3\n")
+    scores, report = prtb_estimate(g, PathOptimality.PREFIX_FOREMOST, 2.0, seed)
+    draws_of_zero = 0
+    r = 0
+    while draws_of_zero < 6:
+        draws_of_zero += draw_source(substream(seed, r), g.n) == 0
+        r += 1
+    assert report.stopped_by is StopReason.BOUND_MET
+    assert report.final_sample_size == r
+    assert report.xi == 6.0
+    assert scores.values.tolist() == [0.0, 6 / (2 * r), 0.0]
+    assert exact_tbc(g, PathOptimality.PREFIX_FOREMOST).values[1] == pytest.approx(1 / 6)
+
+
 def test_prtb_validates(g1):
     with pytest.raises(ValueError):
         prtb_estimate(g1, SH, 1.5, 0)
