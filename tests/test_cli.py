@@ -12,6 +12,7 @@ import pytest
 
 from helpers import G1_TEXT, random_temporal_graph_large
 
+import tempbc.cli
 from tempbc import hoeffding_size, write_edge_list
 from tempbc.cli import main
 from tempbc.parallel import default_threads
@@ -181,6 +182,18 @@ def test_fixed_on_a_graph_without_nodes_names_the_node_count(tmp_path, capsys, t
     assert "sampling estimators need at least 2 nodes" in captured.err
 
 
+@pytest.mark.parametrize("text", ["", "1 1 3\n2 2 4\n"], ids=["empty", "self-loops-only"])
+@pytest.mark.parametrize("algo", ["prtb", "ob", "trk"])
+def test_progressive_on_a_graph_without_nodes_names_the_node_count(tmp_path, capsys, text, algo):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    code = main(["progressive", str(p), "--algo", algo, "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "sampling estimators need at least 2 nodes" in captured.err
+
+
 def test_progressive_reports_threads_only_where_used(g1_path, capsys):
     # prtb is serial by design; ob and trk fan their checkpoint batches out
     code, report = run(
@@ -213,6 +226,14 @@ def test_diameter_census(g1_path, capsys):
     assert summary["diameter"] == 2
     assert summary["connectivity_rate"] == 0.5
     assert summary["avg_distance"] == pytest.approx(7 / 6)
+
+
+def test_diameter_takes_no_path_optimality(g1_path, capsys):
+    # hop distances are shortest-temporal by definition; --opt would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["diameter", str(g1_path), "--samples", "4", "--opt", "pfm"])
+    assert exc.value.code == 2
+    assert "--opt" in capsys.readouterr().err
 
 
 def test_diameter_validates_tau(g1_path, capsys):
@@ -259,6 +280,82 @@ def test_threads_do_not_change_scores(g1_path, tmp_path, capsys):
             "--seed", "9", "--scores", p, "--threads", threads)
         csvs.append(p.read_bytes())
     assert csvs[0] == csvs[1]
+
+
+REPORT_BASE = {"schema_version", "command", "algorithm", "graph", "parameters", "wall_seconds"}
+STOP_KEYS = {"final_sample_size", "iterations", "xi", "epsilon", "stopped_by"}
+SUMMARY_KEYS = {
+    "diameter", "effective_diameter", "tau", "connectivity_rate",
+    "avg_distance", "sample_size", "has_paths", "reach_profile",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, top, params, section",
+    [
+        (["exact"], {"optimality", "scores"}, {"threads", "force", "work_estimate"}, None),
+        (
+            ["fixed", "--algo", "ob", "--samples", "8"], {"optimality", "scores"},
+            {"epsilon", "delta", "samples", "seed", "threads"}, None,
+        ),
+        (
+            ["fixed", "--algo", "ob", "--bound", "hoeffding"], {"optimality", "scores"},
+            {"epsilon", "delta", "bound", "samples", "seed", "threads"}, None,
+        ),
+        (
+            ["fixed", "--algo", "ob", "--bound", "vc"], {"optimality", "scores"},
+            {"epsilon", "delta", "vd", "bound", "samples", "seed", "threads"}, None,
+        ),
+        (
+            ["progressive", "--algo", "prtb", "--max-samples", "5"], {"optimality", "scores", "stop"},
+            {"seed", "c", "max_samples"}, ("stop", STOP_KEYS),
+        ),
+        (
+            ["progressive", "--algo", "ob", "--epsilon", "0.3"], {"optimality", "scores", "stop"},
+            {"seed", "threads", "epsilon", "delta", "alpha"}, ("stop", STOP_KEYS),
+        ),
+        (
+            ["progressive", "--algo", "trk", "--epsilon", "0.3"], {"optimality", "scores", "stop"},
+            {"seed", "threads", "epsilon", "delta", "alpha", "iteration_cap"}, ("stop", STOP_KEYS),
+        ),
+        (["diameter", "--samples", "4"], {"summary"}, {"samples", "tau", "seed", "threads"}, ("summary", SUMMARY_KEYS)),
+    ],
+    ids=["exact", "fixed-samples", "fixed-hoeffding", "fixed-vc", "prtb", "ob", "trk", "diameter"],
+)
+def test_report_shape_is_pinned(g1_path, capsys, argv, top, params, section):
+    code, report = run(capsys, argv[0], g1_path, *argv[1:], "--threads", "1")
+    assert code == 0
+    assert set(report) == REPORT_BASE | top
+    assert set(report["parameters"]) == params
+    if section is not None:
+        name, keys = section
+        assert set(report[name]) == keys
+
+
+def test_compare_report_shape_is_pinned(g1_path, tmp_path, capsys):
+    scores = tmp_path / "s.csv"
+    run(capsys, "exact", g1_path, "--scores", scores, "--threads", "1")
+    code, report = run(capsys, "compare", scores, scores)
+    assert code == 0
+    assert set(report) == {"schema_version", "command", "algorithm", "parameters", "evaluation"}
+    assert set(report["parameters"]) == {"k"}
+    assert set(report["evaluation"]) == {
+        "sup_deviation", "mse", "weighted_kendall", "topk_intersection", "k",
+    }
+
+
+def test_wall_seconds_leaves_out_the_vertex_diameter_estimate(g1_path, capsys, monkeypatch):
+    estimate = tempbc.cli.estimate_distances
+
+    def slow_estimate(*args, **kwargs):
+        time.sleep(0.5)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(tempbc.cli, "estimate_distances", slow_estimate)
+    code, report = run(capsys, "fixed", g1_path, "--algo", "ob", "--bound", "vc", "--threads", "1")
+    assert code == 0
+    assert "vd" in report["parameters"]
+    assert report["wall_seconds"] < 0.5
 
 
 def test_default_threads_follows_cpu_affinity(monkeypatch):
