@@ -186,7 +186,7 @@ def _diameter(args, graph: TemporalGraph):
     if args.samples is not None:
         s = args.samples
     elif args.epsilon is not None:
-        s = recommended_sample_size(max(graph.n, 2), args.epsilon)
+        s = recommended_sample_size(_sampled_n(graph), args.epsilon)
     else:
         raise ValueError("one of --samples or --epsilon is required")
     params = {"samples": s, "tau": args.tau, "seed": args.seed, "threads": args.threads}

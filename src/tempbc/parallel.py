@@ -3,12 +3,21 @@
 Work over an index range is cut into chunks whose results come back in chunk
 order. Every caller folds them exactly (sums of ints or ``Fraction``s) or one
 sample at a time in index order, so where the chunks are cut never changes
-the output, for any worker count. Chunks are therefore sized from the run:
-``ceil(items / (4 * workers))`` items, about four per worker, so that uneven
-chunk costs even out. ``threads`` is an upper bound: a run starts no more
-workers than the CPUs it may run on, nor more than it has chunks. Each pool
-process receives the worker once, through the pool initializer, so a task
-carries only its ``(lo, hi)`` range.
+the output, for any worker count. Chunks are therefore sized from the run,
+by one of two rules:
+
+* source work (exact, rtb, distances): ``ceil(items / (4 * workers))``
+  items, about four chunks per worker, so that uneven chunk costs even out;
+* pair work (ob, trk): the caller names the widest chunk, the width of one
+  shared sweep group (``tbfs.GROUP_WIDTH``), and the run is cut into the
+  fewest chunks of near-equal width that fit it and number a multiple of
+  the workers. A pair's sweep is cheaper the wider its group, and a group
+  never spans two chunks.
+
+``threads`` is an upper bound: a run starts no more workers than the CPUs it
+may run on, nor more than it has chunks. Each pool process receives the
+worker once, through the pool initializer, so a task carries only its
+``(lo, hi)`` range.
 """
 
 from __future__ import annotations
@@ -44,15 +53,24 @@ def default_threads() -> int:
 def chunk_ranges(
     total: int, chunk: int | None = None, workers: int = 1, start: int = 0
 ) -> list[tuple[int, int]]:
-    """Ranges of ``chunk`` indices covering start..start+total-1, in order.
+    """Ranges covering start..start+total-1, in order.
 
     Without ``chunk``, each range holds ``ceil(total / (4 * workers))``
-    indices.
+    indices, the last one the rest. With it, the ranges are the fewest that
+    hold at most ``chunk`` indices each and number a multiple of ``workers``
+    (or ``total``, when that is smaller); their widths differ by at most
+    one, the wider ones first.
     """
-    if chunk is None:
-        chunk = max(1, -(-total // (CHUNKS_PER_WORKER * workers)))
     stop = start + total
-    return [(lo, min(lo + chunk, stop)) for lo in range(start, stop, chunk)]
+    if chunk is None:
+        width = max(1, -(-total // (CHUNKS_PER_WORKER * workers)))
+        return [(lo, min(lo + width, stop)) for lo in range(start, stop, width)]
+    count = min(total, -(-total // (chunk * workers)) * workers)
+    if not count:
+        return []
+    width, wider = divmod(total, count)
+    bounds = [start + i * width + min(i, wider) for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 class Fanout:
@@ -77,7 +95,8 @@ class Fanout:
             self._pool = None
 
     def map(self, start: int, stop: int, chunk: int | None = None) -> Iterator[T]:
-        """Yield worker(lo, hi) per chunk of start..stop-1, in chunk order."""
+        """Yield worker(lo, hi) per chunk of start..stop-1, in chunk order;
+        ``chunk`` as in :func:`chunk_ranges`."""
         ranges = chunk_ranges(stop - start, chunk, self.workers, start)
         if self.workers == 1 or len(ranges) <= 1:
             for lo, hi in ranges:

@@ -13,9 +13,11 @@ Two schemes:
 
 Both run their samples through :func:`tempbc.samplers.chunk_contributions`,
 the sample pipeline of the fixed-sample estimators. Each checkpoint batch of
-:func:`progressive_estimate` runs in chunks on up to ``threads`` workers of
-one pool for the whole run, and is folded in sample-index order, so the
-scores and the bound are the same for any worker count.
+:func:`progressive_estimate` runs in chunks of whole sweep groups on up to
+``threads`` workers of one pool for the whole run; a chunk returns each
+sample's per-node values as floats in fold order, and the batch is folded in
+sample-index order, so the scores and the bound are the same for any worker
+count.
 :func:`prtb_estimate` is serial and runs one sample per call, because it
 checks its stop rules after every sample (one of them reads the source).
 
@@ -34,6 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import tbfs
 from .bounds import check_bound_inputs, hoeffding_size
 from .graph import TemporalGraph
 from .parallel import Fanout
@@ -276,13 +279,10 @@ def progressive_estimate(
             target = schedule.size(iteration)
             if cap is not None:
                 target = min(target, cap)
-            for contributions in fan.map(done, target):
-                for contribution in contributions:
-                    # the state's float sums depend on fold order: ascending
-                    # node id for ob, path order for trk
-                    nodes = sorted(contribution) if algorithm is Algorithm.OB else contribution
-                    for u in nodes:
-                        update_values(state, u, float(contribution[u]))
+            for samples in fan.map(done, target, tbfs.GROUP_WIDTH):
+                for sample in samples:
+                    for u, h_u in sample.items():
+                        update_values(state, u, h_u)
             done = target
             bound = rademacher_bound(state, done)
             xi = stopping_xi(bound, done, delta / 2.0**iteration)
@@ -300,9 +300,15 @@ def progressive_estimate(
     return ScoreVector(opt, values, sample_size=done), report
 
 
-def _sample_chunk(graph, opt, algorithm, seed, lo, hi) -> list[dict]:
-    """Contributions of samples lo..hi-1, one per sample, in index order."""
-    return list(chunk_contributions(graph, opt, algorithm, seed, None, lo, hi))
+def _sample_chunk(graph, opt, algorithm, seed, lo, hi) -> list[dict[int, float]]:
+    """Per-node values of samples lo..hi-1, one dict per sample, in index
+    order. Each dict lists its nodes in the order the state folds them,
+    because its float sums depend on that order: ascending node id for ob,
+    path order for trk."""
+    contributions = chunk_contributions(graph, opt, algorithm, seed, None, lo, hi)
+    if algorithm is Algorithm.OB:
+        return [{u: float(c[u]) for u in sorted(c)} for c in contributions]
+    return [dict.fromkeys(c, 1.0) for c in contributions]
 
 
 def prtb_estimate(

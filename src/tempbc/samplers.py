@@ -14,9 +14,12 @@ and turned into those contributions, a chunk of indices at a time:
 Sample i draws from its own counter-based substream ``substream(seed, i)``,
 so a seeded run is reproducible for any worker count. A chunk draws all of
 its pairs before it searches, so that :func:`tempbc.tbfs.pair_searches` can
-share one latest-departure sweep among its ``sh`` pairs. The fixed-sample
-estimators sum contributions per chunk and fold the chunk sums exactly, so
-where the chunks are cut does not matter. Each keeps its own normalisation:
+share one latest-departure sweep among its ``sh`` pairs; pair work is
+therefore cut into chunks of at most ``tbfs.GROUP_WIDTH`` pairs, whole sweep
+groups (see :func:`tempbc.parallel.chunk_ranges`), and source work into
+about four chunks per worker. The fixed-sample estimators sum contributions
+per chunk and fold the chunk sums exactly, so where the chunks are cut does
+not matter. Each keeps its own normalisation:
 rtb divides by r(n-1), ob by r, and trk multiplies its integer counts by 1/r.
 """
 
@@ -31,6 +34,7 @@ from typing import TextIO
 
 import numpy as np
 
+from . import tbfs
 from .graph import TemporalGraph
 from .parallel import run_chunks
 from .rng import draw_pair, draw_source, randbelow, substream
@@ -167,8 +171,9 @@ def _sum_chunk(graph, opt, algorithm, seed, fixed, lo, hi) -> dict:
 def summed_contributions(graph, opt, algorithm, seed, fixed, r: int, threads: int) -> dict:
     """Sum of the contributions of samples 0..r-1, folded in chunk order."""
     worker = functools.partial(_sum_chunk, graph, opt, algorithm, seed, fixed)
+    chunk = None if algorithm is Algorithm.RTB else tbfs.GROUP_WIDTH
     total: dict = {}
-    for partial in run_chunks(worker, r, threads):
+    for partial in run_chunks(worker, r, threads, chunk):
         for v, val in partial.items():
             total[v] = total.get(v, 0) + val
     return total

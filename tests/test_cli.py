@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -12,6 +13,7 @@ import pytest
 
 from helpers import G1_TEXT, random_temporal_graph_large
 
+import tempbc.__main__
 import tempbc.cli
 from tempbc import hoeffding_size, write_edge_list
 from tempbc.cli import main
@@ -194,6 +196,18 @@ def test_progressive_on_a_graph_without_nodes_names_the_node_count(tmp_path, cap
     assert "sampling estimators need at least 2 nodes" in captured.err
 
 
+@pytest.mark.parametrize("text", ["", "1 1 3\n2 2 4\n"], ids=["empty", "self-loops-only"])
+def test_diameter_epsilon_on_a_graph_without_nodes_names_the_node_count(tmp_path, capsys, text):
+    # the count derived from --epsilon needs a pair of nodes to sample from
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    code = main(["diameter", str(p), "--epsilon", "0.5", "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "sampling estimators need at least 2 nodes" in captured.err
+
+
 def test_progressive_reports_threads_only_where_used(g1_path, capsys):
     # prtb is serial by design; ob and trk fan their checkpoint batches out
     code, report = run(
@@ -358,6 +372,56 @@ def test_wall_seconds_leaves_out_the_vertex_diameter_estimate(g1_path, capsys, m
     assert report["wall_seconds"] < 0.5
 
 
+def _subprocess_env() -> dict:
+    """This environment, with the checkout's ``src`` first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_python_m_tempbc_matches_main_in_process(tmp_path):
+    graph_file = tmp_path / "graph.txt"
+    write_edge_list(random_temporal_graph_large(7, n=40, m=240, max_time=20), graph_file)
+    scores, report = tmp_path / "scores.csv", tmp_path / "report.json"
+    argv = ["progressive", str(graph_file), "--algo", "ob", "--epsilon", "0.25", "--seed", "3",
+            "--threads", "2", "--scores", str(scores), "--out", str(report)]
+
+    def written():
+        fields = json.loads(report.read_text())
+        del fields["wall_seconds"]
+        return fields, scores.read_bytes()
+
+    proc = subprocess.run([sys.executable, "-m", "tempbc", *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    from_process = written()
+    assert main(argv) == 0
+    assert written() == from_process
+
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    for args, code in (
+        (["diameter", str(empty), "--epsilon", "0.5"], 2),
+        (["exact", str(tmp_path / "missing.txt")], 4),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "tempbc", *args], env=_subprocess_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr.startswith("error: ")
+
+
+def test_only_the_process_entry_point_freezes_the_heap(g1_path, capsys, monkeypatch):
+    frozen = gc.get_freeze_count()
+    assert main(["exact", str(g1_path), "--threads", "1"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(tempbc.__main__, "main", lambda: calls.append("main") or 0)
+    assert tempbc.__main__.run() == 0
+    assert calls == ["freeze", "main"]
+
+
 def test_default_threads_follows_cpu_affinity(monkeypatch):
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 3}, raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 64)
@@ -415,10 +479,7 @@ def test_pool_workers_exit_when_parent_is_killed(tmp_path):
     script.write_text(FANOUT_SCRIPT)
     pid_dir = tmp_path / "pids"
     pid_dir.mkdir()
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    parent = subprocess.Popen([sys.executable, str(script), str(pid_dir)], env=env)
+    parent = subprocess.Popen([sys.executable, str(script), str(pid_dir)], env=_subprocess_env())
     workers: set[int] = set()
     try:
         assert _wait_until(lambda: len(list(pid_dir.iterdir())) >= 2, 30), "workers did not start"

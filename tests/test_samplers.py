@@ -293,8 +293,8 @@ def test_chunk_contributions_match_per_pair_searches_on_a_bursty_graph():
 
 
 def test_sh_pairs_share_one_sweep_per_chunk(monkeypatch):
-    # 40 samples at one worker are 4 chunks of 10 pairs: one group sweep
-    # each, and no pair sweeps alone
+    # 40 samples at one worker are one chunk of 40 pairs, a single sweep
+    # group: one group sweep, and no pair sweeps alone
     graph = random_temporal_graph_large(21, n=40, m=400, max_time=30)
     assert all(graph.out_adjacency[s] for s in range(graph.n))
     calls = {"group": 0, "pair": 0}
@@ -311,4 +311,4 @@ def test_sh_pairs_share_one_sweep_per_chunk(monkeypatch):
     monkeypatch.setattr(tbfs_module, "_group_latest_departure", count_group)
     monkeypatch.setattr(tbfs_module, "_latest_departure", no_pair_sweep)
     ob_estimate(graph, SH, 40, 1, threads=1)
-    assert calls == {"group": 4, "pair": 0}
+    assert calls == {"group": 1, "pair": 0}
