@@ -11,85 +11,56 @@ Public surface:
 * a-priori sample-size bounds (:mod:`tempbc.bounds`),
 * hop-distance and connectivity summaries (:mod:`tempbc.distances`),
 * score comparison metrics (:mod:`tempbc.evaluation`).
+
+The namespace is lazy (PEP 562): ``import tempbc`` imports no submodule, and
+so no numpy. A public name, or a submodule such as ``tempbc.tbfs``, imports
+its home submodule on first access. This lets the process entry point
+(:mod:`tempbc.__main__`) set the environment before numpy loads, and lets a
+command import only the modules it runs.
 """
 
-from .bounds import hoeffding_size, vc_size
-from .bruteforce import PathBudgetExceeded, enumerate_paths_bruteforce
-from .distances import DistanceSummary, estimate_distances, recommended_sample_size
-from .evaluation import EvalReport, compare, weighted_kendall
-from .exact import GuardrailError, ScoreVector, exact_tbc, exact_tbc_fractions
-from .graph import (
-    ParseError,
-    TemporalGraph,
-    load_edge_list,
-    read_edge_list,
-    summarize,
-    write_edge_list,
-)
-from .progressive import (
-    RademacherState,
-    Schedule,
-    StopReason,
-    StopReport,
-    initial_sample_size,
-    progressive_estimate,
-    prtb_estimate,
-    rademacher_bound,
-    stopping_xi,
-    update_values,
-)
-from .samplers import (
-    Algorithm,
-    SampledPath,
-    ob_estimate,
-    rtb_estimate,
-    sample_optimal_path,
-    trk_estimate,
-)
-from .tbfs import AppearanceRecord, PathOptimality, TbfsResult, full_tbfs, truncated_tbfs
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algorithm",
-    "AppearanceRecord",
-    "DistanceSummary",
-    "EvalReport",
-    "GuardrailError",
-    "ParseError",
-    "PathBudgetExceeded",
-    "PathOptimality",
-    "RademacherState",
-    "SampledPath",
-    "Schedule",
-    "ScoreVector",
-    "StopReason",
-    "StopReport",
-    "TbfsResult",
-    "TemporalGraph",
-    "compare",
-    "enumerate_paths_bruteforce",
-    "estimate_distances",
-    "exact_tbc",
-    "exact_tbc_fractions",
-    "full_tbfs",
-    "hoeffding_size",
-    "initial_sample_size",
-    "load_edge_list",
-    "ob_estimate",
-    "progressive_estimate",
-    "prtb_estimate",
-    "rademacher_bound",
-    "read_edge_list",
-    "recommended_sample_size",
-    "rtb_estimate",
-    "sample_optimal_path",
-    "stopping_xi",
-    "summarize",
-    "trk_estimate",
-    "truncated_tbfs",
-    "update_values",
-    "vc_size",
-    "weighted_kendall",
-    "write_edge_list",
-]
+# home submodule -> the public names it defines
+_EXPORTS = {
+    "bounds": ("hoeffding_size", "vc_size"),
+    "bruteforce": ("PathBudgetExceeded", "enumerate_paths_bruteforce"),
+    "distances": ("DistanceSummary", "estimate_distances", "recommended_sample_size"),
+    "evaluation": ("EvalReport", "compare", "weighted_kendall"),
+    "exact": ("GuardrailError", "ScoreVector", "exact_tbc", "exact_tbc_fractions"),
+    "graph": (
+        "ParseError", "TemporalGraph", "load_edge_list", "read_edge_list", "summarize",
+        "write_edge_list",
+    ),
+    "progressive": (
+        "RademacherState", "Schedule", "StopReason", "StopReport", "initial_sample_size",
+        "progressive_estimate", "prtb_estimate", "rademacher_bound", "stopping_xi",
+        "update_values",
+    ),
+    "samplers": (
+        "Algorithm", "SampledPath", "ob_estimate", "rtb_estimate", "sample_optimal_path",
+        "trk_estimate",
+    ),
+    "tbfs": ("AppearanceRecord", "PathOptimality", "TbfsResult", "full_tbfs", "truncated_tbfs"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli", "parallel", "rng"})
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

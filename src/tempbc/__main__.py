@@ -1,21 +1,30 @@
-"""The process entry point: ``python -m tempbc`` and the ``tempbc`` script."""
+"""The process entry point: ``python -m tempbc`` and the ``tempbc`` script.
+
+Importing this module imports no other submodule and changes nothing; only
+:func:`run` prepares the process.
+"""
 
 import gc
+import os
 import sys
-
-from .cli import main
 
 
 def run() -> int:
     """Run the CLI on ``sys.argv`` in a process of its own.
 
-    The start-up heap (numpy and the package's modules) lives until exit, so
-    it is frozen first: no collection walks it again, the final one at
-    interpreter shutdown included. ``cli.main`` called as a library
-    function leaves the caller's collector as it is.
+    numpy's OpenBLAS starts a thread pool when numpy is imported, and tempbc
+    never calls BLAS, so the pool only costs CPU. ``OPENBLAS_NUM_THREADS`` is
+    therefore set to 1, unless the user set it, before ``.cli`` imports
+    numpy. Then the start-up heap (numpy and the package's modules), which
+    lives until exit, is frozen: no collection walks it again, the final one
+    at interpreter shutdown included. ``cli.main`` called as a library
+    function leaves the caller's environment and collector as they are.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import cli
+
     gc.freeze()
-    return main()
+    return cli.main()
 
 
 if __name__ == "__main__":

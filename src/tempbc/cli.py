@@ -7,6 +7,11 @@ JSON (schema_version 1) written to stdout or ``--out``; score vectors go to a
 separate CSV (``node_id,score`` with 17 significant digits) named by
 ``--scores``, or inline in the report when no path is given.
 
+A command imports the modules that only it uses (``progressive``,
+``distances``, ``evaluation``) when it runs, so no command pays for
+another's imports. The process pool's modules load before the timed call,
+and only when the run may use more than one worker.
+
 Exit codes: 0 success, 2 validation error, 3 work guardrail, 4 I/O error.
 """
 
@@ -20,11 +25,8 @@ from dataclasses import asdict
 from functools import partial
 
 from .bounds import hoeffding_size, vc_size
-from .distances import DistanceSummary, estimate_distances, recommended_sample_size
-from .evaluation import compare
 from .exact import GuardrailError, ScoreVector, exact_tbc, work_estimate
 from .graph import ParseError, TemporalGraph, read_edge_list, summarize
-from .progressive import progressive_estimate, prtb_estimate
 from .samplers import Algorithm, ob_estimate, rtb_estimate, trk_estimate
 from .tbfs import PathOptimality
 from .parallel import default_threads
@@ -137,6 +139,8 @@ def _fixed_sample_size(args, graph: TemporalGraph) -> dict:
     else:
         vd = args.vd
         if vd is None:
+            from .distances import estimate_distances, recommended_sample_size
+
             # vertex diameter = hop diameter + 1, estimated by source sampling;
             # a graph without paths has no internal nodes, which the bound's
             # smallest case (vd = 2) already covers
@@ -162,6 +166,8 @@ def _fixed(args, graph: TemporalGraph):
 
 
 def _progressive(args, graph: TemporalGraph):
+    from .progressive import progressive_estimate, prtb_estimate
+
     opt = PathOptimality.parse(args.opt)
     params: dict = {"seed": args.seed}
     if args.algo == "prtb":
@@ -183,6 +189,8 @@ def _progressive(args, graph: TemporalGraph):
 
 
 def _diameter(args, graph: TemporalGraph):
+    from .distances import estimate_distances, recommended_sample_size
+
     if args.samples is not None:
         s = args.samples
     elif args.epsilon is not None:
@@ -200,6 +208,8 @@ _COMMANDS = {"exact": _exact, "fixed": _fixed, "progressive": _progressive, "dia
 
 
 def _evaluation(args) -> dict:
+    from .evaluation import compare
+
     exact_vec, exact_ids = ScoreVector.read_csv(args.exact_scores)
     approx_vec, approx_ids = ScoreVector.read_csv(args.approx_scores)
     if exact_ids != approx_ids:
@@ -216,6 +226,10 @@ def _report(args, argv: list[str]) -> dict:
         return report
     graph = read_edge_list(args.graph, directed=not args.undirected, dedupe=args.dedupe)
     report["parameters"], call = _COMMANDS[args.command](args, graph)
+    if min(report["parameters"].get("threads", 1), default_threads()) > 1:
+        # a run that can start a pool loads its modules as start-up, which
+        # wall_seconds leaves out; a serial run (prtb's included) never does
+        import concurrent.futures.process  # noqa: F401
     started = time.perf_counter()
     result = call()
     report["wall_seconds"] = time.perf_counter() - started
@@ -230,7 +244,7 @@ def _report(args, argv: list[str]) -> dict:
     }
     if hasattr(args, "opt"):
         report["optimality"] = args.opt
-    if isinstance(result, DistanceSummary):
+    if args.command == "diameter":
         report["summary"] = {**asdict(result), "reach_profile": result.reach_profile.tolist()}
         return report
     scores = result

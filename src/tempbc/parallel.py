@@ -25,8 +25,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["Fanout", "chunk_ranges", "run_chunks", "default_threads"]
 
@@ -103,13 +105,27 @@ class Fanout:
                 yield self.worker(lo, hi)
             return
         if self._pool is None:
+            # read as a module attribute, so that tests can substitute the class
+            executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
             # the pool forks all of its workers up front, so start no idle ones
-            self._pool = ProcessPoolExecutor(
+            self._pool = executor(
                 max_workers=min(self.workers, len(ranges)),
                 initializer=_install,
                 initargs=(os.getpid(), self.worker),
             )
         yield from self._pool.map(_run_installed, *zip(*ranges))
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use: its modules
+    (``concurrent.futures.process``, ``multiprocessing``) load when the first
+    pool starts, so a serial run never imports them."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def run_chunks(

@@ -144,7 +144,10 @@ class TbfsResult:
     ``dependency[v]`` is the exact rational sum over reachable destinations z
     of (optimal s-z paths through v) / (optimal s-z paths). For a truncated
     run it is restricted to the single requested destination, i.e. the
-    per-pair ratio vector.
+    per-pair ratio vector. The search does not compute it: the backward
+    dependency pass runs on the first read of ``dependency``, and its result
+    is cached. Path sampling (trk) reads only ``sigma`` and the predecessors,
+    so its searches never run the pass.
 
     The search state is flat: ``hops``, ``sigma`` and ``preds`` are keyed by
     appearance key ``node * base + time`` (``base`` is ``T + 1``), in
@@ -163,7 +166,6 @@ class TbfsResult:
 
     source: int
     optimality: PathOptimality
-    dependency: dict[int, Fraction]
     base: int
     hops: dict[int, int]
     sigma: dict[int, int]
@@ -171,9 +173,18 @@ class TbfsResult:
     groups: list[tuple[int, list[int]]]
     targets: dict[int, list[int]]
     _per_target: dict[int, PairTargets] | None = field(default=None, init=False, repr=False)
+    _dependency: dict[int, Fraction] | None = field(default=None, init=False, repr=False)
     _records: dict[Appearance, AppearanceRecord] | None = field(
         default=None, init=False, repr=False
     )
+
+    @property
+    def dependency(self) -> dict[int, Fraction]:
+        if self._dependency is None:
+            self._dependency = _accumulate_dependency(
+                self.source, self.base, self.sigma, self.preds, self.groups, self.targets
+            )
+        return self._dependency
 
     @property
     def per_target(self) -> dict[int, PairTargets]:
@@ -333,8 +344,7 @@ def _tbfs(
         targets = settled
     else:
         targets = {w: [w * base + t] for w, t in first_time.items() if w != s}
-    dependency = _accumulate_dependency(s, base, sigma, preds, groups, targets)
-    return TbfsResult(s, opt, dependency, base, hops, sigma, preds, groups, targets)
+    return TbfsResult(s, opt, base, hops, sigma, preds, groups, targets)
 
 
 def _shortest_bfs(

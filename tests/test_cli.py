@@ -359,13 +359,13 @@ def test_compare_report_shape_is_pinned(g1_path, tmp_path, capsys):
 
 
 def test_wall_seconds_leaves_out_the_vertex_diameter_estimate(g1_path, capsys, monkeypatch):
-    estimate = tempbc.cli.estimate_distances
+    estimate = tempbc.distances.estimate_distances
 
     def slow_estimate(*args, **kwargs):
         time.sleep(0.5)
         return estimate(*args, **kwargs)
 
-    monkeypatch.setattr(tempbc.cli, "estimate_distances", slow_estimate)
+    monkeypatch.setattr(tempbc.distances, "estimate_distances", slow_estimate)
     code, report = run(capsys, "fixed", g1_path, "--algo", "ob", "--bound", "vc", "--threads", "1")
     assert code == 0
     assert "vd" in report["parameters"]
@@ -417,7 +417,8 @@ def test_only_the_process_entry_point_freezes_the_heap(g1_path, capsys, monkeypa
 
     calls = []
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-    monkeypatch.setattr(tempbc.__main__, "main", lambda: calls.append("main") or 0)
+    monkeypatch.setattr(tempbc.cli, "main", lambda: calls.append("main") or 0)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # restored after the test
     assert tempbc.__main__.run() == 0
     assert calls == ["freeze", "main"]
 

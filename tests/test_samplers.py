@@ -312,3 +312,33 @@ def test_sh_pairs_share_one_sweep_per_chunk(monkeypatch):
     monkeypatch.setattr(tbfs_module, "_latest_departure", no_pair_sweep)
     ob_estimate(graph, SH, 40, 1, threads=1)
     assert calls == {"group": 1, "pair": 0}
+
+
+@pytest.mark.parametrize("opt", [SH, SFM, PFM])
+def test_only_dependency_readers_run_the_dependency_pass(monkeypatch, opt):
+    # trk reads sigma and the predecessors alone; ob, rtb and exact read each
+    # search's dependencies, and a second read reuses the first pass
+    graph = random_temporal_graph_large(21, n=40, m=400, max_time=30)
+    passes = []
+    accumulate = tbfs_module._accumulate_dependency
+
+    def counting(*args):
+        passes.append(args[0])
+        return accumulate(*args)
+
+    monkeypatch.setattr(tbfs_module, "_accumulate_dependency", counting)
+    runs = (
+        (lambda: trk_estimate(graph, opt, 30, 1, threads=1), 0),
+        (lambda: ob_estimate(graph, opt, 30, 1, threads=1), 30),
+        (lambda: rtb_estimate(graph, opt, 30, 1, threads=1), 30),
+        (lambda: exact_tbc(graph, opt, threads=1), graph.n),
+    )
+    for estimate, searches in runs:
+        passes.clear()
+        estimate()
+        assert len(passes) == searches
+    passes.clear()
+    result = full_tbfs(graph, 0, opt)
+    assert passes == []
+    assert result.dependency is result.dependency
+    assert passes == [0]
