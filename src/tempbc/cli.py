@@ -49,8 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_command(name: str, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("graph", help="edge-list file with 'u v t' rows")
-        if name != "diameter":  # hop distances follow shortest temporal paths only
+        if name != "diameter":  # hop distances follow shortest temporal paths only; no scores
             p.add_argument("--opt", choices=[o.value for o in PathOptimality], default="sh")
+            p.add_argument("--scores", help="write the score CSV here")
         p.add_argument("--undirected", action="store_true", help="treat input as undirected")
         p.add_argument("--dedupe", action="store_true", help="drop duplicate input rows")
         p.add_argument(
@@ -58,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="most worker processes to use; never more than the CPUs this process may run on",
         )
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--scores", help="write the score CSV here")
         if name != "exact":
             p.add_argument("--seed", type=int, default=0)
         return p
@@ -81,10 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prog = add_command("progressive", "progressive sampling with a stopping rule")
     p_prog.add_argument("--algo", choices=["prtb", "ob", "trk"], required=True)
-    p_prog.add_argument("--epsilon", type=float, default=0.1)
-    p_prog.add_argument("--delta", type=float, default=0.1)
-    p_prog.add_argument("--alpha", type=float, default=1.5)
-    p_prog.add_argument("--c", type=float, default=2.0, help="stop threshold constant for prtb")
+    # each algorithm's flags get their defaults in _progressive, which
+    # refuses the flags that the chosen algorithm does not use
+    p_prog.add_argument("--epsilon", type=float, help="ob/trk only (default 0.1)")
+    p_prog.add_argument("--delta", type=float, help="ob/trk only (default 0.1)")
+    p_prog.add_argument("--alpha", type=float, help="ob/trk only (default 1.5)")
+    p_prog.add_argument("--c", type=float, help="stop threshold constant, prtb only (default 2.0)")
     p_prog.add_argument("--max-samples", type=int, help="hard cap on the sample count")
 
     p_diam = add_command("diameter", "distance and connectivity summary")
@@ -168,6 +170,12 @@ def _fixed(args, graph: TemporalGraph):
 def _progressive(args, graph: TemporalGraph):
     from .progressive import progressive_estimate, prtb_estimate
 
+    defaults = {"c": 2.0} if args.algo == "prtb" else {"epsilon": 0.1, "delta": 0.1, "alpha": 1.5}
+    for name in ("epsilon", "delta", "alpha", "c"):
+        if getattr(args, name) is None:
+            setattr(args, name, defaults.get(name))
+        elif name not in defaults:
+            raise ValueError(f"--{name} applies only with --algo {'prtb' if name == 'c' else 'ob or trk'}")
     opt = PathOptimality.parse(args.opt)
     params: dict = {"seed": args.seed}
     if args.algo == "prtb":

@@ -24,19 +24,18 @@ the source sentinel and the live appearances only. An appearance (v, t)
 scans its out-edges only up to label ``latest[v]``: a row past it leads to no
 appearance that can reach z.
 
-:func:`pair_searches` runs many pair searches. It shares the backward sweep
-among up to ``GROUP_WIDTH`` sh pairs: one descending pass over the rows
+:func:`pair_searches` runs many pair searches. Up to ``GROUP_WIDTH`` sh or
+sfm pairs share one backward sweep: one descending pass over the rows
 carries, per node, an int mask with bit k set once pair k's destination is
 reachable from it, and a pair's latest departures are decoded from that pass
-only when the pair is searched. A group of one pair and every sfm pair sweep
-alone with :func:`_latest_departure`; an sfm sweep stops at z's earliest
-arrival, which a shared sweep could not.
+only when the pair is searched. Bit k enters at the pair's deadline: past
+every label for sh, at z's earliest arrival for sfm.
 
 Every sweep unpacks the plain ``(time, src, dst)`` rows of
 ``graph.edges_by_time`` from s's first departure on (a group sweep from its
 sources' earliest one): a search from s leaves s on one of its out-edges, so
 nothing it creates or follows has an earlier label. A source without
-out-edges keeps the sentinel ``(s, 0)`` alone.
+out-edges, or an sfm pair without an arrival, keeps the sentinel alone.
 
 During a search an appearance (w, t) is the integer key ``w * (T + 1) + t``.
 Keys sort like ``(w, t)`` tuples, and the sentinel (s, 0) is ``s * (T + 1)``.
@@ -94,7 +93,7 @@ __all__ = [
 
 Appearance = tuple[int, int]
 
-# sh pairs per shared backward sweep: pair k of a group is bit k of a node's
+# pairs per shared backward sweep: pair k of a group is bit k of a node's
 # mask, and the masks are decoded as uint64 words
 GROUP_WIDTH = 64
 
@@ -260,10 +259,10 @@ def pair_searches(
 ) -> Iterator[TbfsResult]:
     """The :func:`truncated_tbfs` result of each pair, lazily, in order.
 
-    Every pair is checked before any search runs. Under ``sh`` the pairs are
-    cut into groups of up to ``GROUP_WIDTH`` that share one backward sweep
-    (:func:`_group_latest_departure`); a result is the same as the one-pair
-    search gives.
+    Every pair is checked before any search runs. Under ``sh`` and ``sfm``
+    the pairs are cut into groups of up to ``GROUP_WIDTH`` that share one
+    backward sweep (:func:`_group_latest_departure`); a result is the same
+    as the one-pair search gives.
     """
     for s, z in pairs:
         _check_node(graph, s, "source")
@@ -282,13 +281,19 @@ def _pair_searches(graph, pairs, opt):
     out_times = graph._out_times
     for lo in range(0, len(pairs), GROUP_WIDTH):
         group = pairs[lo:lo + GROUP_WIDTH]
-        gains = None
-        if opt is PathOptimality.SHORTEST and len(group) > 1:
-            gains = _group_latest_departure(graph, group)
-        for k, (s, z) in enumerate(group):
-            latest = None
-            if gains is not None and out_times[s]:
-                latest = _pair_latest_departure(graph, gains, k, z)
+        if opt is PathOptimality.PREFIX_FOREMOST:
+            yield from (_tbfs(graph, s, z, opt) for s, z in group)
+            continue
+        # a pair with no path (s without out-edges, an sfm z never reached)
+        # has no deadline: no bit, and the sentinel alone
+        sh = opt is PathOptimality.SHORTEST
+        deadlines = [
+            (graph.T + 1 if sh else _foremost_arrival(graph, s, z)) if out_times[s] else None
+            for s, z in group
+        ]
+        gains = _group_latest_departure(graph, group, deadlines)
+        for k, ((s, z), d) in enumerate(zip(group, deadlines)):
+            latest = None if d is None else _pair_latest_departure(graph, gains, k, z)
             yield _tbfs(graph, s, z, opt, latest)
 
 
@@ -305,9 +310,10 @@ def _tbfs(
     target appearance keys with one rule: sh takes its min-hop appearances,
     sfm and pfm its earliest appearance. They seed the dependency pass as
     keys; ``per_target`` turns them into sorted tuples only when read. A
-    source without out-edges runs no search or sweep. An sh pair whose latest
-    departures a group sweep already gave passes them as ``latest``. The
-    caller has checked s and z.
+    source without out-edges runs no search. One sh or sfm pair runs the
+    bounded BFS only when handed a ``latest`` with ``latest[s]`` nonzero
+    (s can reach z); otherwise it keeps the sentinel. The caller has
+    checked s and z.
     """
     base = graph.T + 1
     src = s * base
@@ -319,19 +325,10 @@ def _tbfs(
         hops, sigma, preds, first_time = _prefix_foremost_sweep(graph, s, stop_node=z)
     elif z is None:
         hops, sigma, preds, groups, settled, first_time = _shortest_bfs(graph, s)
-    else:
-        # one sh or sfm pair; an sfm path can only use edges up to z's
-        # earliest arrival
-        arrival = None
-        if opt is PathOptimality.SHORTEST_FOREMOST:
-            arrival = _foremost_arrival(graph, s, z)
-        if opt is PathOptimality.SHORTEST or arrival is not None:
-            if latest is None:
-                latest = _latest_departure(graph, s, z, arrival)
-            if latest[s]:
-                hops, sigma, preds, groups, settled, first_time = _shortest_bfs(
-                    graph, s, stop_node=z, latest=latest
-                )
+    elif latest is not None and latest[s]:
+        hops, sigma, preds, groups, settled, first_time = _shortest_bfs(
+            graph, s, stop_node=z, latest=latest
+        )
 
     if z is not None:
         if opt is PathOptimality.SHORTEST:
@@ -361,7 +358,7 @@ def _shortest_bfs(
     a layer, appearances are expanded in ascending key order, that is in
     (node, time) order, so predecessor maps are reproducible. With
     ``stop_node`` set, the search halts after the layer in which that node
-    first settles. With ``latest`` set (see :func:`_latest_departure`), an
+    first settles. With ``latest`` set (see :func:`_pair_latest_departure`), an
     appearance (w, t2) is created only when ``latest[w] > t2``, that is, when
     it can still reach the stop node, and an appearance of v follows only
     edges labeled up to ``latest[v]``: a row (t2, v, w) with
@@ -462,77 +459,58 @@ def _shortest_bfs(
     return hops, sigma, preds, groups, settled, min_time
 
 
-def _latest_departure(graph: TemporalGraph, s: int, z: int, max_time: int | None = None) -> list[int]:
-    """Per node v, the largest label at which v can leave and still reach z.
-
-    Returns a list indexed by node, 0 where v cannot reach z; z itself gets
-    ``graph.T + 1``. One sweep over the rows in descending time: a row
-    (t, u, w) lets u leave at t when w can leave after t. Rows tied at one
-    label cannot chain (strict paths), and the strict comparison keeps them
-    apart. With ``max_time`` set, only rows labeled up to it count, and those
-    labeled exactly ``max_time`` only into z. Labels below s's first
-    departure are skipped, so a value below it reads 0: a search from s asks
-    only about labels t2 at or above it, where ``latest[w] <= t2`` comes out
-    the same either way, and ``latest[s]`` is exact.
-    """
-    edges = graph.edges_by_time
-    latest = [0] * graph.n
-    latest[z] = graph.T + 1
-    start = bisect_left(edges, (graph._out_times[s][0],))
-    stop = len(edges)
-    if max_time is not None:
-        stop = bisect_left(edges, (max_time,))
-        for _, u, w in edges[stop:bisect_left(edges, (max_time + 1,))]:
-            if w == z and not latest[u]:
-                latest[u] = max_time
-    for t, u, w in reversed(edges[start:stop]):
-        if latest[w] > t and not latest[u]:
-            latest[u] = t
-    return latest
-
-
-def _group_latest_departure(graph: TemporalGraph, group) -> tuple[np.ndarray, ...] | None:
-    """One descending sweep for a group of up to ``GROUP_WIDTH`` sh pairs.
+def _group_latest_departure(graph: TemporalGraph, group, deadlines) -> tuple[np.ndarray, ...] | None:
+    """One descending sweep for a group of up to ``GROUP_WIDTH`` pairs.
 
     Keeps per node v an int mask whose bit k is set once v can leave at the
     current label or later and still reach z_k, the destination of pair k.
+    Bit k enters z_k when the sweep reaches label ``deadlines[k]``: ``T + 1``
+    for sh, z's earliest arrival for sfm (a pair without one gets no bit).
     A row (t, u, w) passes to u the bits w gained above label t: when w
     gained bits at t itself, its mask from before t is read instead, so rows
     tied at one label cannot chain (strict paths). A bit reaches a node
     first at the node's latest departure for that pair.
 
-    Returns the gains as arrays ``(labels, nodes, bits)`` in descending label
-    order, for :func:`_pair_latest_departure`; None when no source has an
-    out-edge. The sweep starts at the group's earliest first departure, so a
-    pair gets :func:`_latest_departure`'s value at every label from its own
-    source's first departure on.
+    The rows run from the earliest first departure of a source with a
+    deadline up to the largest deadline, in segments between distinct
+    deadlines; bits enter at their segment's top, so the row loop tests no
+    deadline. Returns the gains as arrays ``(labels, nodes, bits)`` in
+    descending label order, for :func:`_pair_latest_departure`; None when
+    no pair has a deadline.
     """
-    out_times = graph._out_times
-    first = min((out_times[s][0] for s, _ in group if out_times[s]), default=None)
-    if first is None:
+    entering: dict[int, list[int]] = {}  # deadline -> the pairs whose bit enters there
+    for k, d in enumerate(deadlines):
+        if d is not None:
+            entering.setdefault(d, []).append(k)
+    if not entering:
         return None
+    first = min(graph._out_times[s][0] for (s, _), d in zip(group, deadlines) if d is not None)
+    tops = sorted(entering, reverse=True)
+    edges = graph.edges_by_time
+    cuts = [bisect_left(edges, (label,)) for label in [top + 1 for top in tops] + [first]]
     mask = [0] * graph.n
-    for k, (_, z) in enumerate(group):
-        mask[z] |= 1 << k
     before = [0] * graph.n  # a node's mask before the label it last gained at
     gained_at = [-1] * graph.n
-    edges = graph.edges_by_time
     labels: list[int] = []
     nodes: list[int] = []
     bits: list[int] = []
-    for t, u, w in reversed(edges[bisect_left(edges, (first,)):]):
-        mw = mask[w] if gained_at[w] != t else before[w]
-        if mw:
-            mu = mask[u]
-            gain = mw & ~mu
-            if gain:
-                if gained_at[u] != t:
-                    before[u] = mu
-                    gained_at[u] = t
-                mask[u] = mu | gain
-                labels.append(t)
-                nodes.append(u)
-                bits.append(gain)
+    for top, hi, lo in zip(tops, cuts, cuts[1:]):
+        # no row at label top has run yet, so each one reads the new bits
+        for k in entering[top]:
+            mask[group[k][1]] |= 1 << k
+        for t, u, w in reversed(edges[lo:hi]):
+            mw = mask[w] if gained_at[w] != t else before[w]
+            if mw:
+                mu = mask[u]
+                gain = mw & ~mu
+                if gain:
+                    if gained_at[u] != t:
+                        before[u] = mu
+                        gained_at[u] = t
+                    mask[u] = mu | gain
+                    labels.append(t)
+                    nodes.append(u)
+                    bits.append(gain)
     return (
         np.array(labels, dtype=np.int64),
         np.array(nodes, dtype=np.int64),
@@ -541,9 +519,10 @@ def _group_latest_departure(graph: TemporalGraph, group) -> tuple[np.ndarray, ..
 
 
 def _pair_latest_departure(graph: TemporalGraph, gains, k: int, z: int) -> list[int]:
-    """Pair k's latest departures, decoded from its group's sweep: the list
-    :func:`_latest_departure` gives at every label from the pair's source's
-    first departure on (0 where v cannot reach z, ``graph.T + 1`` at z)."""
+    """Pair k's latest departures, decoded from its group's sweep: per node,
+    the largest label at which it can leave and still reach z by the pair's
+    deadline (0 where it cannot, ``graph.T + 1`` at z), exact at every label
+    from the pair's source's first departure on."""
     # a node gains each bit once, so no node is written twice
     labels, nodes, bits = gains
     has = np.flatnonzero(bits & np.uint64(1 << k))

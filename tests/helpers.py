@@ -18,7 +18,6 @@ from tempbc.tbfs import (
     PathOptimality,
     TbfsResult,
     _foremost_arrival,
-    _latest_departure,
 )
 
 G1_TEXT = "1 2 1\n2 3 2\n1 3 2\n3 4 3\n2 4 3\n"
@@ -225,7 +224,7 @@ def tbfs_reference(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimal
         if opt is PathOptimality.SHORTEST_FOREMOST:
             arrival = _foremost_arrival(graph, s, z)
         if opt is PathOptimality.SHORTEST or arrival is not None:
-            latest = _latest_departure(graph, s, z, arrival)
+            latest = latest_departure_reference(graph, z, arrival)
             if latest[s]:
                 records, settle_apps, first_time = _shortest_bfs_reference(
                     graph, s, stop_node=z, max_time=arrival, latest=latest
@@ -241,6 +240,25 @@ def tbfs_reference(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimal
             apps = ((w, first_time[w]),)
         per_target[w] = PairTargets(apps, sum(records[a].sigma for a in apps))
     return records, per_target, _accumulate_dependency_reference(s, records, per_target)
+
+
+def latest_departure_reference(graph: TemporalGraph, z: int, max_time: int | None = None) -> list[int]:
+    """Fixpoint of latest[v] = max t over out-edges (v, w, t) with
+    latest[w] > t, 0 where v cannot reach z and ``graph.T + 1`` at z; with
+    ``max_time``, only labels up to it, and that label only into z."""
+    latest = [0] * graph.n
+    latest[z] = graph.T + 1
+    changed = True
+    while changed:
+        changed = False
+        for v in range(graph.n):
+            for t, w in graph.out_edges_after(v, 0):
+                if max_time is not None and (t > max_time or (t == max_time and w != z)):
+                    continue
+                if latest[w] > t > latest[v]:
+                    latest[v] = t
+                    changed = True
+    return latest
 
 
 def _shortest_bfs_reference(graph, s, *, stop_node=None, max_time=None, latest=None):

@@ -250,6 +250,43 @@ def test_diameter_takes_no_path_optimality(g1_path, capsys):
     assert "--opt" in capsys.readouterr().err
 
 
+def test_diameter_takes_no_scores_path(g1_path, tmp_path, capsys):
+    # the census writes no score vector, so --scores would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["diameter", str(g1_path), "--samples", "4", "--scores", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--scores" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "algo, flag, message",
+    [
+        ("ob", "--c", "--c applies only with --algo prtb"),
+        ("trk", "--c", "--c applies only with --algo prtb"),
+        ("prtb", "--epsilon", "--epsilon applies only with --algo ob or trk"),
+        ("prtb", "--delta", "--delta applies only with --algo ob or trk"),
+        ("prtb", "--alpha", "--alpha applies only with --algo ob or trk"),
+    ],
+)
+def test_progressive_refuses_flags_its_algorithm_ignores(g1_path, capsys, algo, flag, message):
+    argv = ["progressive", str(g1_path), "--algo", algo, "--max-samples", "40", "--threads", "1"]
+    code = main(argv + [flag, "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+    # without the flag, the run reports its own algorithm's defaults only
+    code, report = run(capsys, *argv)
+    assert code == 0
+    if algo == "prtb":
+        assert report["parameters"]["c"] == 2.0
+        assert not {"epsilon", "delta", "alpha"} & report["parameters"].keys()
+    else:
+        assert [report["parameters"][k] for k in ("epsilon", "delta", "alpha")] == [0.1, 0.1, 1.5]
+        assert "c" not in report["parameters"]
+
+
 def test_diameter_validates_tau(g1_path, capsys):
     code, _ = run(capsys, "diameter", g1_path, "--samples", "2", "--tau", "0")
     assert code == 2

@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     bruteforce_all_optimal,
     bursty_temporal_graph,
+    latest_departure_reference,
     make_g1,
     random_temporal_graph,
     random_temporal_graph_large,
@@ -264,7 +265,6 @@ def test_invalid_explicit_pairs_fail_before_any_sweep(threads, monkeypatch):
 
         for name in (
             "_group_latest_departure",
-            "_latest_departure",
             "_foremost_arrival",
             "_prefix_foremost_sweep",
             "_shortest_bfs",
@@ -543,42 +543,12 @@ def test_disconnected_pair_returns_only_the_sentinel(ties):
     assert disconnected > 0
 
 
-def _latest_departure_reference(graph, z, max_time=None):
-    """Fixpoint of latest[v] = max t over out-edges (v, w, t) with
-    latest[w] > t; with ``max_time``, only labels up to it, and that label
-    only into z."""
-    latest = [0] * graph.n
-    latest[z] = graph.T + 1
-    changed = True
-    while changed:
-        changed = False
-        for v in range(graph.n):
-            for t, w in graph.out_edges_after(v, 0):
-                if max_time is not None and (t > max_time or (t == max_time and w != z)):
-                    continue
-                if latest[w] > t > latest[v]:
-                    latest[v] = t
-                    changed = True
-    return latest
-
-
-def _check_latest_departure(graph, monkeypatch):
-    for z in range(graph.n):
-        reference = {None: _latest_departure_reference(graph, z)}
-        for s in range(graph.n):
-            if s == z or not graph.out_adjacency[s]:
-                continue
-            cut = graph.out_adjacency[s][0][0]
-            # sh sweeps every label; sfm stops at z's earliest arrival
-            for max_time in {None, tbfs_module._foremost_arrival(graph, s, z)}:
-                if max_time not in reference:
-                    reference[max_time] = _latest_departure_reference(graph, z, max_time)
-                expected = [t if t >= cut else 0 for t in reference[max_time]]
-                assert tbfs_module._latest_departure(graph, s, z, max_time) == expected, (s, z, max_time)
-
-    # the lists a group sweep hands to the sh pair searches: every ordered
-    # pair in a seeded order, cycled up to the group size, so sources differ
-    # and, past n(n-1) pairs, pairs repeat
+def _check_handed_latest(graph, groups, monkeypatch, opts=(SH, SFM)):
+    """The latest-departure lists that ``pair_searches`` hands to ``_tbfs``
+    for each pair of each group, against the fixpoint: for sh every label
+    counts, for sfm only labels up to z's earliest arrival, and that label
+    only into z. A list is compared from its source's first departure on,
+    the only labels the search reads. A pair with no path gets none."""
     handed = []
     search = tbfs_module._tbfs
 
@@ -587,25 +557,37 @@ def _check_latest_departure(graph, monkeypatch):
         return search(graph, s, z, opt, latest)
 
     monkeypatch.setattr(tbfs_module, "_tbfs", record)
+    reference = {}
+    for opt in opts:
+        for group in groups:
+            handed.clear()
+            list(tbfs_module.pair_searches(graph, group, opt))
+            assert len(handed) == len(group)
+            for k, ((s, z), latest) in enumerate(zip(group, handed)):
+                deadline = None
+                if graph.out_adjacency[s] and opt is SFM:
+                    deadline = tbfs_module._foremost_arrival(graph, s, z)
+                if not graph.out_adjacency[s] or (opt is SFM and deadline is None):
+                    assert latest is None, (opt, len(group), k)
+                    continue
+                if (z, deadline) not in reference:
+                    reference[z, deadline] = latest_departure_reference(graph, z, deadline)
+                cut = graph.out_adjacency[s][0][0]
+                expected = [t if t >= cut else 0 for t in reference[z, deadline]]
+                assert [t if t >= cut else 0 for t in latest] == expected, (opt, len(group), k, s, z)
+
+
+def _check_latest_departure(graph, monkeypatch):
+    # every ordered pair in a group of its own, then every ordered pair in a
+    # seeded order, cycled up to the group size, so sources differ and, past
+    # n(n-1) pairs, pairs repeat; a group of GROUP_WIDTH + 1 pairs ends in a
+    # group of one
     width = tbfs_module.GROUP_WIDTH
     pairs = [(s, z) for s in range(graph.n) for z in range(graph.n) if s != z]
     order = np.random.default_rng(graph.n).permutation(len(pairs))
-    reference = {}
-    for size in (2, 5, width, width + 1):
-        group = [pairs[order[k % len(pairs)]] for k in range(size)]
-        handed.clear()
-        list(tbfs_module.pair_searches(graph, group, SH))
-        assert len(handed) == size
-        for k, ((s, z), latest) in enumerate(zip(group, handed)):
-            if not graph.out_adjacency[s] or k == width:
-                # no sweep, or the one pair of a second group: it sweeps alone
-                assert latest is None, (size, k)
-                continue
-            if z not in reference:
-                reference[z] = _latest_departure_reference(graph, z)
-            cut = graph.out_adjacency[s][0][0]
-            expected = [t if t >= cut else 0 for t in reference[z]]
-            assert [t if t >= cut else 0 for t in latest] == expected, (size, k, s, z)
+    groups = [[pair] for pair in pairs]
+    groups += [[pairs[order[k % len(pairs)]] for k in range(size)] for size in (2, 5, width, width + 1)]
+    _check_handed_latest(graph, groups, monkeypatch)
 
 
 def test_latest_departure_matches_a_fixpoint_on_the_tie_graph(ties, monkeypatch):
@@ -617,6 +599,21 @@ def test_latest_departure_matches_a_fixpoint(seed, monkeypatch):
     _check_latest_departure(random_temporal_graph(seed + 5000), monkeypatch)
 
 
+def test_sfm_pairs_sharing_a_destination_keep_their_own_deadlines(monkeypatch):
+    # z = 2 is first reached at label 1 from 0 and at label 3 from 1; nodes
+    # 1 and 3 reach z by the second deadline, not by the first, so the two
+    # pairs' lists differ although they share z and one sweep
+    g = load_edge_list("0 2 1\n1 3 2\n3 2 3\n0 1 1\n")
+    a, b, z = g.index_of(0), g.index_of(1), g.index_of(2)
+    deadlines = [tbfs_module._foremost_arrival(g, s, z) for s in (a, b)]
+    assert deadlines == [1, 3]
+    _check_handed_latest(g, [[(a, z), (b, z)], [(b, z), (a, z)]], monkeypatch, opts=(SFM,))
+    for s, result in zip((a, b), tbfs_module.pair_searches(g, [(a, z), (b, z)], SFM)):
+        records, per_target, _ = tbfs_reference(g, s, z, SFM)
+        assert _record_items(result.records) == _record_items(records), s
+        assert result.per_target == per_target, s
+
+
 def test_source_without_out_edges_runs_no_sweep(monkeypatch):
     g = load_edge_list("0 1 1\n1 2 2\n3 0 1\n")
     s = g.index_of(2)  # 2 has no out-edge
@@ -625,7 +622,7 @@ def test_source_without_out_edges_runs_no_sweep(monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a source without out-edges ran a sweep")
 
-    for name in ("_latest_departure", "_foremost_arrival", "_prefix_foremost_sweep", "_shortest_bfs"):
+    for name in ("_foremost_arrival", "_prefix_foremost_sweep", "_shortest_bfs"):
         monkeypatch.setattr(tbfs_module, name, no_sweep)
     for opt in ALL_OPTS:
         for z in range(g.n):
