@@ -1,11 +1,12 @@
 """Command-line interface: load a temporal graph, run an algorithm, report.
 
-Every graph command runs one pipeline (``_report``): load the graph, let the
-command derive its parameters and name its one library call, time that call
-alone (``wall_seconds``), then build the report and emit it. Reports are
-JSON (schema_version 1) written to stdout or ``--out``; score vectors go to a
-separate CSV (``node_id,score`` with 17 significant digits) named by
-``--scores``, or inline in the report when no path is given.
+Every graph command runs one pipeline (``_report``): check the flags that
+need no graph, load the graph, let the command derive its parameters and
+name its one library call, time that call alone (``wall_seconds``), then
+build the report and emit it. Reports are JSON (schema_version 1) written
+to stdout or ``--out``; score vectors go to a separate CSV (``node_id,score``
+with 17 significant digits) named by ``--scores``, or inline in the report
+when no path is given.
 
 A command imports the modules that only it uses (``progressive``,
 ``distances``, ``evaluation``) when it runs, so no command pays for
@@ -55,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--undirected", action="store_true", help="treat input as undirected")
         p.add_argument("--dedupe", action="store_true", help="drop duplicate input rows")
         p.add_argument(
-            "--threads", type=int, default=default_threads(),
-            help="most worker processes to use; never more than the CPUs this process may run on",
+            "--threads", type=int,
+            help="most worker processes to use; default and ceiling: the CPUs this process may run on",
         )
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         if name != "exact":
@@ -81,8 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prog = add_command("progressive", "progressive sampling with a stopping rule")
     p_prog.add_argument("--algo", choices=["prtb", "ob", "trk"], required=True)
-    # each algorithm's flags get their defaults in _progressive, which
-    # refuses the flags that the chosen algorithm does not use
+    # each algorithm's flags get their defaults in _check_flags, which
+    # refuses the flags that the chosen algorithm does not use (prtb runs
+    # serially, so --threads among them)
     p_prog.add_argument("--epsilon", type=float, help="ob/trk only (default 0.1)")
     p_prog.add_argument("--delta", type=float, help="ob/trk only (default 0.1)")
     p_prog.add_argument("--alpha", type=float, help="ob/trk only (default 1.5)")
@@ -111,6 +113,38 @@ def _sampled_n(graph: TemporalGraph) -> int:
     return graph.n
 
 
+def _check_flags(args) -> None:
+    """The flag checks that need no graph. The pipeline runs them before it
+    loads the graph, so a usage error exits 2 at once, whatever the file.
+    Fills in the defaults of the flags that the command uses."""
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    if args.command == "progressive":
+        if args.algo == "prtb":
+            defaults = {"c": 2.0}
+        else:
+            defaults = {"epsilon": 0.1, "delta": 0.1, "alpha": 1.5, "threads": default_threads()}
+        for name in ("epsilon", "delta", "alpha", "c", "threads"):
+            if getattr(args, name) is None:
+                setattr(args, name, defaults.get(name))
+            elif name not in defaults:
+                raise ValueError(f"--{name} applies only with --algo {'prtb' if name == 'c' else 'ob or trk'}")
+        return
+    if args.threads is None:
+        args.threads = default_threads()
+    if args.command == "fixed":
+        if args.samples is not None and args.bound:
+            raise ValueError("give either --samples or --bound, not both")
+        if args.vd is not None and args.bound != "vc":
+            raise ValueError("--vd applies only with --bound vc")
+        if args.samples is not None and args.samples < 1:
+            raise ValueError("--samples must be >= 1")
+        if args.samples is None and args.bound is None:
+            raise ValueError("one of --samples or --bound is required")
+    elif args.command == "diameter" and args.samples is None and args.epsilon is None:
+        raise ValueError("one of --samples or --epsilon is required")
+
+
 # Each graph command derives its report parameters from the loaded graph and
 # returns them with the one library call that the pipeline times.
 
@@ -124,17 +158,9 @@ def _exact(args, graph: TemporalGraph):
 
 def _fixed_sample_size(args, graph: TemporalGraph) -> dict:
     params: dict = {"epsilon": args.epsilon, "delta": args.delta}
-    if args.samples is not None and args.bound:
-        raise ValueError("give either --samples or --bound, not both")
-    if args.vd is not None and args.bound != "vc":
-        raise ValueError("--vd applies only with --bound vc")
     if args.samples is not None:
-        if args.samples < 1:
-            raise ValueError("--samples must be >= 1")
         params["samples"] = args.samples
         return params
-    if args.bound is None:
-        raise ValueError("one of --samples or --bound is required")
     n = _sampled_n(graph)
     if args.bound == "hoeffding":
         r = hoeffding_size(args.epsilon, args.delta, n)
@@ -170,12 +196,6 @@ def _fixed(args, graph: TemporalGraph):
 def _progressive(args, graph: TemporalGraph):
     from .progressive import progressive_estimate, prtb_estimate
 
-    defaults = {"c": 2.0} if args.algo == "prtb" else {"epsilon": 0.1, "delta": 0.1, "alpha": 1.5}
-    for name in ("epsilon", "delta", "alpha", "c"):
-        if getattr(args, name) is None:
-            setattr(args, name, defaults.get(name))
-        elif name not in defaults:
-            raise ValueError(f"--{name} applies only with --algo {'prtb' if name == 'c' else 'ob or trk'}")
     opt = PathOptimality.parse(args.opt)
     params: dict = {"seed": args.seed}
     if args.algo == "prtb":
@@ -201,10 +221,8 @@ def _diameter(args, graph: TemporalGraph):
 
     if args.samples is not None:
         s = args.samples
-    elif args.epsilon is not None:
-        s = recommended_sample_size(_sampled_n(graph), args.epsilon)
     else:
-        raise ValueError("one of --samples or --epsilon is required")
+        s = recommended_sample_size(_sampled_n(graph), args.epsilon)
     params = {"samples": s, "tau": args.tau, "seed": args.seed, "threads": args.threads}
     return params, partial(
         estimate_distances, graph, s, args.tau, args.seed,
@@ -232,6 +250,7 @@ def _report(args, argv: list[str]) -> dict:
     if args.command == "compare":
         report.update(parameters={"k": args.k}, evaluation=_evaluation(args))
         return report
+    _check_flags(args)
     graph = read_edge_list(args.graph, directed=not args.undirected, dedupe=args.dedupe)
     report["parameters"], call = _COMMANDS[args.command](args, graph)
     if min(report["parameters"].get("threads", 1), default_threads()) > 1:
@@ -282,8 +301,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         _emit(args, _report(args, argv))
     except GuardrailError as exc:
         print(f"error: {exc}", file=sys.stderr)

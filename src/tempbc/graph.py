@@ -11,7 +11,7 @@ raw times are never merged.
 from __future__ import annotations
 
 import io
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -59,6 +59,11 @@ class TemporalGraph:
 
     ``_out_keys[v]`` holds, per row of ``out_adjacency[v]``, the appearance
     key ``head * (T + 1) + time`` of the row's head (see :mod:`tempbc.tbfs`).
+
+    The in-row index behind :meth:`_rows_into` is one list of the rows of
+    ``edges_by_time`` sorted stably by head, 8 B per edge. Only pair searches
+    read it, so it is built on their first call and cached; loading and the
+    full searches never build it.
     """
 
     __slots__ = (
@@ -72,6 +77,7 @@ class TemporalGraph:
         "edges_by_time",
         "_out_times",
         "_out_keys",
+        "_in_rows",
         "_id_index",
     )
 
@@ -104,6 +110,15 @@ class TemporalGraph:
         self._out_times = tuple([row[0] for row in adj] for adj in self.out_adjacency)
         base = T + 1
         self._out_keys = tuple([w * base + t for t, _, w in adj] for adj in self.out_adjacency)
+        self._in_rows: list[tuple[int, int, int]] | None = None
+
+    def _rows_into(self, node: int) -> list[tuple[int, int, int]]:
+        """The rows into ``node`` in time order, from the in-row index."""
+        rows = self._in_rows
+        if rows is None:
+            rows = self._in_rows = sorted(self.edges_by_time, key=itemgetter(2))
+        head = itemgetter(2)
+        return rows[bisect_left(rows, node, key=head):bisect_right(rows, node, key=head)]
 
     def index_of(self, original_id: int) -> int:
         """Compact id of an original input node id."""

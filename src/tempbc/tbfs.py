@@ -22,7 +22,11 @@ first sweeps the edges backward from the destination z and then creates only
 appearances that can still reach z, so a truncated result's ``records`` hold
 the source sentinel and the live appearances only. An appearance (v, t)
 scans its out-edges only up to label ``latest[v]``: a row past it leads to no
-appearance that can reach z.
+appearance that can reach z. In z's hop layer, the one in which z first
+settles, only frontier appearances with a row into z ahead of them expand,
+each up to its last such row, and only z's appearances are created: the
+rest of that layer lies on no optimal path, so ``records`` leaves it out.
+The rows into z come from the graph's in-row index.
 
 :func:`pair_searches` runs many pair searches. Up to ``GROUP_WIDTH`` sh or
 sfm pairs share one backward sweep: one descending pass over the rows
@@ -249,7 +253,8 @@ def truncated_tbfs(graph: TemporalGraph, s: int, z: int, opt: PathOptimality) ->
     target set, and per-node ratios match the full search restricted to z.
     Under ``sh`` and ``sfm``, ``records`` holds the source sentinel ``(s, 0)``
     and only the appearances that can still reach z (for ``sfm``, by z's
-    earliest arrival); a disconnected pair gets the sentinel alone.
+    earliest arrival), and of z's hop layer only z's appearances; a
+    disconnected pair gets the sentinel alone.
     """
     return next(pair_searches(graph, [(s, z)], opt))
 
@@ -367,6 +372,14 @@ def _shortest_bfs(
     earliest arrival, and at that label only edges into z, so the same rule
     keeps the search within the foremost deadline.
 
+    With ``latest`` set, each layer first looks for frontier appearances
+    (v, t) with a counted row into the stop node z labeled after t. If there
+    are any, z settles in this layer, and it is the last: only they expand,
+    each scanning rows only up to v's last counted row into z, and only z's
+    appearances are created. Per node they are a prefix of its frontier
+    appearances, so a group keeps its first members and a compressed
+    predecessor means what it meant in the whole layer.
+
     An appearance (w, t2) is not expanded when w is s, or when w appeared at
     an earlier layer at a time before t2: that earlier appearance reaches
     every appearance (w, t2) reaches, each at a lower layer, so expanding
@@ -399,19 +412,31 @@ def _shortest_bfs(
     out_times = graph._out_times
     past = graph.n * base  # above every key: the successor of the last one
 
+    # per node u, the latest label of a row u -> z that counts for this pair
+    # (for sfm, one by z's earliest arrival): a frontier appearance (u, t)
+    # with into_z[u] > t reaches z in the layer it expands
+    into_z = {} if latest is None else {
+        u: t for t, u, _ in graph._rows_into(stop_node) if latest[u] >= t
+    }
+    last = False  # expanding z's layer
+
     frontier = [src]
     layer = 0
     while frontier:
         layer += 1
         discovered = []
         frontier.sort()
+        if into_z:
+            near = [vk for vk in frontier if into_z.get(vk // base, 0) > vk % base]
+            if near:
+                frontier, last = near, True
         cut = len(hops)
         members = None  # the open group, whose next member is the next key
         for vk, after in zip(frontier, frontier[1:] + [past]):
             v, t = divmod(vk, base)
             times = out_times[v]
             lo = bisect_right(times, t)
-            hi = None if latest is None else bisect_right(times, latest[v], lo)
+            hi = None if latest is None else bisect_right(times, into_z[v] if last else latest[v], lo)
             if members is None:
                 pk, sigma_v = vk, sigma[vk]
             else:
@@ -432,7 +457,8 @@ def _shortest_bfs(
                 if h is None:
                     if latest is not None:
                         w, t2 = divmod(key, base)
-                        if latest[w] <= t2:
+                        # z is always live; its layer creates nothing else
+                        if latest[w] <= t2 or last and w != stop_node:
                             continue
                     hops[key] = layer
                     sigma[key] = sigma_v

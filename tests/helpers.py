@@ -209,9 +209,13 @@ def dataset_path(name: str) -> Path | None:
 # int-keyed dicts; tests hold it to these records, targets and dependencies.
 
 
-def tbfs_reference(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality):
+def tbfs_reference(
+    graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality, *, cut_z_layer: bool = True
+):
     """(records, per_target, dependency) of one search; ``z=None`` means every
-    destination, as in ``tempbc.tbfs._tbfs``."""
+    destination, as in ``tempbc.tbfs._tbfs``. An sh/sfm pair search keeps
+    only z's appearances in z's hop layer; ``cut_z_layer=False`` keeps the
+    whole layer, as the searches did before they cut it."""
     records, first_time = {(s, 0): AppearanceRecord(0, 1)}, {s: 0}
     if not graph._out_times[s]:
         pass
@@ -227,7 +231,7 @@ def tbfs_reference(graph: TemporalGraph, s: int, z: int | None, opt: PathOptimal
             latest = latest_departure_reference(graph, z, arrival)
             if latest[s]:
                 records, settle_apps, first_time = _shortest_bfs_reference(
-                    graph, s, stop_node=z, max_time=arrival, latest=latest
+                    graph, s, stop_node=z, max_time=arrival, latest=latest, cut_z_layer=cut_z_layer
                 )
 
     per_target: dict[int, PairTargets] = {}
@@ -261,8 +265,13 @@ def latest_departure_reference(graph: TemporalGraph, z: int, max_time: int | Non
     return latest
 
 
-def _shortest_bfs_reference(graph, s, *, stop_node=None, max_time=None, latest=None):
-    """Hop-layered BFS over (node, time) appearances, one record each."""
+def _shortest_bfs_reference(
+    graph, s, *, stop_node=None, max_time=None, latest=None, cut_z_layer=False
+):
+    """Hop-layered BFS over (node, time) appearances, one record each. With
+    ``cut_z_layer``, the layer in which ``stop_node`` settles keeps only
+    that node's appearances: nothing on an optimal path to it reads the
+    others."""
     src_app = (s, 0)
     records = {src_app: AppearanceRecord(0, 1)}
     settle_hops = {s: 0}
@@ -310,6 +319,10 @@ def _shortest_bfs_reference(graph, s, *, stop_node=None, max_time=None, latest=N
             if t2 < min_time.get(w, never):
                 min_time[w] = t2
         if stop_node is not None and stop_node in settle_hops:
+            if cut_z_layer:
+                for w, t2 in discovered:
+                    if w != stop_node:
+                        del records[(w, t2)]
             break
     return records, settle_apps, min_time
 

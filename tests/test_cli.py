@@ -27,6 +27,11 @@ def g1_path(tmp_path):
     return p
 
 
+def _serial(*argv):
+    """``--threads 1``, unless ``argv`` runs prtb, which takes no --threads."""
+    return [] if "prtb" in argv else ["--threads", "1"]
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr().out
@@ -131,7 +136,7 @@ def test_vd_without_the_vc_bound_is_a_validation_error(g1_path, capsys, size):
 @pytest.mark.parametrize("algo", ["prtb", "ob", "trk"])
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_max_samples_below_one_is_a_validation_error(g1_path, capsys, algo, cap):
-    code = main(["progressive", str(g1_path), "--algo", algo, "--max-samples", cap, "--threads", "1"])
+    code = main(["progressive", str(g1_path), "--algo", algo, "--max-samples", cap, *_serial(algo)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -150,8 +155,7 @@ def test_progressive_ob_start_size(g1_path, capsys):
 
 def test_progressive_prtb_reports_stopping_reason(g1_path, capsys):
     code, report = run(
-        capsys, "progressive", g1_path, "--algo", "prtb", "--c", "2",
-        "--max-samples", "40", "--threads", "1",
+        capsys, "progressive", g1_path, "--algo", "prtb", "--c", "2", "--max-samples", "40",
     )
     assert code == 0
     assert report["stop"]["stopped_by"] in ("bound_met", "iteration_cap")
@@ -189,7 +193,7 @@ def test_fixed_on_a_graph_without_nodes_names_the_node_count(tmp_path, capsys, t
 def test_progressive_on_a_graph_without_nodes_names_the_node_count(tmp_path, capsys, text, algo):
     p = tmp_path / "g.txt"
     p.write_text(text)
-    code = main(["progressive", str(p), "--algo", algo, "--threads", "1"])
+    code = main(["progressive", str(p), "--algo", algo, *_serial(algo)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -209,10 +213,15 @@ def test_diameter_epsilon_on_a_graph_without_nodes_names_the_node_count(tmp_path
 
 
 def test_progressive_reports_threads_only_where_used(g1_path, capsys):
-    # prtb is serial by design; ob and trk fan their checkpoint batches out
-    code, report = run(
-        capsys, "progressive", g1_path, "--algo", "prtb", "--max-samples", "5", "--threads", "2",
-    )
+    # prtb is serial by design, so it refuses --threads; ob and trk fan
+    # their checkpoint batches out
+    argv = ["progressive", str(g1_path), "--algo", "prtb", "--max-samples", "5"]
+    code = main(argv + ["--threads", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--threads applies only with --algo ob or trk" in captured.err
+    code, report = run(capsys, *argv)
     assert code == 0
     assert "threads" not in report["parameters"]
     code, report = run(
@@ -270,7 +279,7 @@ def test_diameter_takes_no_scores_path(g1_path, tmp_path, capsys):
     ],
 )
 def test_progressive_refuses_flags_its_algorithm_ignores(g1_path, capsys, algo, flag, message):
-    argv = ["progressive", str(g1_path), "--algo", algo, "--max-samples", "40", "--threads", "1"]
+    argv = ["progressive", str(g1_path), "--algo", algo, "--max-samples", "40", *_serial(algo)]
     code = main(argv + [flag, "0.5"])
     captured = capsys.readouterr()
     assert code == 2
@@ -285,6 +294,38 @@ def test_progressive_refuses_flags_its_algorithm_ignores(g1_path, capsys, algo, 
     else:
         assert [report["parameters"][k] for k in ("epsilon", "delta", "alpha")] == [0.1, 0.1, 1.5]
         assert "c" not in report["parameters"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fixed", "--algo", "ob", "--samples", "3", "--bound", "vc"], "give either --samples or --bound"),
+        (["fixed", "--algo", "ob", "--samples", "3", "--vd", "4"], "--vd applies only with --bound vc"),
+        (["fixed", "--algo", "ob", "--samples", "0"], "--samples must be >= 1"),
+        (["fixed", "--algo", "trk"], "one of --samples or --bound is required"),
+        (["progressive", "--algo", "prtb", "--epsilon", "0.2"], "--epsilon applies only with --algo ob or trk"),
+        (["progressive", "--algo", "ob", "--c", "3"], "--c applies only with --algo prtb"),
+        (["progressive", "--algo", "prtb", "--threads", "2"], "--threads applies only with --algo ob or trk"),
+        (["diameter"], "one of --samples or --epsilon is required"),
+        (["exact", "--threads", "0"], "--threads must be at least 1"),
+    ],
+    ids=[
+        "samples-and-bound", "vd-without-vc", "zero-samples", "no-sample-size",
+        "prtb-epsilon", "ob-c", "prtb-threads", "diameter-no-size", "zero-threads",
+    ],
+)
+def test_flag_errors_come_before_the_graph_is_read(tmp_path, capsys, monkeypatch, argv, message):
+    # a usage error needs no graph: it exits 2 on a missing file, which the
+    # command never opens
+    def no_read(*args, **kwargs):
+        raise AssertionError("the graph was read before the flags were checked")
+
+    monkeypatch.setattr(tempbc.cli, "read_edge_list", no_read)
+    code = main([argv[0], str(tmp_path / "missing.txt"), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_diameter_validates_tau(g1_path, capsys):
@@ -374,7 +415,7 @@ SUMMARY_KEYS = {
     ids=["exact", "fixed-samples", "fixed-hoeffding", "fixed-vc", "prtb", "ob", "trk", "diameter"],
 )
 def test_report_shape_is_pinned(g1_path, capsys, argv, top, params, section):
-    code, report = run(capsys, argv[0], g1_path, *argv[1:], "--threads", "1")
+    code, report = run(capsys, argv[0], g1_path, *argv[1:], *_serial(*argv))
     assert code == 0
     assert set(report) == REPORT_BASE | top
     assert set(report["parameters"]) == params

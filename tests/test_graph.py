@@ -141,6 +141,20 @@ def test_edge_views_share_one_row_object_per_edge(seed, directed):
     assert sorted(id(row) for adj in g.out_adjacency for row in adj) == edge_ids
 
 
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+@pytest.mark.parametrize("seed", range(5))
+def test_rows_into_a_node_come_in_time_order(seed, directed):
+    rows = io.StringIO()
+    write_edge_list(random_temporal_graph(seed + 950, allow_undirected=False), rows)
+    g = load_edge_list(rows.getvalue(), directed=directed)
+    assert g._in_rows is None
+    for v in range(g.n):
+        # the same row objects, in edges_by_time order
+        into = [row for row in g.edges_by_time if row[2] == v]
+        assert list(map(id, g._rows_into(v))) == list(map(id, into))
+    assert len(g._in_rows) == len(g.edges)
+
+
 _ROUND_TRIP_TEXT = {
     "directed": ("5 7 10\n7 9 20\n5 9 20\n9 5 30\n7 9 20\n", True),
     "undirected": ("5 7 10\n7 9 20\n5 9 20\n9 5 30\n7 9 20\n", False),

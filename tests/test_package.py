@@ -92,13 +92,13 @@ print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("tempb
 """
 
 
-# serial runs all: prtb runs serially whatever --threads says
+# serial runs all: prtb runs serially and takes no --threads
 @pytest.mark.parametrize("argv, unused", [
     (["exact", "--threads", "1"], {"progressive", "distances"}),
     (["fixed", "--algo", "trk", "--samples", "20", "--seed", "1", "--threads", "1"],
      {"progressive", "distances"}),
     (["progressive", "--algo", "ob", "--epsilon", "0.3", "--threads", "1"], {"distances"}),
-    (["progressive", "--algo", "prtb", "--max-samples", "40", "--threads", "2"], {"distances"}),
+    (["progressive", "--algo", "prtb", "--max-samples", "40"], {"distances"}),
     (["diameter", "--samples", "4", "--threads", "1"], {"progressive"}),
 ])
 def test_each_command_imports_only_what_it_uses(tmp_path, argv, unused):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -289,15 +290,18 @@ def test_invalid_explicit_pairs_fail_before_any_sweep(threads, monkeypatch):
 # search, so both give the same digest. The sh/sfm digest was recorded before
 # the search skipped dominated expansions, and all of them before the searches
 # kept their state in int-keyed dicts behind the ``records`` view: neither may
-# change a record.
+# change a record. The truncated sh/sfm digests were recorded again when a
+# pair search stopped creating anything but z's appearances in z's hop layer:
+# that drops records by design, and test_cut_z_layer_drops_only_dead_records
+# holds every kept record to the uncut search.
 FULL_RECORDS_SHA256 = {
     SH: "ce7b22dd2f30d6324c881cf7dac382724eac47218a82e214bc45ae917b60ab98",
     SFM: "ce7b22dd2f30d6324c881cf7dac382724eac47218a82e214bc45ae917b60ab98",
     PFM: "f09f658542e083336cf1d2f4ba510e63f8434551de4a3d59c6da47c43e992882",
 }
 TRUNCATED_RECORDS_SHA256 = {
-    SH: "88e2ec661e147980539bbd8be92c55383e6d2adeb41ea8eb67fe2f3bda9b575d",
-    SFM: "acc071ba4d9e507a32ad45d6c78d79d8d10c3dc0b13cb63f1c9451e2f717a439",
+    SH: "af51b8fbd0b869313238e509671e2d51a08a81fcfe4cb687a14020871267ad04",
+    SFM: "1ed288954931c758b19862950d05482c8ac51e23d103700b9b3f575aeee6efb0",
     PFM: "49ee5fde0a1ff095827fc167ad24480859a4647d5f004d80c4c457363ec2c825",
 }
 
@@ -326,12 +330,13 @@ def test_truncated_records_are_pinned(ties, opt):
 # The same digests over the bursty graph below, where many nodes have several
 # appearances in one frontier layer, so the sh/sfm search scans them as groups
 # and records compressed predecessors. Recorded before the search grouped
-# them: the expanded records must not change.
+# them: the expanded records must not change. The truncated digests moved,
+# as above, when pair searches cut z's hop layer.
 BURSTY_RECORDS_SHA256 = {
     (SH, "full"): "fef4b4fc317f018c67e733f0c63598cc02bfb0299543bcdf79cc9cd5812d1e2d",
     (SFM, "full"): "fef4b4fc317f018c67e733f0c63598cc02bfb0299543bcdf79cc9cd5812d1e2d",
-    (SH, "truncated"): "ccf80eaff3c315bd57dd6f7264e007c45897a5fc370f2f095c1aaa60283085e1",
-    (SFM, "truncated"): "6ce8aacc71cf313b6bf3101a78c2eeec0186528202a6c49a91f76e64d6d071d5",
+    (SH, "truncated"): "de1f46e07a25394385fffc090178534dd9d2c7684e324ebd97c61dd27340b004",
+    (SFM, "truncated"): "f3d5231d2b02b7a9b76c855d08d53cd7373e6c3a908410b76036ab6e24b0dd31",
 }
 
 
@@ -351,6 +356,20 @@ def test_bursty_records_are_pinned(bursty60, opt, kind):
         pairs = [(s, z) for s in range(g.n) for z in range(g.n) if s != z]
         results = ((s, truncated_tbfs(g, s, z, opt)) for s, z in pairs)
     assert _records_digest(results) == BURSTY_RECORDS_SHA256[opt, kind]
+
+
+# Appearances created by all truncated searches over the ordered pairs of
+# bursty60. Before pair searches cut z's hop layer they read 78,381 (sh) and
+# 35,180 (sfm); a change that stops the cut moves them back up.
+BURSTY_TRUNCATED_APPEARANCES = {SH: 26_200, SFM: 20_333}
+
+
+@pytest.mark.parametrize("opt", [SH, SFM], ids=lambda o: o.value)
+def test_bursty_truncated_appearances_are_pinned(bursty60, opt):
+    g = bursty60
+    pairs = [(s, z) for s in range(g.n) for z in range(g.n) if s != z]
+    total = sum(len(result.hops) for result in tbfs_module.pair_searches(g, pairs, opt))
+    assert total == BURSTY_TRUNCATED_APPEARANCES[opt]
 
 
 def _compressed_entries(result):
@@ -522,6 +541,50 @@ def test_truncated_records_can_all_reach_the_destination(seed):
                         assert arrival <= deadline
 
 
+def _check_cut_z_layer(graph) -> int:
+    """Holds each pair search of every group to the reference search that
+    keeps z's whole hop layer: the kept records are its records, in its
+    order; each dropped one is a non-z appearance of z's layer; targets,
+    sigma, dependencies and trk's path draws are equal. Returns the number
+    dropped."""
+    dropped = 0
+    references = {}
+    for opt in (SH, SFM):
+        for group in _pair_groups(graph):
+            for (s, z), result in zip(group, tbfs_module.pair_searches(graph, group, opt)):
+                if (opt, s, z) not in references:
+                    references[opt, s, z] = tbfs_reference(graph, s, z, opt, cut_z_layer=False)
+                records, per_target, dependency = references[opt, s, z]
+                kept = result.records
+                assert _record_items(kept) == [
+                    item for item in _record_items(records) if item[0] in kept
+                ], (opt, s, z)
+                z_layer = max(rec.hops for rec in records.values())
+                for app in records.keys() - kept.keys():
+                    assert app[0] != z and records[app].hops == z_layer, (opt, s, z, app)
+                    dropped += 1
+                assert result.per_target == per_target, (opt, s, z)
+                assert result.pair_sigma(z) == per_target[z].sigma
+                assert result.dependency == dependency, (opt, s, z)
+                if result.pair_sigma(z):
+                    uncut = SimpleNamespace(source=s, per_target=per_target, records=records)
+                    for j in range(2):
+                        path = sample_optimal_path(result, substream(s * graph.n + z, j))
+                        drawn = _draw_from_records(uncut, substream(s * graph.n + z, j))
+                        assert path == drawn, (opt, s, z, j)
+    return dropped
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cut_z_layer_drops_only_dead_records(seed):
+    _check_cut_z_layer(random_temporal_graph(seed + 5000))
+
+
+@pytest.mark.parametrize("graph", ["ties", "bursty60"])
+def test_cut_z_layer_drops_only_dead_records_on_larger_graphs(graph, request):
+    assert _check_cut_z_layer(request.getfixturevalue(graph)) > 0
+
+
 def test_disconnected_pair_returns_only_the_sentinel(ties):
     g = load_edge_list("0 1 1\n1 2 2\n3 0 1\n")
     s, z = g.index_of(2), g.index_of(0)  # 2 has no out-edge
@@ -577,17 +640,21 @@ def _check_handed_latest(graph, groups, monkeypatch, opts=(SH, SFM)):
                 assert [t if t >= cut else 0 for t in latest] == expected, (opt, len(group), k, s, z)
 
 
-def _check_latest_departure(graph, monkeypatch):
-    # every ordered pair in a group of its own, then every ordered pair in a
-    # seeded order, cycled up to the group size, so sources differ and, past
-    # n(n-1) pairs, pairs repeat; a group of GROUP_WIDTH + 1 pairs ends in a
-    # group of one
+def _pair_groups(graph):
+    """Every ordered pair in a group of its own, then every ordered pair in
+    a seeded order, cycled up to the group size, so sources differ and, past
+    n(n-1) pairs, pairs repeat; a group of GROUP_WIDTH + 1 pairs ends in a
+    group of one."""
     width = tbfs_module.GROUP_WIDTH
     pairs = [(s, z) for s in range(graph.n) for z in range(graph.n) if s != z]
     order = np.random.default_rng(graph.n).permutation(len(pairs))
     groups = [[pair] for pair in pairs]
     groups += [[pairs[order[k % len(pairs)]] for k in range(size)] for size in (2, 5, width, width + 1)]
-    _check_handed_latest(graph, groups, monkeypatch)
+    return groups
+
+
+def _check_latest_departure(graph, monkeypatch):
+    _check_handed_latest(graph, _pair_groups(graph), monkeypatch)
 
 
 def test_latest_departure_matches_a_fixpoint_on_the_tie_graph(ties, monkeypatch):
@@ -635,6 +702,25 @@ def test_source_without_out_edges_runs_no_sweep(monkeypatch):
         result = full_tbfs(g, s, opt)
         assert list(result.records) == [(s, 0)]
         assert result.per_target == {} and result.dependency == {}
+
+
+def test_only_sh_and_sfm_pair_searches_build_the_in_row_index(ties, tmp_path):
+    # the index costs 8 B per edge; loading, exact runs and full searches
+    # never read it, so they must not build it
+    from tempbc import exact_tbc, read_edge_list, write_edge_list
+
+    path = tmp_path / "ties.txt"
+    write_edge_list(ties, path)
+    g = read_edge_list(path)
+    assert g._in_rows is None
+    for opt in ALL_OPTS:
+        exact_tbc(g, opt, threads=1)
+        for s in range(g.n):
+            full_tbfs(g, s, opt)
+    truncated_tbfs(g, 0, 1, PFM)  # a pfm pair runs the forward sweep alone
+    assert g._in_rows is None
+    assert truncated_tbfs(g, 0, 1, SH).pair_sigma(1)
+    assert len(g._in_rows) == len(g.edges)
 
 
 def test_estimators_never_build_records(ties, monkeypatch):
