@@ -25,10 +25,10 @@ import time
 from dataclasses import asdict
 from functools import partial
 
-from .bounds import hoeffding_size, vc_size
+from .bounds import check_bound_inputs, hoeffding_size, vc_size
 from .exact import GuardrailError, ScoreVector, exact_tbc, work_estimate
 from .graph import ParseError, TemporalGraph, read_edge_list, summarize
-from .samplers import Algorithm, ob_estimate, rtb_estimate, trk_estimate
+from .samplers import Algorithm, ob_estimate, rtb_estimate, sampled_n, trk_estimate
 from .tbfs import PathOptimality
 from .parallel import default_threads
 
@@ -106,17 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sampled_n(graph: TemporalGraph) -> int:
-    """Node count for a derived sample size; sampling needs a pair of nodes."""
-    if graph.n < 2:
-        raise ValueError("sampling estimators need at least 2 nodes")
-    return graph.n
-
-
 def _check_flags(args) -> None:
-    """The flag checks that need no graph. The pipeline runs them before it
-    loads the graph, so a usage error exits 2 at once, whatever the file.
-    Fills in the defaults of the flags that the command uses."""
+    """The flag and value checks that need no graph. The pipeline runs them
+    before it loads the graph, so a usage error exits 2 at once, whatever
+    the file; a value check gives the library's message. Fills in the
+    defaults of the flags that the command uses."""
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.command == "progressive":
@@ -129,6 +123,15 @@ def _check_flags(args) -> None:
                 setattr(args, name, defaults.get(name))
             elif name not in defaults:
                 raise ValueError(f"--{name} applies only with --algo {'prtb' if name == 'c' else 'ob or trk'}")
+        if args.algo == "prtb" and args.c < 2:
+            raise ValueError("threshold constant c must be >= 2")
+        if args.algo != "prtb":
+            check_bound_inputs(args.epsilon, args.delta)
+            if args.alpha <= 1.0:
+                raise ValueError("schedule constant alpha must be > 1")
+        if args.max_samples is not None and args.max_samples < 1:
+            cap = "sample" if args.algo == "prtb" else "iteration"
+            raise ValueError(f"{cap} cap must be >= 1, got {args.max_samples}")
         return
     if args.threads is None:
         args.threads = default_threads()
@@ -141,8 +144,17 @@ def _check_flags(args) -> None:
             raise ValueError("--samples must be >= 1")
         if args.samples is None and args.bound is None:
             raise ValueError("one of --samples or --bound is required")
-    elif args.command == "diameter" and args.samples is None and args.epsilon is None:
-        raise ValueError("one of --samples or --epsilon is required")
+        if args.bound is not None:  # --samples leaves epsilon and delta unused
+            check_bound_inputs(args.epsilon, args.delta, vd=args.vd)
+    elif args.command == "diameter":
+        if args.samples is None and args.epsilon is None:
+            raise ValueError("one of --samples or --epsilon is required")
+        if args.samples is not None and args.samples < 1:
+            raise ValueError("sample size must be >= 1")
+        if not 0.0 < args.tau <= 1.0:
+            raise ValueError("tau must be in (0, 1]")
+        if args.samples is None and args.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
 
 
 # Each graph command derives its report parameters from the loaded graph and
@@ -161,7 +173,7 @@ def _fixed_sample_size(args, graph: TemporalGraph) -> dict:
     if args.samples is not None:
         params["samples"] = args.samples
         return params
-    n = _sampled_n(graph)
+    n = sampled_n(graph)
     if args.bound == "hoeffding":
         r = hoeffding_size(args.epsilon, args.delta, n)
     else:
@@ -207,7 +219,7 @@ def _progressive(args, graph: TemporalGraph):
     params.update(threads=args.threads, epsilon=args.epsilon, delta=args.delta, alpha=args.alpha)
     cap = args.max_samples
     if args.algo == "trk" and cap is None:
-        cap = hoeffding_size(args.epsilon, args.delta, _sampled_n(graph))
+        cap = hoeffding_size(args.epsilon, args.delta, sampled_n(graph))
     if cap is not None:
         params["iteration_cap"] = cap
     return params, partial(
@@ -222,7 +234,7 @@ def _diameter(args, graph: TemporalGraph):
     if args.samples is not None:
         s = args.samples
     else:
-        s = recommended_sample_size(_sampled_n(graph), args.epsilon)
+        s = recommended_sample_size(sampled_n(graph), args.epsilon)
     params = {"samples": s, "tau": args.tau, "seed": args.seed, "threads": args.threads}
     return params, partial(
         estimate_distances, graph, s, args.tau, args.seed,

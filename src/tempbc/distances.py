@@ -2,7 +2,7 @@
 
 For sampled sources, a hop-layered search finds each node's minimum
 strict-temporal hop distance (starting at time 0). It keeps one earliest
-arrival time per node, not every vertex appearance: layer h expands only the
+arrival key per node, not every vertex appearance: layer h expands only the
 nodes whose earliest arrival improved in layer h - 1, which settles every
 node at the same hop count as a BFS over all appearances. The per-hop
 first-settle histogram scales up to an estimate of the cumulative pair-count
@@ -58,32 +58,33 @@ def recommended_sample_size(n: int, epsilon: float) -> int:
 def _settle_hops(graph: TemporalGraph, s: int) -> dict[int, int]:
     """First-settle hop count per node reachable from (s, 0).
 
-    Hop-bounded Bellman-Ford on earliest arrival times: after layer h,
-    ``arrival[v]`` is v's earliest arrival over paths of at most h hops. A
-    later arrival at v reaches nothing the earliest one does not, so layer
-    h + 1 expands only the nodes whose arrival improved in layer h, each from
-    the time it had at the end of layer h.
+    Hop-bounded Bellman-Ford on appearance keys ``v * (T + 1) + t``: after
+    layer h, ``arrival[v]`` is v's earliest over paths of at most h hops. A
+    later arrival at v (a larger key) reaches nothing the earliest does not,
+    so layer h + 1 expands only the nodes whose arrival improved in layer h,
+    each from the key it had at the end of layer h.
     """
-    out_adj = graph.out_adjacency
+    out_keys = graph._out_keys
     out_times = graph._out_times
-    never = graph.T + 1
-    arrival = {s: 0}
+    base = graph.T + 1
+    past = graph.n * base  # above every key
+    arrival = {s: s * base}
     settled = {s: 0}
-    frontier: list[tuple[int, int]] = [(s, 0)]
+    frontier = [s * base]
     hops = 0
     while frontier:
         hops += 1
         improved: dict[int, int] = {}
-        for v, t in frontier:
-            adj = out_adj[v]
-            for j in range(bisect_right(out_times[v], t), len(adj)):
-                t2, _, w = adj[j]
-                if t2 < arrival.get(w, never):
-                    arrival[w] = t2
-                    improved[w] = t2
+        for vk in frontier:
+            v, t = divmod(vk, base)
+            for key in out_keys[v][bisect_right(out_times[v], t):]:
+                w = key // base
+                if key < arrival.get(w, past):
+                    arrival[w] = key
+                    improved[w] = key
                     if w not in settled:
                         settled[w] = hops
-        frontier = list(improved.items())
+        frontier = list(improved.values())
     return settled
 
 

@@ -40,7 +40,7 @@ class TemporalGraph:
     """Immutable relabeled temporal edge set with time-sorted adjacency.
 
     Every stored directed edge is one ``(time, src, dst)`` int tuple; the
-    three edge views below share these row objects.
+    two edge views below share these row objects.
 
     Attributes:
         n: number of nodes.
@@ -54,11 +54,10 @@ class TemporalGraph:
         dropped_self_loops: count of self-loop rows removed at load.
         edges_by_time: the rows sorted stably by time alone (rows of one
             label keep input order), for the sweeps of :mod:`tempbc.tbfs`.
-        out_adjacency: per node, its out-edge rows sorted ascending by
-            time, ties by head.
 
-    ``_out_keys[v]`` holds, per row of ``out_adjacency[v]``, the appearance
-    key ``head * (T + 1) + time`` of the row's head (see :mod:`tempbc.tbfs`).
+    The out-edge index, which every search reads, lists v's out-edges sorted
+    by time, ties by head: ``_out_times[v]`` holds their times, ``_out_keys[v]``
+    their heads' appearance keys ``head * (T + 1) + time`` (see :mod:`tempbc.tbfs`).
 
     The in-row index behind :meth:`_rows_into` is one list of the rows of
     ``edges_by_time`` sorted stably by head, 8 B per edge. Only pair searches
@@ -73,7 +72,6 @@ class TemporalGraph:
         "directed",
         "node_ids",
         "dropped_self_loops",
-        "out_adjacency",
         "edges_by_time",
         "_out_times",
         "_out_keys",
@@ -106,10 +104,9 @@ class TemporalGraph:
             out[row[1]].append(row)
         for lst in out:
             lst.sort()
-        self.out_adjacency = tuple(map(tuple, out))
-        self._out_times = tuple([row[0] for row in adj] for adj in self.out_adjacency)
+        self._out_times = tuple([row[0] for row in adj] for adj in out)
         base = T + 1
-        self._out_keys = tuple([w * base + t for t, _, w in adj] for adj in self.out_adjacency)
+        self._out_keys = tuple([w * base + t for t, _, w in adj] for adj in out)
         self._in_rows: list[tuple[int, int, int]] | None = None
 
     def _rows_into(self, node: int) -> list[tuple[int, int, int]]:
@@ -126,8 +123,9 @@ class TemporalGraph:
 
     def out_edges_after(self, node: int, time: int) -> list[tuple[int, int]]:
         """``(time, head)`` of the edges leaving ``node`` labeled after ``time``."""
-        adj = self.out_adjacency[node]
-        return [(t, w) for t, _, w in adj[bisect_right(self._out_times[node], time):]]
+        base = self.T + 1
+        keys = self._out_keys[node][bisect_right(self._out_times[node], time):]
+        return [(key % base, key // base) for key in keys]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalGraph):

@@ -41,7 +41,7 @@ from .bounds import check_bound_inputs, hoeffding_size
 from .graph import TemporalGraph
 from .parallel import Fanout
 from .rng import draw_source, substream
-from .samplers import Algorithm, ScoreVector, chunk_contributions
+from .samplers import Algorithm, ScoreVector, chunk_contributions, sampled_n
 from .tbfs import PathOptimality
 
 __all__ = [
@@ -259,8 +259,7 @@ def progressive_estimate(
     check_bound_inputs(epsilon, delta)
     if algorithm not in (Algorithm.OB, Algorithm.TRK):
         raise ValueError("progressive_estimate supports the ob and trk estimators")
-    if graph.n < 2:
-        raise ValueError("sampling estimators need at least 2 nodes")
+    sampled_n(graph)
     if iteration_cap is not None and iteration_cap < 1:
         raise ValueError(f"iteration cap must be >= 1, got {iteration_cap}")
 
@@ -331,8 +330,7 @@ def prtb_estimate(
     """
     if c < 2:
         raise ValueError("threshold constant c must be >= 2")
-    if graph.n < 2:
-        raise ValueError("sampling estimators need at least 2 nodes")
+    sampled_n(graph)
     if max_samples is not None and max_samples < 1:
         raise ValueError(f"sample cap must be >= 1, got {max_samples}")
 

@@ -179,9 +179,15 @@ def summed_contributions(graph, opt, algorithm, seed, fixed, r: int, threads: in
     return total
 
 
-def _require_sampling_pre(graph: TemporalGraph, r: int, fixed, what: str) -> None:
+def sampled_n(graph: TemporalGraph) -> int:
+    """The node count of a graph to sample from, which needs a pair of nodes."""
     if graph.n < 2:
         raise ValueError("sampling estimators need at least 2 nodes")
+    return graph.n
+
+
+def _require_sampling_pre(graph: TemporalGraph, r: int, fixed, what: str) -> None:
+    sampled_n(graph)
     if r < 1:
         raise ValueError("sample size must be >= 1")
     if fixed is not None and len(fixed) != r:

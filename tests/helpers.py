@@ -278,8 +278,13 @@ def _shortest_bfs_reference(
     settle_apps = {s: [src_app]}
     min_time = {s: 0}
     never = graph.T + 1
-    out_adj = graph.out_adjacency
-    out_times = graph._out_times
+    # per source, its out-rows (time, head) sorted by time, then by head,
+    # built from the edges rather than read from the index under test
+    out_rows = [[] for _ in range(graph.n)]
+    for t, u, w in graph.edges:
+        out_rows[u].append((t, w))
+    for rows in out_rows:
+        rows.sort()
 
     frontier = [src_app]
     layer = 0
@@ -288,9 +293,8 @@ def _shortest_bfs_reference(
         discovered = {}
         for v, t in sorted(frontier):
             sigma_v = records[(v, t)].sigma
-            adj = out_adj[v]
-            for j in range(bisect_right(out_times[v], t), len(adj)):
-                t2, _, w = adj[j]
+            rows = out_rows[v]
+            for t2, w in rows[bisect_right(rows, (t, graph.n)):]:
                 if max_time is not None:
                     if t2 > max_time:
                         break

@@ -308,10 +308,25 @@ def test_progressive_refuses_flags_its_algorithm_ignores(g1_path, capsys, algo, 
         (["progressive", "--algo", "prtb", "--threads", "2"], "--threads applies only with --algo ob or trk"),
         (["diameter"], "one of --samples or --epsilon is required"),
         (["exact", "--threads", "0"], "--threads must be at least 1"),
+        (["diameter", "--samples", "0"], "sample size must be >= 1"),
+        (["diameter", "--samples", "3", "--tau", "2"], "tau must be in (0, 1]"),
+        (["diameter", "--epsilon", "-1"], "epsilon must be positive"),
+        (["progressive", "--algo", "ob", "--max-samples", "0"], "iteration cap must be >= 1, got 0"),
+        (["progressive", "--algo", "prtb", "--max-samples", "0"], "sample cap must be >= 1, got 0"),
+        (["progressive", "--algo", "ob", "--epsilon", "2"], "epsilon must be in (0, 1)"),
+        (["progressive", "--algo", "trk", "--delta", "1"], "delta must be in (0, 1)"),
+        (["progressive", "--algo", "trk", "--alpha", "1"], "schedule constant alpha must be > 1"),
+        (["progressive", "--algo", "prtb", "--c", "1"], "threshold constant c must be >= 2"),
+        (["fixed", "--algo", "ob", "--bound", "vc", "--vd", "1"], "vertex diameter must be >= 2"),
+        (["fixed", "--algo", "ob", "--bound", "hoeffding", "--epsilon", "0"], "epsilon must be in (0, 1)"),
+        (["fixed", "--algo", "ob", "--bound", "vc", "--delta", "1.5"], "delta must be in (0, 1)"),
     ],
     ids=[
         "samples-and-bound", "vd-without-vc", "zero-samples", "no-sample-size",
         "prtb-epsilon", "ob-c", "prtb-threads", "diameter-no-size", "zero-threads",
+        "diameter-zero-samples", "diameter-tau", "diameter-epsilon", "ob-zero-cap",
+        "prtb-zero-cap", "ob-epsilon", "trk-delta", "trk-alpha", "prtb-c", "vd-below-2",
+        "hoeffding-epsilon", "vc-delta",
     ],
 )
 def test_flag_errors_come_before_the_graph_is_read(tmp_path, capsys, monkeypatch, argv, message):
@@ -326,6 +341,19 @@ def test_flag_errors_come_before_the_graph_is_read(tmp_path, capsys, monkeypatch
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_fixed_samples_leave_epsilon_unchecked(g1_path, capsys):
+    # an explicit sample size uses no bound, so its epsilon is only reported
+    code, report = run(capsys, "fixed", g1_path, "--algo", "ob", "--samples", "2", "--epsilon", "5")
+    assert code == 0
+    assert report["parameters"]["epsilon"] == 5
+
+
+def test_diameter_epsilon_may_exceed_one(g1_path, capsys):
+    code, report = run(capsys, "diameter", g1_path, "--epsilon", "3", "--threads", "1")
+    assert code == 0
+    assert report["parameters"]["samples"] == 1
 
 
 def test_diameter_validates_tau(g1_path, capsys):

@@ -81,7 +81,8 @@ def test_writer_round_trip_identity(seed):
     write_edge_list(g, buf)
     again = load_edge_list(buf.getvalue(), directed=g.directed)
     assert again == g
-    assert again.out_adjacency == g.out_adjacency
+    assert again._out_times == g._out_times
+    assert again._out_keys == g._out_keys
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -89,10 +90,21 @@ def test_undirected_adjacency_is_symmetric(seed):
     rows = io.StringIO()
     write_edge_list(random_temporal_graph(seed * 31 + 5, allow_undirected=False), rows)
     g = load_edge_list(rows.getvalue(), directed=False)
-    forward = Counter((u, t, w) for u in range(g.n) for t, _, w in g.out_adjacency[u])
-    backward = Counter((w, t, u) for u in range(g.n) for t, _, w in g.out_adjacency[u])
+    forward = Counter((u, t, w) for u in range(g.n) for t, w in _index_rows(g, u))
+    backward = Counter((w, t, u) for u in range(g.n) for t, w in _index_rows(g, u))
     assert forward == backward
     assert Counter(g.edges_by_time) == Counter((t, w, u) for t, u, w in g.edges_by_time)
+
+
+def _scan_rows(g, u):
+    """``(time, head)`` of u's out-edges, by a scan of ``edges``, sorted."""
+    return sorted((t, w) for t, src, w in g.edges if src == u)
+
+
+def _index_rows(g, u):
+    """``(time, head)`` of u's out-edges, decoded from the out-edge index."""
+    base = g.T + 1
+    return [(key % base, key // base) for key in g._out_keys[u]]
 
 
 def _stable_rows_by_time(g):
@@ -119,12 +131,22 @@ def test_edges_by_time_keeps_input_order_within_a_label(ties):
 def test_adjacency_sorted_by_time():
     g = random_temporal_graph(3)
     for u in range(g.n):
-        times = [t for t, _, _ in g.out_adjacency[u]]
-        assert times == sorted(times)
-        assert all(src == u for _, src, _ in g.out_adjacency[u])
-    # the adjacency holds the row objects of edges_by_time, not copies
-    rows = {id(row) for row in g.edges_by_time}
-    assert all(id(row) in rows for adj in g.out_adjacency for row in adj)
+        assert g._out_times[u] == sorted(g._out_times[u])
+        # the keys decode to exactly u's rows, in (time, head) order
+        assert _index_rows(g, u) == _scan_rows(g, u)
+        assert g._out_times[u] == [t for t, _ in _scan_rows(g, u)]
+
+
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+@pytest.mark.parametrize("seed", range(5))
+def test_out_edges_after_matches_a_scan_of_the_edges(seed, directed):
+    rows = io.StringIO()
+    write_edge_list(random_temporal_graph(seed + 700, allow_undirected=False), rows)
+    g = load_edge_list(rows.getvalue(), directed=directed)
+    for u in range(g.n):
+        for time in (0, (g.T + 1) // 2, g.T):
+            expected = [(t, w) for t, w in _scan_rows(g, u) if t > time]
+            assert g.out_edges_after(u, time) == expected, (u, time)
 
 
 @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
@@ -138,7 +160,6 @@ def test_edge_views_share_one_row_object_per_edge(seed, directed):
     edge_ids = sorted(map(id, g.edges))
     assert len(set(edge_ids)) == len(g.edges)
     assert sorted(map(id, g.edges_by_time)) == edge_ids
-    assert sorted(id(row) for adj in g.out_adjacency for row in adj) == edge_ids
 
 
 @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
@@ -171,7 +192,8 @@ def test_constructor_round_trip_from_rows(case):
         node_ids=g.node_ids, dropped_self_loops=g.dropped_self_loops,
     )
     assert again == g
-    assert again.out_adjacency == g.out_adjacency
+    assert again._out_times == g._out_times
+    assert again._out_keys == g._out_keys
     assert again.edges_by_time == g.edges_by_time
     assert (again.node_ids, again.dropped_self_loops) == (g.node_ids, g.dropped_self_loops)
     if case == "self-loops-dropped":

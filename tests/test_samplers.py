@@ -244,13 +244,13 @@ def _explicit_pairs(graph, seed, count=130):
     rng = np.random.default_rng(seed)
     pairs = [draw_pair(substream(seed, i), graph.n) for i in range(count // 2)]
     pairs += pairs[: count // 8]
-    sinks = [s for s in range(graph.n) if not graph.out_adjacency[s]]
+    sinks = [s for s in range(graph.n) if not graph._out_times[s]]
     for s in sinks[:4]:
         pairs.append((s, (s + 1) % graph.n))
     for s, z in all_pairs(graph.n):
         if len(pairs) >= count:
             break
-        if graph.out_adjacency[s] and truncated_tbfs(graph, s, z, SH).pair_sigma(z) == 0:
+        if graph._out_times[s] and truncated_tbfs(graph, s, z, SH).pair_sigma(z) == 0:
             pairs.append((s, z))
     while len(pairs) < count:
         pairs.append(pairs[int(rng.integers(len(pairs)))])
@@ -288,7 +288,7 @@ def test_chunk_contributions_match_per_pair_searches_on_the_tie_graph(ties):
 
 def test_chunk_contributions_match_per_pair_searches_on_a_bursty_graph():
     graph = bursty_temporal_graph(3, n=60, m=500, max_time=40)
-    assert any(not graph.out_adjacency[s] for s in range(graph.n))
+    assert any(not graph._out_times[s] for s in range(graph.n))
     _check_chunks_match_per_pair_searches(graph, 4)
 
 
@@ -297,7 +297,7 @@ def test_sh_pairs_share_one_sweep_per_chunk(monkeypatch):
     # group: one group sweep under sh and under sfm, where each pair first
     # finds its deadline with one foremost-arrival sweep
     graph = random_temporal_graph_large(21, n=40, m=400, max_time=30)
-    assert all(graph.out_adjacency[s] for s in range(graph.n))
+    assert all(graph._out_times[s] for s in range(graph.n))
     calls = {"group": 0, "arrival": 0}
     group_sweep = tbfs_module._group_latest_departure
     foremost_arrival = tbfs_module._foremost_arrival

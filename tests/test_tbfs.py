@@ -628,14 +628,14 @@ def _check_handed_latest(graph, groups, monkeypatch, opts=(SH, SFM)):
             assert len(handed) == len(group)
             for k, ((s, z), latest) in enumerate(zip(group, handed)):
                 deadline = None
-                if graph.out_adjacency[s] and opt is SFM:
+                if graph._out_times[s] and opt is SFM:
                     deadline = tbfs_module._foremost_arrival(graph, s, z)
-                if not graph.out_adjacency[s] or (opt is SFM and deadline is None):
+                if not graph._out_times[s] or (opt is SFM and deadline is None):
                     assert latest is None, (opt, len(group), k)
                     continue
                 if (z, deadline) not in reference:
                     reference[z, deadline] = latest_departure_reference(graph, z, deadline)
-                cut = graph.out_adjacency[s][0][0]
+                cut = graph._out_times[s][0]
                 expected = [t if t >= cut else 0 for t in reference[z, deadline]]
                 assert [t if t >= cut else 0 for t in latest] == expected, (opt, len(group), k, s, z)
 
@@ -684,7 +684,7 @@ def test_sfm_pairs_sharing_a_destination_keep_their_own_deadlines(monkeypatch):
 def test_source_without_out_edges_runs_no_sweep(monkeypatch):
     g = load_edge_list("0 1 1\n1 2 2\n3 0 1\n")
     s = g.index_of(2)  # 2 has no out-edge
-    assert not g.out_adjacency[s]
+    assert not g._out_times[s]
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("a source without out-edges ran a sweep")
