@@ -147,6 +147,8 @@ def _check_flags(args) -> None:
         if args.bound is not None:  # --samples leaves epsilon and delta unused
             check_bound_inputs(args.epsilon, args.delta, vd=args.vd)
     elif args.command == "diameter":
+        if args.samples is not None and args.epsilon is not None:
+            raise ValueError("give either --samples or --epsilon, not both")
         if args.samples is None and args.epsilon is None:
             raise ValueError("one of --samples or --epsilon is required")
         if args.samples is not None and args.samples < 1:

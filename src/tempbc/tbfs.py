@@ -33,7 +33,10 @@ sfm pairs share one backward sweep: one descending pass over the rows
 carries, per node, an int mask with bit k set once pair k's destination is
 reachable from it, and a pair's latest departures are decoded from that pass
 only when the pair is searched. Bit k enters at the pair's deadline: past
-every label for sh, at z's earliest arrival for sfm.
+every label for sh, at z's earliest arrival for sfm. An sfm group first
+finds those arrivals in one forward sweep: an ascending pass with bit k set
+once pair k's source has arrived at the node, which stops once every pair
+has arrived.
 
 Every sweep unpacks the plain ``(time, src, dst)`` rows of
 ``graph.edges_by_time`` from s's first departure on (a group sweep from its
@@ -97,8 +100,8 @@ __all__ = [
 
 Appearance = tuple[int, int]
 
-# pairs per shared backward sweep: pair k of a group is bit k of a node's
-# mask, and the masks are decoded as uint64 words
+# pairs per shared sweep: pair k of a group is bit k of a node's mask, and
+# the backward sweep's masks are decoded as uint64 words
 GROUP_WIDTH = 64
 
 
@@ -266,8 +269,10 @@ def pair_searches(
 
     Every pair is checked before any search runs. Under ``sh`` and ``sfm``
     the pairs are cut into groups of up to ``GROUP_WIDTH`` that share one
-    backward sweep (:func:`_group_latest_departure`); a result is the same
-    as the one-pair search gives.
+    backward sweep (:func:`_group_latest_departure`); an sfm group takes its
+    deadlines, the destinations' earliest arrivals, from one forward sweep
+    (:func:`_group_foremost_arrival`). A result is the same as the one-pair
+    search gives.
     """
     for s, z in pairs:
         _check_node(graph, s, "source")
@@ -291,11 +296,9 @@ def _pair_searches(graph, pairs, opt):
             continue
         # a pair with no path (s without out-edges, an sfm z never reached)
         # has no deadline: no bit, and the sentinel alone
-        sh = opt is PathOptimality.SHORTEST
-        deadlines = [
-            (graph.T + 1 if sh else _foremost_arrival(graph, s, z)) if out_times[s] else None
-            for s, z in group
-        ]
+        deadlines = [graph.T + 1 if out_times[s] else None for s, _ in group]
+        if opt is PathOptimality.SHORTEST_FOREMOST and any(deadlines):
+            deadlines = _group_foremost_arrival(graph, group)
         gains = _group_latest_departure(graph, group, deadlines)
         for k, ((s, z), d) in enumerate(zip(group, deadlines)):
             latest = None if d is None else _pair_latest_departure(graph, gains, k, z)
@@ -485,6 +488,60 @@ def _shortest_bfs(
     return hops, sigma, preds, groups, settled, min_time
 
 
+def _group_foremost_arrival(graph: TemporalGraph, group) -> list[int | None]:
+    """One ascending sweep for a group of up to ``GROUP_WIDTH`` pairs: each
+    pair's earliest arrival at its destination, None where there is none.
+
+    Keeps per node w an int mask whose bit k is set once the source of pair
+    k has arrived at w; each source starts with its own bit, and a source
+    without out-edges gets none. A row (t, u, w) passes to w the bits u held
+    before label t: when u gained bits at t itself, its mask from before t
+    is read instead, so rows tied at one label cannot chain (strict paths).
+    Pair k arrives at the label at which z_k first gains bit k. The rows run
+    from the earliest first departure of a source with out-edges, and the
+    sweep stops at the row that brings the last pair still waiting.
+    """
+    arrivals: list[int | None] = [None] * len(group)
+    out_times = graph._out_times
+    mask = [0] * graph.n
+    zbits = [0] * graph.n  # per node, the pairs whose destination it is
+    waiting = 0
+    for k, (s, z) in enumerate(group):
+        if out_times[s]:
+            mask[s] |= 1 << k
+            zbits[z] |= 1 << k
+            waiting |= 1 << k
+    if not waiting:
+        return arrivals
+    first = min(out_times[s][0] for s, _ in group if out_times[s])
+    before = [0] * graph.n  # a node's mask before the label it last gained at
+    gained_at = [-1] * graph.n
+    edges = graph.edges_by_time
+    for t, u, w in edges[bisect_left(edges, (first,)):]:
+        mu = mask[u]
+        if mu:
+            mw = mask[w]
+            gain = mu & ~mw
+            # the bits u gained at t itself do not pass on at t
+            if gain and gained_at[u] == t:
+                gain = before[u] & ~mw
+            if gain:
+                if gained_at[w] != t:
+                    before[w] = mw
+                    gained_at[w] = t
+                mask[w] = mw | gain
+                reached = gain & zbits[w]
+                if reached:
+                    waiting &= ~reached
+                    while reached:
+                        k = reached.bit_length() - 1
+                        arrivals[k] = t
+                        reached ^= 1 << k
+                    if not waiting:
+                        break
+    return arrivals
+
+
 def _group_latest_departure(graph: TemporalGraph, group, deadlines) -> tuple[np.ndarray, ...] | None:
     """One descending sweep for a group of up to ``GROUP_WIDTH`` pairs.
 
@@ -605,19 +662,6 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
             p[uk] = p.get(uk, 0) + 1
         # a_v < t: arriving later than the earliest time, not foremost
     return hops, sigma, preds, {key // base: key % base for key in hops}
-
-
-def _foremost_arrival(graph: TemporalGraph, s: int, z: int) -> int | None:
-    """Earliest arrival time at z from s (None when unreachable)."""
-    arrival = [graph.T + 1] * graph.n
-    arrival[s] = 0
-    edges = graph.edges_by_time
-    for t, u, w in edges[bisect_left(edges, (graph._out_times[s][0],)):]:
-        if arrival[u] < t < arrival[w]:
-            if w == z:
-                return t
-            arrival[w] = t
-    return None
 
 
 def _accumulate_dependency(

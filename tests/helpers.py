@@ -12,13 +12,7 @@ import numpy as np
 
 from tempbc import TemporalGraph, load_edge_list
 from tempbc.bruteforce import _all_paths_from, _filter_optimal
-from tempbc.tbfs import (
-    AppearanceRecord,
-    PairTargets,
-    PathOptimality,
-    TbfsResult,
-    _foremost_arrival,
-)
+from tempbc.tbfs import AppearanceRecord, PairTargets, PathOptimality, TbfsResult
 
 G1_TEXT = "1 2 1\n2 3 2\n1 3 2\n3 4 3\n2 4 3\n"
 
@@ -226,7 +220,7 @@ def tbfs_reference(
     else:
         arrival = None
         if opt is PathOptimality.SHORTEST_FOREMOST:
-            arrival = _foremost_arrival(graph, s, z)
+            arrival = foremost_arrival_reference(graph, s, z)
         if opt is PathOptimality.SHORTEST or arrival is not None:
             latest = latest_departure_reference(graph, z, arrival)
             if latest[s]:
@@ -244,6 +238,24 @@ def tbfs_reference(
             apps = ((w, first_time[w]),)
         per_target[w] = PairTargets(apps, sum(records[a].sigma for a in apps))
     return records, per_target, _accumulate_dependency_reference(s, records, per_target)
+
+
+def foremost_arrival_reference(graph: TemporalGraph, s: int, z: int) -> int | None:
+    """Fixpoint of arrival[w] = min t over rows (t, u, w) with
+    arrival[u] < t, with arrival[s] = 0; z's value, None when z is never
+    reached. Reads ``graph.edges`` in input order, not the time-sorted rows
+    the sweeps read."""
+    never = graph.T + 1
+    arrival = [never] * graph.n
+    arrival[s] = 0
+    changed = True
+    while changed:
+        changed = False
+        for t, u, w in graph.edges:
+            if arrival[u] < t < arrival[w]:
+                arrival[w] = t
+                changed = True
+    return None if arrival[z] == never else arrival[z]
 
 
 def latest_departure_reference(graph: TemporalGraph, z: int, max_time: int | None = None) -> list[int]:

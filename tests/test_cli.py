@@ -311,6 +311,7 @@ def test_progressive_refuses_flags_its_algorithm_ignores(g1_path, capsys, algo, 
         (["diameter", "--samples", "0"], "sample size must be >= 1"),
         (["diameter", "--samples", "3", "--tau", "2"], "tau must be in (0, 1]"),
         (["diameter", "--epsilon", "-1"], "epsilon must be positive"),
+        (["diameter", "--samples", "3", "--epsilon", "0.5"], "give either --samples or --epsilon, not both"),
         (["progressive", "--algo", "ob", "--max-samples", "0"], "iteration cap must be >= 1, got 0"),
         (["progressive", "--algo", "prtb", "--max-samples", "0"], "sample cap must be >= 1, got 0"),
         (["progressive", "--algo", "ob", "--epsilon", "2"], "epsilon must be in (0, 1)"),
@@ -324,7 +325,8 @@ def test_progressive_refuses_flags_its_algorithm_ignores(g1_path, capsys, algo, 
     ids=[
         "samples-and-bound", "vd-without-vc", "zero-samples", "no-sample-size",
         "prtb-epsilon", "ob-c", "prtb-threads", "diameter-no-size", "zero-threads",
-        "diameter-zero-samples", "diameter-tau", "diameter-epsilon", "ob-zero-cap",
+        "diameter-zero-samples", "diameter-tau", "diameter-epsilon",
+        "diameter-samples-and-epsilon", "ob-zero-cap",
         "prtb-zero-cap", "ob-epsilon", "trk-delta", "trk-alpha", "prtb-c", "vd-below-2",
         "hoeffding-epsilon", "vc-delta",
     ],

@@ -294,13 +294,13 @@ def test_chunk_contributions_match_per_pair_searches_on_a_bursty_graph():
 
 def test_sh_pairs_share_one_sweep_per_chunk(monkeypatch):
     # 40 samples at one worker are one chunk of 40 pairs, a single sweep
-    # group: one group sweep under sh and under sfm, where each pair first
-    # finds its deadline with one foremost-arrival sweep
+    # group: one backward group sweep under sh and under sfm, where the
+    # pairs first find their deadlines in one forward group sweep
     graph = random_temporal_graph_large(21, n=40, m=400, max_time=30)
     assert all(graph._out_times[s] for s in range(graph.n))
     calls = {"group": 0, "arrival": 0}
     group_sweep = tbfs_module._group_latest_departure
-    foremost_arrival = tbfs_module._foremost_arrival
+    arrival_sweep = tbfs_module._group_foremost_arrival
 
     def count_group(*args):
         calls["group"] += 1
@@ -308,15 +308,15 @@ def test_sh_pairs_share_one_sweep_per_chunk(monkeypatch):
 
     def count_arrival(*args):
         calls["arrival"] += 1
-        return foremost_arrival(*args)
+        return arrival_sweep(*args)
 
     monkeypatch.setattr(tbfs_module, "_group_latest_departure", count_group)
-    monkeypatch.setattr(tbfs_module, "_foremost_arrival", count_arrival)
+    monkeypatch.setattr(tbfs_module, "_group_foremost_arrival", count_arrival)
     ob_estimate(graph, SH, 40, 1, threads=1)
     assert calls == {"group": 1, "arrival": 0}
     calls.update(group=0)
     ob_estimate(graph, SFM, 40, 1, threads=1)
-    assert calls == {"group": 1, "arrival": 40}
+    assert calls == {"group": 1, "arrival": 1}
 
 
 @pytest.mark.parametrize("opt", [SH, SFM, PFM])

@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     bruteforce_all_optimal,
     bursty_temporal_graph,
+    foremost_arrival_reference,
     latest_departure_reference,
     make_g1,
     random_temporal_graph,
@@ -266,7 +267,7 @@ def test_invalid_explicit_pairs_fail_before_any_sweep(threads, monkeypatch):
 
         for name in (
             "_group_latest_departure",
-            "_foremost_arrival",
+            "_group_foremost_arrival",
             "_prefix_foremost_sweep",
             "_shortest_bfs",
         ):
@@ -629,7 +630,7 @@ def _check_handed_latest(graph, groups, monkeypatch, opts=(SH, SFM)):
             for k, ((s, z), latest) in enumerate(zip(group, handed)):
                 deadline = None
                 if graph._out_times[s] and opt is SFM:
-                    deadline = tbfs_module._foremost_arrival(graph, s, z)
+                    deadline = foremost_arrival_reference(graph, s, z)
                 if not graph._out_times[s] or (opt is SFM and deadline is None):
                     assert latest is None, (opt, len(group), k)
                     continue
@@ -672,13 +673,81 @@ def test_sfm_pairs_sharing_a_destination_keep_their_own_deadlines(monkeypatch):
     # pairs' lists differ although they share z and one sweep
     g = load_edge_list("0 2 1\n1 3 2\n3 2 3\n0 1 1\n")
     a, b, z = g.index_of(0), g.index_of(1), g.index_of(2)
-    deadlines = [tbfs_module._foremost_arrival(g, s, z) for s in (a, b)]
+    deadlines = [foremost_arrival_reference(g, s, z) for s in (a, b)]
     assert deadlines == [1, 3]
     _check_handed_latest(g, [[(a, z), (b, z)], [(b, z), (a, z)]], monkeypatch, opts=(SFM,))
     for s, result in zip((a, b), tbfs_module.pair_searches(g, [(a, z), (b, z)], SFM)):
         records, per_target, _ = tbfs_reference(g, s, z, SFM)
         assert _record_items(result.records) == _record_items(records), s
         assert result.per_target == per_target, s
+
+
+@pytest.mark.parametrize("graph", [*range(40), "ties", "bursty60"])
+def test_group_foremost_arrival_matches_the_reference(graph, request):
+    # every ordered pair alone, then seeded groups of 2, 5, 64 and 65 pairs,
+    # cut at GROUP_WIDTH as pair_searches cuts them; the groups hold pairs
+    # that share a destination, sources without out-edges and pairs whose
+    # destination is never reached
+    g = random_temporal_graph(graph + 5000) if isinstance(graph, int) else request.getfixturevalue(graph)
+    width = tbfs_module.GROUP_WIDTH
+    reference = {}
+    for group in _pair_groups(g):
+        for lo in range(0, len(group), width):
+            part = group[lo:lo + width]
+            got = tbfs_module._group_foremost_arrival(g, part)
+            assert len(got) == len(part)
+            for k, ((s, z), arrival) in enumerate(zip(part, got)):
+                if (s, z) not in reference:
+                    reference[s, z] = foremost_arrival_reference(g, s, z)
+                assert arrival == reference[s, z], (len(group), lo + k, s, z)
+
+
+def test_group_foremost_arrival_on_shared_destinations_and_missing_paths():
+    # 2 is reached at label 1 from 0 and at label 3 from 1; 4 has no
+    # out-edge; 0 is never reached from 2 or 1; the rows 0 -> 5 and 5 -> 4
+    # share label 1, so 0 reaches 4 at label 2 through 2, not through 5;
+    # the last pair repeats the first
+    g = load_edge_list("0 2 1\n0 1 1\n0 5 1\n5 4 1\n1 3 2\n2 4 2\n3 2 3\n5 0 4\n")
+    v = {k: g.index_of(k) for k in range(6)}
+    pairs = [(0, 2), (1, 2), (4, 2), (2, 0), (1, 0), (0, 4), (5, 4), (0, 2)]
+    expected = [1, 3, None, None, None, 2, 1, 1]
+    group = [(v[s], v[z]) for s, z in pairs]
+    assert [foremost_arrival_reference(g, s, z) for s, z in group] == expected
+    assert tbfs_module._group_foremost_arrival(g, group) == expected
+    assert [tbfs_module._group_foremost_arrival(g, [pair]) for pair in group] == [[a] for a in expected]
+    # no source with out-edges: no pair waits, and every arrival is None
+    assert tbfs_module._group_foremost_arrival(g, [(v[4], v[0])] * 3) == [None] * 3
+
+
+class _RecordingRows(tuple):
+    """An ``edges_by_time`` stand-in that records each row a sweep reads
+    from a slice of it."""
+
+    def __getitem__(self, index):
+        rows = super().__getitem__(index)
+        return self._record(rows) if isinstance(index, slice) else rows
+
+    def _record(self, rows):
+        for row in rows:
+            self.read.append(row)
+            yield row
+
+
+def test_group_foremost_arrival_stops_at_the_last_arrival():
+    # both pairs have arrived by label 3; the row at label 1, before either
+    # source departs, and every row past the last arrival stay unread
+    g = load_edge_list("5 6 1\n0 1 2\n1 2 3\n0 3 3\n2 3 4\n3 4 5\n0 4 5\n")
+    rows = _RecordingRows(g.edges_by_time)
+    rows.read = []
+    g.edges_by_time = rows
+    a, b, c = g.index_of(0), g.index_of(1), g.index_of(2)
+    assert tbfs_module._group_foremost_arrival(g, [(a, c), (a, b)]) == [3, 2]
+    assert rows.read and {t for t, _, _ in rows.read} == {2, 3}
+    rows.read.clear()
+    assert tbfs_module._group_foremost_arrival(g, [(a, g.index_of(4))]) == [5]
+    # 3 -> 4 at label 5 brings the arrival: the row at label 1 and the row
+    # 0 -> 4 after it, at the same label, stay unread
+    assert len(rows.read) == len(rows) - 2
 
 
 def test_source_without_out_edges_runs_no_sweep(monkeypatch):
@@ -689,7 +758,7 @@ def test_source_without_out_edges_runs_no_sweep(monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a source without out-edges ran a sweep")
 
-    for name in ("_foremost_arrival", "_prefix_foremost_sweep", "_shortest_bfs"):
+    for name in ("_group_foremost_arrival", "_prefix_foremost_sweep", "_shortest_bfs"):
         monkeypatch.setattr(tbfs_module, name, no_sweep)
     for opt in ALL_OPTS:
         for z in range(g.n):
