@@ -4,7 +4,6 @@ Importing this module imports no other submodule and changes nothing; only
 :func:`run` prepares the process.
 """
 
-import gc
 import os
 import sys
 
@@ -14,17 +13,19 @@ def run() -> int:
 
     numpy's OpenBLAS starts a thread pool when numpy is imported, and tempbc
     never calls BLAS, so the pool only costs CPU. ``OPENBLAS_NUM_THREADS`` is
-    therefore set to 1, unless the user set it, before ``.cli`` imports
-    numpy. Then the start-up heap (numpy and the package's modules), which
-    lives until exit, is frozen: no collection walks it again, the final one
-    at interpreter shutdown included. ``cli.main`` called as a library
-    function leaves the caller's environment and collector as they are.
+    therefore set to 1, unless the user set it, before any command imports
+    numpy (``exact`` never does; every sampling command does before its
+    timed call). The run also asks the CLI to freeze the start-up heap (the
+    modules the command loaded, numpy among them, and the graph), which
+    lives until exit, just before the timed call: no collection walks it
+    again, the final one at interpreter shutdown included. ``cli.main``
+    called as a library function leaves the caller's environment and
+    collector as they are.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import cli
 
-    gc.freeze()
-    return cli.main()
+    return cli.main(freeze_heap=True)
 
 
 if __name__ == "__main__":

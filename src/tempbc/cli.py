@@ -10,8 +10,12 @@ when no path is given.
 
 A command imports the modules that only it uses (``progressive``,
 ``distances``, ``evaluation``) when it runs, so no command pays for
-another's imports. The process pool's modules load before the timed call,
-and only when the run may use more than one worker.
+another's imports. ``exact`` computes in Python ints and fractions and never
+loads numpy; every sampling command loads it (through ``rng``) before the
+timed call. The process pool's modules load before the timed call too, and
+only when the run may use more than one worker. In a process started by
+:func:`tempbc.__main__.run`, the start-up heap is frozen right before the
+timed call, when every module the command needs has loaded.
 
 Exit codes: 0 success, 2 validation error, 3 work guardrail, 4 I/O error.
 """
@@ -19,7 +23,9 @@ Exit codes: 0 success, 2 validation error, 3 work guardrail, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -113,6 +119,8 @@ def _check_flags(args) -> None:
     defaults of the flags that the command uses."""
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    if args.command == "exact" and args.work_limit is not None and args.work_limit < 0:
+        raise ValueError("--work-limit must be >= 0")
     if args.command == "progressive":
         if args.algo == "prtb":
             defaults = {"c": 2.0}
@@ -200,6 +208,8 @@ _FIXED_ESTIMATORS = {Algorithm.RTB: rtb_estimate, Algorithm.OB: ob_estimate, Alg
 
 
 def _fixed(args, graph: TemporalGraph):
+    from . import rng  # noqa: F401  numpy loads here, outside the timed call
+
     params = _fixed_sample_size(args, graph)
     params.update(seed=args.seed, threads=args.threads)
     estimator = _FIXED_ESTIMATORS[Algorithm(args.algo)]
@@ -259,8 +269,16 @@ def _evaluation(args) -> dict:
     return evaluation
 
 
-def _report(args, argv: list[str]) -> dict:
+def _check_output_dirs(args) -> None:
+    """Refuse, before any work, an output path whose directory is missing."""
+    for path in (getattr(args, "scores", None), args.out):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"no directory to write {path} in")
+
+
+def _report(args, argv: list[str], freeze_heap: bool) -> dict:
     report = {"schema_version": 1, "command": argv, "algorithm": getattr(args, "algo", args.command)}
+    _check_output_dirs(args)
     if args.command == "compare":
         report.update(parameters={"k": args.k}, evaluation=_evaluation(args))
         return report
@@ -271,6 +289,10 @@ def _report(args, argv: list[str]) -> dict:
         # a run that can start a pool loads its modules as start-up, which
         # wall_seconds leaves out; a serial run (prtb's included) never does
         import concurrent.futures.process  # noqa: F401
+    if freeze_heap:
+        # what has loaded by now lives until exit: no collection, the one at
+        # shutdown included, walks it again
+        gc.freeze()
     started = time.perf_counter()
     result = call()
     report["wall_seconds"] = time.perf_counter() - started
@@ -297,7 +319,7 @@ def _report(args, argv: list[str]) -> dict:
         report["scores_path"] = args.scores
     else:
         report["scores"] = [
-            {"node_id": int(nid), "score": float(val)} for nid, val in zip(graph.node_ids, scores.values)
+            {"node_id": int(nid), "score": float(val)} for nid, val in zip(graph.node_ids, scores.scores)
         ]
     return report
 
@@ -311,11 +333,14 @@ def _emit(args, report: dict) -> None:
         print(text)
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, *, freeze_heap: bool = False) -> int:
+    """Run one command; return its exit code. With ``freeze_heap`` set (by
+    :func:`tempbc.__main__.run` only), a graph command freezes the start-up
+    heap just before its timed call."""
     argv = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(argv)
     try:
-        _emit(args, _report(args, argv))
+        _emit(args, _report(args, argv, freeze_heap))
     except GuardrailError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARDRAIL

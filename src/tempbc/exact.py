@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .graph import TemporalGraph
 from .samplers import Algorithm, ScoreVector, summed_contributions
 from .tbfs import PathOptimality
@@ -64,5 +62,4 @@ def exact_tbc(
             "pass force=True (or --force) to run anyway"
         )
     fractions = exact_tbc_fractions(graph, opt, threads=threads)
-    values = np.array([float(fractions[v]) for v in range(graph.n)], dtype=np.float64)
-    return ScoreVector(opt, values)
+    return ScoreVector(opt, [float(fractions[v]) for v in range(graph.n)])

@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from . import tbfs
 from .bounds import check_bound_inputs, hoeffding_size
 from .graph import TemporalGraph
@@ -292,11 +290,9 @@ def progressive_estimate(
                 reason = StopReason.ITERATION_CAP
                 break
 
-    values = np.array(
-        [state.b1.get(u, 0.0) / done for u in range(graph.n)], dtype=np.float64
-    )
+    scores = [state.b1.get(u, 0.0) / done for u in range(graph.n)]
     report = StopReport(done, iteration, xi, epsilon, reason)
-    return ScoreVector(opt, values, sample_size=done), report
+    return ScoreVector(opt, scores, sample_size=done), report
 
 
 def _sample_chunk(graph, opt, algorithm, seed, lo, hi) -> list[dict[int, float]]:
@@ -360,8 +356,6 @@ def prtb_estimate(
                 break
 
     denom = (graph.n - 1) * r
-    values = np.array(
-        [float(totals.get(v, Fraction(0)) / denom) for v in range(graph.n)], dtype=np.float64
-    )
+    scores = [float(totals.get(v, Fraction(0)) / denom) for v in range(graph.n)]
     report = StopReport(r, r, float(max_total), float(threshold), reason)
-    return ScoreVector(opt, values, sample_size=r), report
+    return ScoreVector(opt, scores, sample_size=r), report

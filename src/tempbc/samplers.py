@@ -21,6 +21,10 @@ about four chunks per worker. The fixed-sample estimators sum contributions
 per chunk and fold the chunk sums exactly, so where the chunks are cut does
 not matter. Each keeps its own normalisation:
 rtb divides by r(n-1), ob by r, and trk multiplies its integer counts by 1/r.
+
+The module imports numpy only where a sample is drawn (:mod:`tempbc.rng`)
+and where a score vector's array is first read, so exact's census, whose
+samples are fixed and whose scores stay Python floats, never loads it.
 """
 
 from __future__ import annotations
@@ -30,15 +34,15 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, TextIO
 
 from . import tbfs
 from .graph import TemporalGraph
 from .parallel import run_chunks
-from .rng import draw_pair, draw_source, randbelow, substream
 from .tbfs import Appearance, PathOptimality, TbfsResult, full_tbfs, pair_searches
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Algorithm",
@@ -62,17 +66,25 @@ class Algorithm(str, Enum):
 class ScoreVector:
     """Per-node scores in [0, 1], indexed by compact node id.
 
+    ``scores`` holds the Python floats the estimator computed; ``values``
+    presents them as a float64 array, built on first read and cached.
     ``sample_size`` is set by the sampling estimators and absent for exact
     computation. ``optimality`` may be None for vectors read back from CSV.
     """
 
     optimality: PathOptimality | None
-    values: np.ndarray
+    scores: list[float]
     sample_size: int | None = None
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.scores, dtype=np.float64)
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return len(self.scores)
 
     def write_csv(self, destination: TextIO | str | Path, node_ids=None) -> None:
         if isinstance(destination, (str, Path)):
@@ -81,7 +93,7 @@ class ScoreVector:
             return
         ids = node_ids if node_ids is not None else range(self.n)
         destination.write("node_id,score\n")
-        for nid, val in zip(ids, self.values):
+        for nid, val in zip(ids, self.scores):
             destination.write(f"{nid},{val:.17g}\n")
 
     @classmethod
@@ -102,7 +114,7 @@ class ScoreVector:
             nid, _, val = line.partition(",")
             ids.append(int(nid))
             vals.append(float(val))
-        return cls(optimality, np.array(vals, dtype=np.float64)), ids
+        return cls(optimality, vals), ids
 
 
 @dataclass(frozen=True)
@@ -135,6 +147,9 @@ def chunk_contributions(
     pair. The searches run as the contributions are read.
     """
     samples = range(lo, hi)
+    if fixed is None or algorithm is Algorithm.TRK:
+        # numpy loads with the first draw; a census of fixed sources never draws
+        from .rng import draw_pair, draw_source, substream
     if algorithm is Algorithm.RTB:
         if fixed is None:
             sources = [draw_source(substream(seed, i), graph.n) for i in samples]
@@ -212,8 +227,8 @@ def rtb_estimate(
     _require_sampling_pre(graph, r, sources, "source")
     total = summed_contributions(graph, opt, Algorithm.RTB, seed, sources, r, threads)
     denom = r * (graph.n - 1)
-    values = np.array([float(total.get(v, 0) / denom) for v in range(graph.n)], dtype=np.float64)
-    return ScoreVector(opt, values, sample_size=r)
+    scores = [float(total.get(v, 0) / denom) for v in range(graph.n)]
+    return ScoreVector(opt, scores, sample_size=r)
 
 
 def ob_estimate(
@@ -229,8 +244,8 @@ def ob_estimate(
     each node's optimal-path fraction; unconnected pairs contribute zero."""
     _require_sampling_pre(graph, r, pairs, "pair")
     total = summed_contributions(graph, opt, Algorithm.OB, seed, pairs, r, threads)
-    values = np.array([float(total.get(v, 0) / r) for v in range(graph.n)], dtype=np.float64)
-    return ScoreVector(opt, values, sample_size=r)
+    scores = [float(total.get(v, 0) / r) for v in range(graph.n)]
+    return ScoreVector(opt, scores, sample_size=r)
 
 
 def sample_optimal_path(tbfs: TbfsResult, rng: np.random.Generator) -> SampledPath:
@@ -264,6 +279,8 @@ def sample_optimal_path(tbfs: TbfsResult, rng: np.random.Generator) -> SampledPa
 def _weighted_index(rng: np.random.Generator, weights: list[int]) -> int:
     if len(weights) == 1:
         return 0
+    from .rng import randbelow
+
     pick = randbelow(rng, sum(weights))
     acc = 0
     for i, w in enumerate(weights):
@@ -286,6 +303,6 @@ def trk_estimate(
     of its internal nodes."""
     _require_sampling_pre(graph, r, pairs, "pair")
     total = summed_contributions(graph, opt, Algorithm.TRK, seed, pairs, r, threads)
-    counts = np.array([total.get(v, 0) for v in range(graph.n)], dtype=np.int64)
-    values = counts.astype(np.float64) * (1.0 / r)
-    return ScoreVector(opt, values, sample_size=r)
+    scale = 1.0 / r
+    scores = [float(total.get(v, 0)) * scale for v in range(graph.n)]
+    return ScoreVector(opt, scores, sample_size=r)

@@ -36,7 +36,9 @@ only when the pair is searched. Bit k enters at the pair's deadline: past
 every label for sh, at z's earliest arrival for sfm. An sfm group first
 finds those arrivals in one forward sweep: an ascending pass with bit k set
 once pair k's source has arrived at the node, which stops once every pair
-has arrived.
+has arrived. The backward sweep's gains are decoded with numpy, which only
+the two functions of that sweep import: full searches and the pfm sweep run
+on Python ints alone, so an exact run never loads numpy.
 
 Every sweep unpacks the plain ``(time, src, dst)`` rows of
 ``graph.edges_by_time`` from s's first departure on (a group sweep from its
@@ -83,10 +85,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graph import TemporalGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PathOptimality",
@@ -561,6 +565,8 @@ def _group_latest_departure(graph: TemporalGraph, group, deadlines) -> tuple[np.
     descending label order, for :func:`_pair_latest_departure`; None when
     no pair has a deadline.
     """
+    import numpy as np
+
     entering: dict[int, list[int]] = {}  # deadline -> the pairs whose bit enters there
     for k, d in enumerate(deadlines):
         if d is not None:
@@ -606,6 +612,8 @@ def _pair_latest_departure(graph: TemporalGraph, gains, k: int, z: int) -> list[
     the largest label at which it can leave and still reach z by the pair's
     deadline (0 where it cannot, ``graph.T + 1`` at z), exact at every label
     from the pair's source's first departure on."""
+    import numpy as np
+
     # a node gains each bit once, so no node is written twice
     labels, nodes, bits = gains
     has = np.flatnonzero(bits & np.uint64(1 << k))

@@ -321,6 +321,7 @@ def test_progressive_refuses_flags_its_algorithm_ignores(g1_path, capsys, algo, 
         (["fixed", "--algo", "ob", "--bound", "vc", "--vd", "1"], "vertex diameter must be >= 2"),
         (["fixed", "--algo", "ob", "--bound", "hoeffding", "--epsilon", "0"], "epsilon must be in (0, 1)"),
         (["fixed", "--algo", "ob", "--bound", "vc", "--delta", "1.5"], "delta must be in (0, 1)"),
+        (["exact", "--work-limit", "-5"], "--work-limit must be >= 0"),
     ],
     ids=[
         "samples-and-bound", "vd-without-vc", "zero-samples", "no-sample-size",
@@ -328,7 +329,7 @@ def test_progressive_refuses_flags_its_algorithm_ignores(g1_path, capsys, algo, 
         "diameter-zero-samples", "diameter-tau", "diameter-epsilon",
         "diameter-samples-and-epsilon", "ob-zero-cap",
         "prtb-zero-cap", "ob-epsilon", "trk-delta", "trk-alpha", "prtb-c", "vd-below-2",
-        "hoeffding-epsilon", "vc-delta",
+        "hoeffding-epsilon", "vc-delta", "negative-work-limit",
     ],
 )
 def test_flag_errors_come_before_the_graph_is_read(tmp_path, capsys, monkeypatch, argv, message):
@@ -343,6 +344,20 @@ def test_flag_errors_come_before_the_graph_is_read(tmp_path, capsys, monkeypatch
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--scores", "--out"])
+def test_a_missing_output_directory_fails_before_the_graph_is_read(tmp_path, capsys, monkeypatch, flag):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the graph was read before the output paths were checked")
+
+    monkeypatch.setattr(tempbc.cli, "read_edge_list", no_read)
+    path = tmp_path / "missing" / "out.txt"
+    code = main(["exact", str(tmp_path / "g1.txt"), flag, str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert str(path) in captured.err
 
 
 def test_fixed_samples_leave_epsilon_unchecked(g1_path, capsys):
@@ -523,12 +538,18 @@ def test_only_the_process_entry_point_freezes_the_heap(g1_path, capsys, monkeypa
     capsys.readouterr()
     assert gc.get_freeze_count() == frozen
 
+    # run() freezes once, after the command's imports, just before its call
     calls = []
+    exact_tbc = tempbc.cli.exact_tbc
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-    monkeypatch.setattr(tempbc.cli, "main", lambda: calls.append("main") or 0)
+    monkeypatch.setattr(tempbc.cli, "exact_tbc", lambda *a, **k: calls.append("call") or exact_tbc(*a, **k))
+    monkeypatch.setattr(sys, "argv", ["tempbc", "exact", str(g1_path), "--threads", "1"])
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # restored after the test
     assert tempbc.__main__.run() == 0
-    assert calls == ["freeze", "main"]
+    assert calls == ["freeze", "call"]
+    assert main(["exact", str(g1_path), "--threads", "1"]) == 0
+    capsys.readouterr()
+    assert calls == ["freeze", "call", "call"]
 
 
 def test_default_threads_follows_cpu_affinity(monkeypatch):
