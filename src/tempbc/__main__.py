@@ -14,9 +14,10 @@ def run() -> int:
     numpy's OpenBLAS starts a thread pool when numpy is imported, and tempbc
     never calls BLAS, so the pool only costs CPU. ``OPENBLAS_NUM_THREADS`` is
     therefore set to 1, unless the user set it, before any command imports
-    numpy (``exact`` never does; every sampling command does before its
-    timed call). The run also asks the CLI to freeze the start-up heap (the
-    modules the command loaded, numpy among them, and the graph), which
+    numpy (only ``compare`` and ``diameter --no-replace`` do; ``exact``,
+    ``fixed``, ``progressive`` and ``diameter`` draw and compute without
+    it). The run also asks the CLI to freeze the start-up heap (the
+    modules the command loaded and the graph), which
     lives until exit, just before the timed call: no collection walks it
     again, the final one at interpreter shutdown included. ``cli.main``
     called as a library function leaves the caller's environment and

@@ -10,10 +10,12 @@ when no path is given.
 
 A command imports the modules that only it uses (``progressive``,
 ``distances``, ``evaluation``) when it runs, so no command pays for
-another's imports. ``exact`` computes in Python ints and fractions and never
-loads numpy; every sampling command loads it (through ``rng``) before the
-timed call. The process pool's modules load before the timed call too, and
-only when the run may use more than one worker. In a process started by
+another's imports. ``exact``, ``fixed``, ``progressive`` and ``diameter``
+compute in Python ints, floats and fractions and draw from the pure-Python
+streams of ``rng``, so they never load numpy; ``compare`` does, and so does
+``diameter --no-replace``, before its timed call. The process pool's modules
+load before the timed call too, and only when the run may use more than one
+worker. In a process started by
 :func:`tempbc.__main__.run`, the start-up heap is frozen right before the
 timed call, when every module the command needs has loaded.
 
@@ -208,8 +210,6 @@ _FIXED_ESTIMATORS = {Algorithm.RTB: rtb_estimate, Algorithm.OB: ob_estimate, Alg
 
 
 def _fixed(args, graph: TemporalGraph):
-    from . import rng  # noqa: F401  numpy loads here, outside the timed call
-
     params = _fixed_sample_size(args, graph)
     params.update(seed=args.seed, threads=args.threads)
     estimator = _FIXED_ESTIMATORS[Algorithm(args.algo)]
@@ -248,6 +248,9 @@ def _diameter(args, graph: TemporalGraph):
     else:
         s = recommended_sample_size(sampled_n(graph), args.epsilon)
     params = {"samples": s, "tau": args.tau, "seed": args.seed, "threads": args.threads}
+    if args.no_replace:
+        import numpy  # noqa: F401  draws the distinct sources; loads outside the timed call
+
     return params, partial(
         estimate_distances, graph, s, args.tau, args.seed,
         replace=not args.no_replace, threads=args.threads,
@@ -308,7 +311,7 @@ def _report(args, argv: list[str], freeze_heap: bool) -> dict:
     if hasattr(args, "opt"):
         report["optimality"] = args.opt
     if args.command == "diameter":
-        report["summary"] = {**asdict(result), "reach_profile": result.reach_profile.tolist()}
+        report["summary"] = asdict(result)
         return report
     scores = result
     if isinstance(result, tuple):  # progressive runs also say why they stopped

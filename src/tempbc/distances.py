@@ -17,11 +17,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import TemporalGraph
 from .parallel import run_chunks
-from .rng import substream
+from .rng import _MASK64, substream
 
 __all__ = ["DistanceSummary", "estimate_distances", "recommended_sample_size"]
 
@@ -41,7 +39,7 @@ class DistanceSummary:
     tau: float
     connectivity_rate: float
     avg_distance: float
-    reach_profile: np.ndarray
+    reach_profile: list[float]
     sample_size: int
     has_paths: bool
 
@@ -117,14 +115,18 @@ def estimate_distances(
         raise ValueError("tau must be in (0, 1]")
     n = graph.n
     if n == 0:
-        return DistanceSummary(0, 0, tau, 0.0, 0.0, np.zeros(1), 0, False)
+        return DistanceSummary(0, 0, tau, 0.0, 0.0, [0.0], 0, False)
 
     if sample_size >= n:
         sources = list(range(n))
     elif replace:
         sources = [int(substream(seed, i).integers(n)) for i in range(sample_size)]
     else:
-        sources = [int(v) for v in substream(seed, 0).choice(n, size=sample_size, replace=False)]
+        import numpy as np  # the one draw that needs numpy: Generator.choice
+
+        key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        sources = [int(v) for v in rng.choice(n, size=sample_size, replace=False)]
     s_used = len(sources)
 
     dd: dict[int, int] = {}
@@ -135,26 +137,29 @@ def estimate_distances(
 
     max_distance = max(dd) if dd else 0
     # cumulative settle counts, self-settles (hop 0, one per source) removed
-    profile = np.zeros(max_distance + 1, dtype=np.float64)
+    profile = []
     acc = 0
     for h in range(max_distance + 1):
         acc += dd.get(h, 0)
-        profile[h] = (n / s_used) * (acc - s_used)
+        profile.append((n / s_used) * (acc - s_used))
 
     denom = profile[max_distance]
     if denom <= 0:
         return DistanceSummary(0, 0, tau, 0.0, 0.0, profile[:1], s_used, False)
 
     zeta = denom / (n * (n - 1))
-    avg = float(
-        sum((profile[h] - profile[h - 1]) * h for h in range(1, max_distance + 1)) / denom
-    )
+    # a plain left-to-right sum: from Python 3.12 on, sum() of floats is
+    # compensated and may round differently
+    avg = 0.0
+    for h in range(1, max_distance + 1):
+        avg += (profile[h] - profile[h - 1]) * h
+    avg /= denom
     d_tau = next(h for h in range(max_distance + 1) if profile[h] / denom >= tau)
     return DistanceSummary(
         diameter=max_distance,
         effective_diameter=d_tau,
         tau=tau,
-        connectivity_rate=float(zeta),
+        connectivity_rate=zeta,
         avg_distance=avg,
         reach_profile=profile,
         sample_size=s_used,

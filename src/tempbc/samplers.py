@@ -22,9 +22,8 @@ per chunk and fold the chunk sums exactly, so where the chunks are cut does
 not matter. Each keeps its own normalisation:
 rtb divides by r(n-1), ob by r, and trk multiplies its integer counts by 1/r.
 
-The module imports numpy only where a sample is drawn (:mod:`tempbc.rng`)
-and where a score vector's array is first read, so exact's census, whose
-samples are fixed and whose scores stay Python floats, never loads it.
+Samples are drawn in pure Python (:mod:`tempbc.rng`), so the module
+imports numpy only where a score vector's array is first read.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from typing import TYPE_CHECKING, TextIO
 from . import tbfs
 from .graph import TemporalGraph
 from .parallel import run_chunks
+from .rng import Substream, draw_pair, draw_source, randbelow, substream
 from .tbfs import Appearance, PathOptimality, TbfsResult, full_tbfs, pair_searches
 
 if TYPE_CHECKING:
@@ -147,9 +147,6 @@ def chunk_contributions(
     pair. The searches run as the contributions are read.
     """
     samples = range(lo, hi)
-    if fixed is None or algorithm is Algorithm.TRK:
-        # numpy loads with the first draw; a census of fixed sources never draws
-        from .rng import draw_pair, draw_source, substream
     if algorithm is Algorithm.RTB:
         if fixed is None:
             sources = [draw_source(substream(seed, i), graph.n) for i in samples]
@@ -248,7 +245,7 @@ def ob_estimate(
     return ScoreVector(opt, scores, sample_size=r)
 
 
-def sample_optimal_path(tbfs: TbfsResult, rng: np.random.Generator) -> SampledPath:
+def sample_optimal_path(tbfs: TbfsResult, rng: Substream) -> SampledPath:
     """Draw one optimal path uniformly from a single-destination TBFS result.
 
     Picks a target appearance with probability proportional to its path count,
@@ -276,11 +273,9 @@ def sample_optimal_path(tbfs: TbfsResult, rng: np.random.Generator) -> SampledPa
     return SampledPath((tbfs.source, z), tuple(divmod(key, base) for key in reversed(reversed_keys)))
 
 
-def _weighted_index(rng: np.random.Generator, weights: list[int]) -> int:
+def _weighted_index(rng: Substream, weights: list[int]) -> int:
     if len(weights) == 1:
         return 0
-    from .rng import randbelow
-
     pick = randbelow(rng, sum(weights))
     acc = 0
     for i, w in enumerate(weights):

@@ -36,9 +36,9 @@ only when the pair is searched. Bit k enters at the pair's deadline: past
 every label for sh, at z's earliest arrival for sfm. An sfm group first
 finds those arrivals in one forward sweep: an ascending pass with bit k set
 once pair k's source has arrived at the node, which stops once every pair
-has arrived. The backward sweep's gains are decoded with numpy, which only
-the two functions of that sweep import: full searches and the pfm sweep run
-on Python ints alone, so an exact run never loads numpy.
+has arrived. The backward sweep logs each node's gains, and a search
+decodes its pair's label at a node only when it reads that node. Every
+search and sweep runs on Python ints alone; the module imports no numpy.
 
 Every sweep unpacks the plain ``(time, src, dst)`` rows of
 ``graph.edges_by_time`` from s's first departure on (a group sweep from its
@@ -85,12 +85,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING
 
 from .graph import TemporalGraph
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "PathOptimality",
@@ -104,8 +100,7 @@ __all__ = [
 
 Appearance = tuple[int, int]
 
-# pairs per shared sweep: pair k of a group is bit k of a node's mask, and
-# the backward sweep's masks are decoded as uint64 words
+# pairs per shared sweep: pair k of a group is bit k of a node's mask
 GROUP_WIDTH = 64
 
 
@@ -314,7 +309,7 @@ def _tbfs(
     s: int,
     z: int | None,
     opt: PathOptimality,
-    latest: list[int] | None = None,
+    latest: _LatestDeparture | None = None,
 ) -> TbfsResult:
     """The search behind every entry point; ``z=None`` means every destination.
 
@@ -361,7 +356,7 @@ def _shortest_bfs(
     s: int,
     *,
     stop_node: int | None = None,
-    latest: list[int] | None = None,
+    latest: _LatestDeparture | None = None,
 ):
     """Hop-layered BFS over vertex appearances from the sentinel (s, 0).
 
@@ -425,6 +420,11 @@ def _shortest_bfs(
     into_z = {} if latest is None else {
         u: t for t, u, _ in graph._rows_into(stop_node) if latest[u] >= t
     }
+    if latest is not None:
+        # the row loop reads ``labels`` inline and decodes a node on its
+        # first read; every frontier node has been read, s before the
+        # search and any other when its appearance was created
+        labels, node_gains, bit = latest.labels, latest.gains, latest.bit
     last = False  # expanding z's layer
 
     frontier = [src]
@@ -443,7 +443,7 @@ def _shortest_bfs(
             v, t = divmod(vk, base)
             times = out_times[v]
             lo = bisect_right(times, t)
-            hi = None if latest is None else bisect_right(times, into_z[v] if last else latest[v], lo)
+            hi = None if latest is None else bisect_right(times, into_z[v] if last else labels[v], lo)
             if members is None:
                 pk, sigma_v = vk, sigma[vk]
             else:
@@ -462,10 +462,17 @@ def _shortest_bfs(
             for key in out_keys[v][lo:hi]:
                 h = hops.get(key)
                 if h is None:
-                    if latest is not None:
+                    if last:
+                        # z's layer creates z's appearances alone, and z is
+                        # always live
+                        if key // base != stop_node:
+                            continue
+                    elif latest is not None:
                         w, t2 = divmod(key, base)
-                        # z is always live; its layer creates nothing else
-                        if latest[w] <= t2 or last and w != stop_node:
+                        lw = labels[w]
+                        if lw < 0:
+                            lw = labels[w] = _decode_label(node_gains[w], bit)
+                        if lw <= t2:
                             continue
                     hops[key] = layer
                     sigma[key] = sigma_v
@@ -546,7 +553,7 @@ def _group_foremost_arrival(graph: TemporalGraph, group) -> list[int | None]:
     return arrivals
 
 
-def _group_latest_departure(graph: TemporalGraph, group, deadlines) -> tuple[np.ndarray, ...] | None:
+def _group_latest_departure(graph: TemporalGraph, group, deadlines) -> list[list[int]] | None:
     """One descending sweep for a group of up to ``GROUP_WIDTH`` pairs.
 
     Keeps per node v an int mask whose bit k is set once v can leave at the
@@ -561,12 +568,11 @@ def _group_latest_departure(graph: TemporalGraph, group, deadlines) -> tuple[np.
     The rows run from the earliest first departure of a source with a
     deadline up to the largest deadline, in segments between distinct
     deadlines; bits enter at their segment's top, so the row loop tests no
-    deadline. Returns the gains as arrays ``(labels, nodes, bits)`` in
-    descending label order, for :func:`_pair_latest_departure`; None when
-    no pair has a deadline.
+    deadline. Returns per node its gains in descending label order, as one
+    flat list ``[label, bits, label, bits, ...]`` (ints alone, which the
+    garbage collector does not track), for :func:`_pair_latest_departure`;
+    None when no pair has a deadline.
     """
-    import numpy as np
-
     entering: dict[int, list[int]] = {}  # deadline -> the pairs whose bit enters there
     for k, d in enumerate(deadlines):
         if d is not None:
@@ -580,9 +586,7 @@ def _group_latest_departure(graph: TemporalGraph, group, deadlines) -> tuple[np.
     mask = [0] * graph.n
     before = [0] * graph.n  # a node's mask before the label it last gained at
     gained_at = [-1] * graph.n
-    labels: list[int] = []
-    nodes: list[int] = []
-    bits: list[int] = []
+    gains: list[list[int]] = [[] for _ in range(graph.n)]
     for top, hi, lo in zip(tops, cuts, cuts[1:]):
         # no row at label top has run yet, so each one reads the new bits
         for k in entering[top]:
@@ -597,30 +601,50 @@ def _group_latest_departure(graph: TemporalGraph, group, deadlines) -> tuple[np.
                         before[u] = mu
                         gained_at[u] = t
                     mask[u] = mu | gain
-                    labels.append(t)
-                    nodes.append(u)
-                    bits.append(gain)
-    return (
-        np.array(labels, dtype=np.int64),
-        np.array(nodes, dtype=np.int64),
-        np.array(bits, dtype=np.uint64),
-    )
+                    gains[u] += t, gain
+    return gains
 
 
-def _pair_latest_departure(graph: TemporalGraph, gains, k: int, z: int) -> list[int]:
+class _LatestDeparture:
+    """One pair's latest departure per node (see :func:`_pair_latest_departure`),
+    decoded from its group's gains when first read. ``labels[w]`` is -1
+    until node w is decoded; the search reads ``labels`` directly, since a
+    list read inline costs it less than a mapping whose ``__missing__``
+    decodes."""
+
+    __slots__ = ("labels", "gains", "bit")
+
+    def __init__(self, gains: list[list[int]], bit: int):
+        self.labels = [-1] * len(gains)
+        self.gains = gains
+        self.bit = bit
+
+    def __getitem__(self, w: int) -> int:
+        label = self.labels[w]
+        if label < 0:
+            label = self.labels[w] = _decode_label(self.gains[w], self.bit)
+        return label
+
+
+def _decode_label(entries: list[int], bit: int) -> int:
+    """The label of the node's gain entry that holds ``bit`` (a node gains
+    each bit once), 0 when none does."""
+    i, end = 1, len(entries)
+    while i < end:
+        if entries[i] & bit:
+            return entries[i - 1]
+        i += 2
+    return 0
+
+
+def _pair_latest_departure(graph: TemporalGraph, gains, k: int, z: int) -> _LatestDeparture:
     """Pair k's latest departures, decoded from its group's sweep: per node,
     the largest label at which it can leave and still reach z by the pair's
     deadline (0 where it cannot, ``graph.T + 1`` at z), exact at every label
-    from the pair's source's first departure on."""
-    import numpy as np
-
-    # a node gains each bit once, so no node is written twice
-    labels, nodes, bits = gains
-    has = np.flatnonzero(bits & np.uint64(1 << k))
-    latest = np.zeros(graph.n, dtype=np.int64)
-    latest[nodes[has]] = labels[has]
-    latest = latest.tolist()
-    latest[z] = graph.T + 1
+    from the pair's source's first departure on. Each node is decoded when
+    it is first read."""
+    latest = _LatestDeparture(gains, 1 << k)
+    latest.labels[z] = graph.T + 1
     return latest
 
 

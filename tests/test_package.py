@@ -118,21 +118,58 @@ def test_each_command_imports_only_what_it_uses(tmp_path, argv, unused):
     assert not pool
 
 
-@pytest.mark.parametrize("opt", ["sh", "pfm"])
-def test_exact_imports_no_numpy_in_the_process_or_its_workers(tmp_path, opt):
-    # forked workers log their own imports to the same stderr
+def _imports_of(tmp_path, argv) -> list[str]:
+    """The modules that ``python -m tempbc`` imports on g1 for ``argv``, in
+    its process and in the workers it forks, which log their own imports to
+    the same stderr."""
     graph = tmp_path / "g1.txt"
     graph.write_text(G1_TEXT)
-    proc = _interpreter("-X", "importtime", "-m", "tempbc", "exact", str(graph),
-                        "--opt", opt, "--threads", "2")
-    imported = [line.rsplit("|", 1)[-1].strip()
-                for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    command, *options = argv
+    proc = _interpreter("-X", "importtime", "-m", "tempbc", command, str(graph), *options)
+    return [line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")]
+
+
+@pytest.mark.parametrize("opt", ["sh", "pfm"])
+def test_exact_imports_no_numpy_in_the_process_or_its_workers(tmp_path, opt):
+    imported = _imports_of(tmp_path, ["exact", "--opt", opt, "--threads", "2"])
     assert "tempbc.exact" in imported
     assert [m for m in imported if m.split(".")[0] == "numpy"] == []
 
 
-# run() on a command whose timed call first reports whether numpy has loaded
-# and is frozen: vars(numpy) is then absent from the collector's generations
+# prtb runs serially and takes no --threads; 20 samples at two workers are
+# two chunks of pair work
+_SAMPLING = {
+    "fixed-ob-sh": ["fixed", "--algo", "ob", "--opt", "sh", "--samples", "20", "--threads", "2"],
+    "fixed-ob-sfm": ["fixed", "--algo", "ob", "--opt", "sfm", "--samples", "20", "--threads", "2"],
+    "fixed-trk-sh": ["fixed", "--algo", "trk", "--opt", "sh", "--samples", "20", "--threads", "2"],
+    "fixed-trk-sfm": ["fixed", "--algo", "trk", "--opt", "sfm", "--samples", "20", "--threads", "2"],
+    "fixed-ob-vc": ["fixed", "--algo", "ob", "--bound", "vc", "--epsilon", "0.3", "--threads", "2"],
+    "fixed-ob-hoeffding": ["fixed", "--algo", "ob", "--bound", "hoeffding", "--epsilon", "0.3",
+                           "--threads", "2"],
+    "progressive-ob": ["progressive", "--algo", "ob", "--epsilon", "0.3", "--threads", "2"],
+    "progressive-trk": ["progressive", "--algo", "trk", "--epsilon", "0.3", "--threads", "2"],
+    "progressive-prtb": ["progressive", "--algo", "prtb", "--max-samples", "40"],
+    "diameter": ["diameter", "--samples", "4", "--threads", "2"],
+}
+
+
+_COMMAND_MODULE = {"fixed": "tempbc.samplers", "progressive": "tempbc.progressive",
+                   "diameter": "tempbc.distances"}
+
+
+@pytest.mark.parametrize("name", _SAMPLING)
+def test_sampling_commands_import_no_numpy_in_the_process_or_its_workers(tmp_path, name):
+    argv = _SAMPLING[name]
+    imported = _imports_of(tmp_path, argv)
+    assert {"tempbc.rng", _COMMAND_MODULE[argv[0]]} <= set(imported)
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+
+# a command whose timed call first reports whether numpy has loaded and
+# whether the collector still tracks the loaded graph: after gc.freeze() it
+# is absent from the collector's generations. The first argument picks the
+# entry point: run() freezes the heap, cli.main() called directly does not.
 _AT_THE_CALL = """
 import contextlib, gc, io, json, sys
 from tempbc import __main__, cli
@@ -143,18 +180,25 @@ def checked(derive):
     def wrapped(args, graph):
         params, call = derive(args, graph)
         def check_then_call():
-            numpy = sys.modules.get("numpy")
-            seen.append(numpy is not None and all(o is not vars(numpy) for o in gc.get_objects()))
+            seen.append(["numpy" in sys.modules, any(o is graph for o in gc.get_objects())])
             return call()
         return params, check_then_call
     return wrapped
 
 for name, derive in list(cli._COMMANDS.items()):
     cli._COMMANDS[name] = checked(derive)
+entry = sys.argv.pop(1)
 with contextlib.redirect_stdout(io.StringIO()):
-    code = __main__.run()
+    code = __main__.run() if entry == "run" else cli.main(sys.argv[1:])
 print(json.dumps([code, seen]))
 """
+
+
+def _at_the_call(tmp_path, entry, argv):
+    graph = tmp_path / "g1.txt"
+    graph.write_text(G1_TEXT)
+    command, *options = argv
+    return json.loads(_python(_AT_THE_CALL, entry, command, str(graph), *options))
 
 
 @pytest.mark.parametrize("argv", [
@@ -167,11 +211,46 @@ print(json.dumps([code, seen]))
     ["diameter", "--samples", "4", "--threads", "1"],
 ], ids=["fixed-trk", "fixed-ob-vc", "fixed-ob-hoeffding", "progressive-ob", "progressive-trk",
         "progressive-prtb", "diameter"])
-def test_sampling_commands_load_and_freeze_numpy_before_the_timed_call(tmp_path, argv):
-    graph = tmp_path / "g1.txt"
-    graph.write_text(G1_TEXT)
-    command, *options = argv
-    assert json.loads(_python(_AT_THE_CALL, command, str(graph), *options)) == [0, [True]]
+def test_sampling_commands_freeze_the_heap_before_the_timed_call(tmp_path, argv):
+    assert _at_the_call(tmp_path, "run", argv) == [0, [[False, False]]]
+
+
+def test_only_run_freezes_the_heap_and_no_replace_loads_numpy_before_its_call(tmp_path):
+    argv = ["fixed", "--algo", "trk", "--samples", "20", "--seed", "1", "--threads", "1"]
+    assert _at_the_call(tmp_path, "main", argv) == [0, [[False, True]]]
+    argv = ["diameter", "--samples", "4", "--no-replace", "--threads", "1"]
+    assert _at_the_call(tmp_path, "run", argv) == [0, [[True, False]]]
+
+
+# a graph of 200 arithmetic rows on up to 31 nodes, and the outputs of the
+# two commands that still load numpy, pinned from numpy's own Philox stream
+_ARITH_TEXT = "".join(f"{(7 * i) % 31} {(11 * i + 3) % 29} {i % 17 + 1}\n" for i in range(200))
+_NO_REPLACE_SUMMARY = {
+    "avg_distance": 2.3071161048689137, "connectivity_rate": 0.89, "diameter": 7,
+    "effective_diameter": 4, "has_paths": True, "sample_size": 10, "tau": 0.9,
+    "reach_profile": [0.0, 189.1, 520.8000000000001, 740.9, 793.6, 815.3000000000001, 824.6, 827.7],
+}
+_COMPARE_EVALUATION = {
+    "k": 5, "mse": 0.0005112107225140723, "sup_deviation": 0.06072196620583717,
+    "topk_intersection": 2, "weighted_kendall": 0.27627346513213497,
+}
+
+
+def test_no_replace_and_compare_match_pinned_output(tmp_path):
+    graph = tmp_path / "arith.txt"
+    graph.write_text(_ARITH_TEXT)
+    exact, ob = tmp_path / "exact.csv", tmp_path / "ob.csv"
+
+    def report(*argv):
+        return json.loads(_interpreter("-m", "tempbc", *argv).stdout)
+
+    summary = report("diameter", str(graph), "--samples", "10", "--no-replace", "--seed", "3",
+                     "--threads", "2")["summary"]
+    assert summary == _NO_REPLACE_SUMMARY
+    report("exact", str(graph), "--scores", str(exact), "--threads", "1")
+    report("fixed", str(graph), "--algo", "ob", "--samples", "50", "--seed", "2", "--scores", str(ob),
+           "--threads", "1")
+    assert report("compare", str(exact), str(ob), "--k", "5")["evaluation"] == _COMPARE_EVALUATION
 
 
 def test_score_vector_values_is_one_cached_float64_array():

@@ -193,7 +193,7 @@ def test_progressive_stream_does_not_depend_on_chunk_boundaries(monkeypatch, gra
 def test_distance_histogram_does_not_depend_on_chunk_boundaries(monkeypatch, graph):
     def run():
         summary = estimate_distances(graph, 40, 0.9, 5, threads=1)
-        return summary.reach_profile.tobytes(), summary.diameter, summary.avg_distance
+        return [value.hex() for value in summary.reach_profile], summary.diameter, summary.avg_distance
 
     runs, _ = _under_each_chunking(monkeypatch, run)
     assert runs[0] == runs[1] == runs[2]

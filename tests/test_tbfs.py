@@ -608,11 +608,12 @@ def test_disconnected_pair_returns_only_the_sentinel(ties):
 
 
 def _check_handed_latest(graph, groups, monkeypatch, opts=(SH, SFM)):
-    """The latest-departure lists that ``pair_searches`` hands to ``_tbfs``
-    for each pair of each group, against the fixpoint: for sh every label
-    counts, for sfm only labels up to z's earliest arrival, and that label
-    only into z. A list is compared from its source's first departure on,
-    the only labels the search reads. A pair with no path gets none."""
+    """The latest-departure maps that ``pair_searches`` hands to ``_tbfs``
+    for each pair of each group, read at every node, against the fixpoint:
+    for sh every label counts, for sfm only labels up to z's earliest
+    arrival, and that label only into z. A map is compared from its
+    source's first departure on, the only labels the search reads. A pair
+    with no path gets none."""
     handed = []
     search = tbfs_module._tbfs
 
@@ -638,7 +639,8 @@ def _check_handed_latest(graph, groups, monkeypatch, opts=(SH, SFM)):
                     reference[z, deadline] = latest_departure_reference(graph, z, deadline)
                 cut = graph._out_times[s][0]
                 expected = [t if t >= cut else 0 for t in reference[z, deadline]]
-                assert [t if t >= cut else 0 for t in latest] == expected, (opt, len(group), k, s, z)
+                got = [latest[v] for v in range(graph.n)]
+                assert [t if t >= cut else 0 for t in got] == expected, (opt, len(group), k, s, z)
 
 
 def _pair_groups(graph):
