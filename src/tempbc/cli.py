@@ -13,11 +13,12 @@ A command imports the modules that only it uses (``progressive``,
 another's imports. ``exact``, ``fixed``, ``progressive`` and ``diameter``
 compute in Python ints, floats and fractions and draw from the pure-Python
 streams of ``rng``, so they never load numpy; ``compare`` does, and so does
-``diameter --no-replace``, before its timed call. The process pool's modules
-load before the timed call too, and only when the run may use more than one
-worker. In a process started by
-:func:`tempbc.__main__.run`, the start-up heap is frozen right before the
-timed call, when every module the command needs has loaded.
+``diameter --no-replace``, before its timed call. A run on more than one
+worker forks its workers inside the timed call (see :mod:`tempbc.parallel`);
+they inherit every loaded module and the graph, and import nothing of their
+own. In a process started by :func:`tempbc.__main__.run`, the start-up heap
+is frozen right before the timed call, when every module the command needs
+has loaded.
 
 Exit codes: 0 success, 2 validation error, 3 work guardrail, 4 I/O error.
 """
@@ -288,10 +289,6 @@ def _report(args, argv: list[str], freeze_heap: bool) -> dict:
     _check_flags(args)
     graph = read_edge_list(args.graph, directed=not args.undirected, dedupe=args.dedupe)
     report["parameters"], call = _COMMANDS[args.command](args, graph)
-    if min(report["parameters"].get("threads", 1), default_threads()) > 1:
-        # a run that can start a pool loads its modules as start-up, which
-        # wall_seconds leaves out; a serial run (prtb's included) never does
-        import concurrent.futures.process  # noqa: F401
     if freeze_heap:
         # what has loaded by now lives until exit: no collection, the one at
         # shutdown included, walks it again

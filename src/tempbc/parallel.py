@@ -15,33 +15,38 @@ by one of two rules:
   never spans two chunks.
 
 ``threads`` is an upper bound: a run starts no more workers than the CPUs it
-may run on, nor more than it has chunks. Each pool process receives the
-worker once, through the pool initializer, so a task carries only its
-``(lo, hi)`` range.
+may run on, nor more than it has chunks. Workers are forked (``os.fork``), so
+each inherits the worker function and the graph it refers to, and nothing of
+them is pickled: a task is its ``(lo, hi)`` range on the worker's own pipe,
+and a reply is the chunk's pickled result on another. A worker ends as soon
+as the process that forked it closes its worker set or dies. Where the
+platform has no ``os.fork``, every run is serial.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
-from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+import struct
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, TypeVar
 
 __all__ = ["Fanout", "chunk_ranges", "run_chunks", "default_threads"]
 
 # chunks per worker: enough that one slow chunk does not leave a worker idle
 CHUNKS_PER_WORKER = 4
 
-# how often a worker checks that the process that started it is still alive
-PARENT_POLL_SECONDS = 0.5
+# a task is a chunk's (lo, hi); a reply is its pickle's length, then the pickle
+_TASK = struct.Struct("qq")
+_LENGTH = struct.Struct("Q")
 
 T = TypeVar("T")
 
-# the worker function of this pool process, set by the pool initializer
-_installed: Callable | None = None
+# this process's ends of the pipes of every live worker set. Descriptors
+# belong to the process, not to one Fanout: a newly forked worker closes all
+# of them, so that a worker sees end-of-file once the parent closes its ends
+# or dies.
+_PARENT_FDS: set[int] = set()
 
 
 def default_threads() -> int:
@@ -75,57 +80,125 @@ def chunk_ranges(
     return list(zip(bounds, bounds[1:]))
 
 
+@dataclass
+class _Worker:
+    """A forked worker: its pid, the parent's ends of its task and reply
+    pipes, and the chunks sent to it and not yet answered, oldest first."""
+
+    pid: int
+    tasks: int
+    replies: int
+    queued: deque = field(default_factory=deque)
+
+
 class Fanout:
     """Runs ``worker(lo, hi)`` over index ranges on up to ``threads`` workers.
 
-    ``worker`` must be picklable (a module-level function or
-    functools.partial over one). The pool starts at the first call with more
-    than one chunk and serves every later call until the ``with`` block ends.
+    The workers are forked at the first call with more than one chunk and
+    serve every later call until the ``with`` block ends, which ends and
+    reaps them, on the error path too.
     """
 
     def __init__(self, worker: Callable[[int, int], T], threads: int):
         self.worker = worker
         self.workers = max(1, min(threads, default_threads()))
-        self._pool: ProcessPoolExecutor | None = None
+        self._procs: list[_Worker] = []
+        self._lifeline: int | None = None
 
     def __enter__(self) -> "Fanout":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        self._stop()
 
     def map(self, start: int, stop: int, chunk: int | None = None) -> Iterator[T]:
         """Yield worker(lo, hi) per chunk of start..stop-1, in chunk order;
         ``chunk`` as in :func:`chunk_ranges`."""
         ranges = chunk_ranges(stop - start, chunk, self.workers, start)
-        if self.workers == 1 or len(ranges) <= 1:
+        if self.workers == 1 or len(ranges) <= 1 or not hasattr(os, "fork"):
             for lo, hi in ranges:
                 yield self.worker(lo, hi)
             return
-        if self._pool is None:
-            # read as a module attribute, so that tests can substitute the class
-            executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-            # the pool forks all of its workers up front, so start no idle ones
-            self._pool = executor(
-                max_workers=min(self.workers, len(ranges)),
-                initializer=_install,
-                initargs=(os.getpid(), self.worker),
-            )
-        yield from self._pool.map(_run_installed, *zip(*ranges))
+        if not self._procs:
+            # forked workers all start at once, so start no idle ones
+            self._start(min(self.workers, len(ranges)))
+        yield from self._fan(ranges)
 
+    def _start(self, count: int) -> None:
+        """Fork ``count`` workers. Each holds the read end of a lifeline pipe
+        whose write end only this process holds, and ends when it closes."""
+        import pickle  # noqa: F401  loaded once here, not in every worker
 
-def __getattr__(name: str):
-    """``ProcessPoolExecutor``, imported on first use: its modules
-    (``concurrent.futures.process``, ``multiprocessing``) load when the first
-    pool starts, so a serial run never imports them."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
+        lifeline, self._lifeline = os.pipe()
+        _PARENT_FDS.add(self._lifeline)
+        try:
+            for _ in range(count):
+                task_read, task_write = os.pipe()
+                reply_read, reply_write = os.pipe()
+                _PARENT_FDS.update((task_write, reply_read))
+                pid = os.fork()
+                if pid == 0:
+                    _serve(self.worker, task_read, reply_write, lifeline)
+                os.close(task_read)
+                os.close(reply_write)
+                self._procs.append(_Worker(pid, task_write, reply_read))
+        except BaseException:
+            self._stop()
+            raise
+        finally:
+            os.close(lifeline)
 
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
+    def _fan(self, ranges: list[tuple[int, int]]) -> Iterator[T]:
+        """Yield the results of ``ranges`` in order. Chunks are handed out as
+        workers answer, each worker holding the chunk it runs and one more."""
+        import select
+
+        tasks = iter(enumerate(ranges))
+        done: dict[int, T] = {}
+        by_fd = {proc.replies: proc for proc in self._procs}
+        poller = select.poll()
+        for fd in by_fd:
+            poller.register(fd, select.POLLIN)
+
+        def send(proc: _Worker) -> None:
+            item = next(tasks, None)
+            if item is not None:
+                proc.queued.append(item[0])
+                os.write(proc.tasks, _TASK.pack(*item[1]))
+
+        try:
+            for proc in self._procs * 2:
+                send(proc)
+            for i in range(len(ranges)):
+                while i not in done:
+                    for fd, _ in poller.poll():
+                        proc = by_fd[fd]
+                        result = _receive(proc)
+                        done[proc.queued.popleft()] = result
+                        send(proc)
+                yield done.pop(i)
+        except BaseException:
+            # a map that failed or was left early leaves replies in the
+            # pipes that a later map would misread: end these workers
+            self._stop()
+            raise
+
+    def _stop(self) -> None:
+        """Close this process's pipe ends, which ends every worker, idle or
+        in the middle of a chunk, and reap them all."""
+        procs, self._procs = self._procs, []
+        fds = [fd for proc in procs for fd in (proc.tasks, proc.replies)]
+        if self._lifeline is not None:
+            fds.append(self._lifeline)
+            self._lifeline = None
+        for fd in fds:
+            _PARENT_FDS.discard(fd)
+            os.close(fd)
+        for proc in procs:
+            try:
+                os.waitpid(proc.pid, 0)
+            except ChildProcessError:  # reaped already, by _receive
+                pass
 
 
 def run_chunks(
@@ -137,20 +210,74 @@ def run_chunks(
         yield from fan.map(0, total, chunk)
 
 
-def _install(parent: int, worker: Callable) -> None:
-    """Pool initializer: keep ``worker`` for this process's tasks, and end the
-    process once ``parent`` has died, so a killed run does not leave workers
-    computing queued chunks under pid 1."""
-    global _installed
-    _installed = worker
+def _serve(worker: Callable, tasks: int, replies: int, lifeline: int) -> None:
+    """A forked worker's life; it never returns. Run each task read from
+    ``tasks`` and write its reply, ``(None, result)`` or ``(traceback,
+    exception)``, to ``replies`` until ``tasks`` closes. A thread ends the
+    process at once when ``lifeline`` closes."""
+    import _thread
+    import pickle
 
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(PARENT_POLL_SECONDS)
-        os._exit(1)
+    status = 1
+    try:
+        for fd in _PARENT_FDS:
+            os.close(fd)
+        _PARENT_FDS.clear()
+        _thread.start_new_thread(_exit_at_eof, (lifeline,))
+        out = os.fdopen(replies, "wb")
+        while task := os.read(tasks, _TASK.size):
+            try:
+                reply = pickle.dumps((None, worker(*_TASK.unpack(task))), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                reply = _pickled_error(exc)
+            out.write(_LENGTH.pack(len(reply)) + reply)
+            out.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
-    threading.Thread(target=watch, daemon=True).start()
+
+def _exit_at_eof(lifeline: int) -> None:
+    # nothing is written to the lifeline: the read returns only at
+    # end-of-file, once the parent has closed it or died
+    os.read(lifeline, 1)
+    os._exit(1)
 
 
-def _run_installed(lo: int, hi: int):
-    return _installed(lo, hi)
+def _pickled_error(exc: Exception) -> bytes:
+    import pickle
+    import traceback
+
+    text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        return pickle.dumps((text, exc), pickle.HIGHEST_PROTOCOL)
+    except Exception:  # an exception that does not pickle arrives as its repr
+        return pickle.dumps((text, RuntimeError(repr(exc))), pickle.HIGHEST_PROTOCOL)
+
+
+def _read_exact(fd: int, size: int) -> bytes:
+    parts = []
+    while size:
+        parts.append(os.read(fd, size))
+        if not parts[-1]:
+            raise EOFError
+        size -= len(parts[-1])
+    return b"".join(parts)
+
+
+def _receive(proc: _Worker):
+    """The result of ``proc``'s oldest queued chunk. An exception the chunk
+    raised is raised here, and a worker that died raises ``RuntimeError``."""
+    import pickle
+
+    try:
+        (size,) = _LENGTH.unpack(_read_exact(proc.replies, _LENGTH.size))
+        error, value = pickle.loads(_read_exact(proc.replies, size))
+    except EOFError:
+        status = os.waitstatus_to_exitcode(os.waitpid(proc.pid, 0)[1])
+        raise RuntimeError(
+            f"worker process {proc.pid} ended (exit code {status}) before returning its chunk"
+        ) from None
+    if error is not None:
+        raise value from RuntimeError(f"raised in worker process {proc.pid}:\n{error}")
+    return value

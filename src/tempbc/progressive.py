@@ -14,7 +14,7 @@ Two schemes:
 Both run their samples through :func:`tempbc.samplers.chunk_contributions`,
 the sample pipeline of the fixed-sample estimators. Each checkpoint batch of
 :func:`progressive_estimate` runs in chunks of whole sweep groups on up to
-``threads`` workers of one pool for the whole run; a chunk returns each
+``threads`` workers forked once for the whole run; a chunk returns each
 sample's per-node values as floats in fold order, and the batch is folded in
 sample-index order, so the scores and the bound are the same for any worker
 count.
@@ -251,7 +251,7 @@ def progressive_estimate(
     with probability at least 1 - delta. For ``trk`` the sample size is
     additionally capped at the union-bound size, after which the run stops
     regardless. Each checkpoint batch is computed on up to ``threads`` workers
-    of one pool that serves the whole run, and is folded in sample-index
+    forked once for the whole run, and is folded in sample-index
     order, so the result does not depend on ``threads``.
     """
     check_bound_inputs(epsilon, delta)

@@ -153,16 +153,16 @@ def test_parallel_matches_serial(g1):
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
-    # the pool forks every worker when it starts: on 8 CPUs, 3 sources make
-    # 3 one-source chunks, so 8 threads must ask for 3 workers
+    # a Fanout forks every worker when it starts: on 8 CPUs, 3 sources make
+    # 3 one-source chunks, so 8 threads must fork 3 workers
     asked = []
+    start = parallel.Fanout._start
 
-    class RecordingPool(parallel.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            asked.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def recording_start(self, count):
+        asked.append(count)
+        start(self, count)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(parallel.Fanout, "_start", recording_start)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)), raising=False)
     g = random_temporal_graph_large(5, n=3, m=12, max_time=20)
     assert len(parallel.chunk_ranges(g.n, workers=8)) == 3

@@ -85,19 +85,24 @@ def test_main_in_process_leaves_the_environment_alone(tmp_path, capsys, monkeypa
     assert dict(os.environ) == before
 
 
-# each command runs in a fresh interpreter, which reports the tempbc modules
-# it loaded and whether the process pool's modules were among them
+# each command runs in a fresh interpreter on two CPUs, which reports the
+# tempbc modules it loaded, whether it forked a worker, and whether any of
+# the standard library's process-pool modules loaded
 _LOADED = """
-import contextlib, io, json, sys
-from tempbc import cli
+import contextlib, io, json, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from tempbc import cli, parallel
+forked = []
+start = parallel.Fanout._start
+parallel.Fanout._start = lambda fan, count: forked.append(count) or start(fan, count)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("tempbc.")),
-                  "concurrent.futures.process" in sys.modules]))
+print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("tempbc.")), bool(forked),
+                  [m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")]]))
 """
 
 
-# serial runs all: prtb runs serially and takes no --threads
+# prtb runs serially and takes no --threads
 @pytest.mark.parametrize("argv, unused", [
     (["exact", "--threads", "1"], {"progressive", "distances"}),
     (["fixed", "--algo", "trk", "--samples", "20", "--seed", "1", "--threads", "1"],
@@ -105,17 +110,22 @@ print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("tempb
     (["progressive", "--algo", "ob", "--epsilon", "0.3", "--threads", "1"], {"distances"}),
     (["progressive", "--algo", "prtb", "--max-samples", "40"], {"distances"}),
     (["diameter", "--samples", "4", "--threads", "1"], {"progressive"}),
+    (["exact", "--threads", "2"], {"progressive", "distances"}),
+    (["fixed", "--algo", "ob", "--bound", "vc", "--epsilon", "0.3", "--threads", "2"], {"progressive"}),
+    (["progressive", "--algo", "ob", "--epsilon", "0.3", "--threads", "2"], {"distances"}),
+    (["diameter", "--samples", "4", "--threads", "2"], {"progressive"}),
 ])
 def test_each_command_imports_only_what_it_uses(tmp_path, argv, unused):
     graph = tmp_path / "g1.txt"
     graph.write_text(G1_TEXT)
     command, *options = argv
     out = _python(_LOADED, command, str(graph), *options)
-    code, modules, pool = json.loads(out)
+    code, modules, forked, pool_modules = json.loads(out)
     assert code == 0
     assert {"cli", "graph"} <= set(modules)
     assert not ({"bruteforce", "evaluation"} | unused) & set(modules)
-    assert not pool
+    assert forked == ("2" in options)
+    assert pool_modules == []
 
 
 def _imports_of(tmp_path, argv) -> list[str]:

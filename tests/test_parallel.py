@@ -1,10 +1,15 @@
 """The chunked fan-out: chunk sizes for source and pair work, the worker cap,
-one pool per run, the worker sent once per pool process, and outputs that do
-not depend on where the chunks are cut."""
+one worker set per run, workers that inherit the worker and are never sent
+it, failures that reach the caller and leave no worker behind, and outputs
+that do not depend on where the chunks are cut."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import signal
+import time
 
 import pytest
 
@@ -31,23 +36,24 @@ def graph():
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Two CPUs in the affinity set, and a record of every pool: its
-    ``max_workers`` and the ranges of each ``map`` call."""
+    """Two CPUs in the affinity set, and a record of every worker set a
+    ``Fanout`` forks: its worker count and the ranges of each fanned-out
+    ``map`` call."""
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
     record: list[dict] = []
+    start, fan = parallel.Fanout._start, parallel.Fanout._fan
 
-    class RecordingPool(parallel.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            self.record = {"max_workers": max_workers, "maps": []}
-            record.append(self.record)
-            super().__init__(max_workers, **kwargs)
+    def recording_start(self, count):
+        self.record = {"workers": count, "maps": []}
+        record.append(self.record)
+        start(self, count)
 
-        def map(self, fn, *iterables, **kwargs):
-            ranges = list(zip(*iterables))
-            self.record["maps"].append(ranges)
-            return super().map(fn, *zip(*ranges), **kwargs)
+    def recording_fan(self, ranges):
+        self.record["maps"].append(ranges)
+        return fan(self, ranges)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(parallel.Fanout, "_start", recording_start)
+    monkeypatch.setattr(parallel.Fanout, "_fan", recording_fan)
     return record
 
 
@@ -110,18 +116,20 @@ def test_workers_never_exceed_the_affinity_set(pools, tmp_path):
         assert json.loads(report_path.read_text())["parameters"]["threads"] == threads
         scores[threads] = out.read_bytes()
     assert scores[1] == scores[1000]
-    assert pools == [{"max_workers": 2, "maps": [parallel.chunk_ranges(40, 5)]}]
+    assert pools == [{"workers": 2, "maps": [parallel.chunk_ranges(40, 5)]}]
 
 
 def test_worker_is_sent_once_per_pool_process_at_most(pools, monkeypatch):
-    # three batches, 21 chunks in all, on one pool of two processes
+    # three batches, 21 chunks in all, on one set of two forked workers,
+    # which inherit the worker instead of receiving it
     monkeypatch.setattr(CountingWorker, "pickles", 0)
     with parallel.Fanout(CountingWorker(), 2) as fan:
         batches = [list(fan.map(lo, hi)) for lo, hi in ((0, 40), (40, 50), (50, 90))]
     assert [i for batch in batches for chunk in batch for i in chunk] == list(range(90))
-    assert len(pools) == 1 and pools[0]["max_workers"] == 2
+    assert len(pools) == 1 and pools[0]["workers"] == 2
     assert sum(len(ranges) for ranges in pools[0]["maps"]) == 8 + 5 + 8
-    assert CountingWorker.pickles <= 2
+    assert CountingWorker.pickles == 0
+    assert _no_children()
 
 
 def test_progressive_starts_one_pool_per_run(pools, graph, tmp_path):
@@ -132,8 +140,86 @@ def test_progressive_starts_one_pool_per_run(pools, graph, tmp_path):
     argv = ["progressive", str(graph_file), "--algo", "ob", "--epsilon", "0.1",
             "--delta", "0.1", "--seed", "5", "--threads", "2"]
     assert cli_main(argv + ["--out", str(tmp_path / "report.json")]) == 0
-    assert len(pools) == 1 and pools[0]["max_workers"] == 2
+    assert len(pools) == 1 and pools[0]["workers"] == 2
     assert [len(ranges) for ranges in pools[0]["maps"]] == [6, 4, 6, 8]
+
+
+def _no_children() -> bool:
+    """True when this process has no child left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in this process if the block runs longer."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# with two workers, 0..9 is cut into five chunks of two: (0, 2) ... (8, 10)
+def _raise_at_4(lo, hi):
+    if lo == 4:
+        raise ValueError(f"no chunk at {lo}")
+    return lo
+
+
+def _exit_at_4(lo, hi):
+    if lo == 4:
+        os._exit(3)
+    return lo
+
+
+def _stall_after_0(lo, hi):
+    if lo:
+        time.sleep(60)
+    return lo
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM for the deadline")
+def test_a_worker_exception_reaches_the_caller(pools):
+    with _deadline(30), parallel.Fanout(_raise_at_4, 2) as fan:
+        with pytest.raises(ValueError, match="^no chunk at 4$"):
+            list(fan.map(0, 10))
+        # the failed map ended its workers; the next one forks new ones
+        assert list(fan.map(10, 20)) == [10, 12, 14, 16, 18]
+    assert [pool["workers"] for pool in pools] == [2, 2]
+    assert _no_children()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM for the deadline")
+def test_a_worker_that_dies_makes_map_raise(pools):
+    with _deadline(30):
+        with pytest.raises(RuntimeError, match=r"ended \(exit code 3\) before returning its chunk"):
+            with parallel.Fanout(_exit_at_4, 2) as fan:
+                list(fan.map(0, 10))
+    assert pools[0]["workers"] == 2
+    assert _no_children()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM for the deadline")
+def test_a_map_left_early_leaves_no_worker_behind(pools):
+    # both workers are inside a 60 s chunk when the block ends
+    with _deadline(30):
+        with parallel.Fanout(_stall_after_0, 2) as fan:
+            results = fan.map(0, 10)
+            assert next(results) == 0
+            time.sleep(0.1)
+    assert pools[0]["workers"] == 2
+    assert _no_children()
+    results.close()
 
 
 def _under_each_chunking(monkeypatch, run):
