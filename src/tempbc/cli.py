@@ -319,7 +319,7 @@ def _report(args, argv: list[str], freeze_heap: bool) -> dict:
         report["scores_path"] = args.scores
     else:
         report["scores"] = [
-            {"node_id": int(nid), "score": float(val)} for nid, val in zip(graph.node_ids, scores.scores)
+            {"node_id": nid, "score": val} for nid, val in zip(graph.node_ids, scores.scores)
         ]
     return report
 

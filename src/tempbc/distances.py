@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .graph import TemporalGraph
 from .parallel import run_chunks
-from .rng import _MASK64, substream
+from .rng import _MASK64, draw_source, substream
 
 __all__ = ["DistanceSummary", "estimate_distances", "recommended_sample_size"]
 
@@ -120,7 +120,7 @@ def estimate_distances(
     if sample_size >= n:
         sources = list(range(n))
     elif replace:
-        sources = [int(substream(seed, i).integers(n)) for i in range(sample_size)]
+        sources = [draw_source(substream(seed, i), n) for i in range(sample_size)]
     else:
         import numpy as np  # the one draw that needs numpy: Generator.choice
 

@@ -103,13 +103,13 @@ def substream(seed: int, index: int) -> Substream:
 
 
 def draw_source(rng: Substream, n: int) -> int:
-    return int(rng.integers(n))
+    return rng.integers(n)
 
 
 def draw_pair(rng: Substream, n: int) -> tuple[int, int]:
     """Uniform ordered pair (s, z) with s != z."""
-    s = int(rng.integers(n))
-    z = int(rng.integers(n - 1))
+    s = rng.integers(n)
+    z = rng.integers(n - 1)
     if z >= s:
         z += 1
     return s, z
@@ -120,14 +120,14 @@ def randbelow(rng: Substream, bound: int) -> int:
     if bound <= 0:
         raise ValueError("bound must be positive")
     if bound <= 1 << 62:
-        return int(rng.integers(bound))
+        return rng.integers(bound)
     bits = bound.bit_length()
     words = (bits + 31) // 32
     excess = words * 32 - bits
     while True:
         value = 0
         for _ in range(words):
-            value = (value << 32) | int(rng.integers(1 << 32))
+            value = (value << 32) | rng.integers(1 << 32)
         value >>= excess
         if value < bound:
             return value

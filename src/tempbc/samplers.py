@@ -14,7 +14,8 @@ and turned into those contributions, a chunk of indices at a time:
 Sample i draws from its own counter-based substream ``substream(seed, i)``,
 so a seeded run is reproducible for any worker count. A chunk draws all of
 its pairs before it searches, so that :func:`tempbc.tbfs.pair_searches` can
-share one latest-departure sweep among its ``sh`` pairs; pair work is
+share sweeps among them: one backward sweep per group of ``sh`` or ``sfm``
+pairs, and one forward sweep per group of ``sfm`` pairs; pair work is
 therefore cut into chunks of at most ``tbfs.GROUP_WIDTH`` pairs, whole sweep
 groups (see :func:`tempbc.parallel.chunk_ranges`), and source work into
 about four chunks per worker. The fixed-sample estimators sum contributions
@@ -141,8 +142,8 @@ def chunk_contributions(
     from ``substream(seed, i)`` when ``fixed`` is None; trk draws its path
     from that substream either way. Every sample of the chunk is drawn (and
     every pair checked) before the first search, and the pair searches run
-    through :func:`tempbc.tbfs.pair_searches`, which shares backward sweeps
-    among sh pairs. rtb and ob give exact rationals, trk gives 1 per internal
+    through :func:`tempbc.tbfs.pair_searches`, which shares sweeps among sh
+    or sfm pairs. rtb and ob give exact rationals, trk gives 1 per internal
     node of the drawn path, in path order, and nothing for an unconnected
     pair. The searches run as the contributions are read.
     """
@@ -153,14 +154,8 @@ def chunk_contributions(
         else:
             sources = fixed[lo:hi]
         return (full_tbfs(graph, s, opt).dependency for s in sources)
-    # only trk reads its substream after the pair draw
-    rngs = [substream(seed, i) for i in samples] if algorithm is Algorithm.TRK else None
-    if fixed is not None:
-        pairs = fixed[lo:hi]
-    elif rngs is not None:
-        pairs = [draw_pair(rng, graph.n) for rng in rngs]
-    else:
-        pairs = [draw_pair(substream(seed, i), graph.n) for i in samples]
+    rngs = [substream(seed, i) for i in samples]
+    pairs = fixed[lo:hi] if fixed is not None else [draw_pair(rng, graph.n) for rng in rngs]
     results = pair_searches(graph, pairs, opt)
     if algorithm is Algorithm.OB:
         return (result.dependency for result in results)

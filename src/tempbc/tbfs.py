@@ -10,70 +10,19 @@ optimality criteria are supported:
 * prefix-foremost (``pfm``): earliest arrival such that every prefix also
   arrives earliest.
 
-:func:`full_tbfs` (every destination) and :func:`truncated_tbfs` (one
-destination) run the same routine. For ``sh``/``sfm`` it runs a hop-layered
-BFS over appearances; for ``pfm`` a single sweep of edges in time order
-suffices. One rule then picks each destination's target appearances: ``sh``
-its min-hop appearances, ``sfm`` and ``pfm`` its earliest one.
-
-The BFS does not expand an appearance that an earlier layer dominates (same
-node, earlier time), since that adds no record. For one ``sh``/``sfm`` pair it
-first sweeps the edges backward from the destination z and then creates only
-appearances that can still reach z, so a truncated result's ``records`` hold
-the source sentinel and the live appearances only. An appearance (v, t)
-scans its out-edges only up to label ``latest[v]``: a row past it leads to no
-appearance that can reach z. In z's hop layer, the one in which z first
-settles, only frontier appearances with a row into z ahead of them expand,
-each up to its last such row, and only z's appearances are created: the
-rest of that layer lies on no optimal path, so ``records`` leaves it out.
-The rows into z come from the graph's in-row index.
-
-:func:`pair_searches` runs many pair searches. Up to ``GROUP_WIDTH`` sh or
-sfm pairs share one backward sweep: one descending pass over the rows
-carries, per node, an int mask with bit k set once pair k's destination is
-reachable from it, and a pair's latest departures are decoded from that pass
-only when the pair is searched. Bit k enters at the pair's deadline: past
-every label for sh, at z's earliest arrival for sfm. An sfm group first
-finds those arrivals in one forward sweep: an ascending pass with bit k set
-once pair k's source has arrived at the node, which stops once every pair
-has arrived. The backward sweep logs each node's gains, and a search
-decodes its pair's label at a node only when it reads that node. Every
-search and sweep runs on Python ints alone; the module imports no numpy.
-
-Every sweep unpacks the plain ``(time, src, dst)`` rows of
-``graph.edges_by_time`` from s's first departure on (a group sweep from its
-sources' earliest one): a search from s leaves s on one of its out-edges, so
-nothing it creates or follows has an earlier label. A source without
-out-edges, or an sfm pair without an arrival, keeps the sentinel alone.
-
-During a search an appearance (w, t) is the integer key ``w * (T + 1) + t``.
-Keys sort like ``(w, t)`` tuples, and the sentinel (s, 0) is ``s * (T + 1)``.
-The BFS reads the head keys of each node's out-edges from
-``graph._out_keys``. The search state is flat: int-keyed dicts of hops, path
-counts and ``{predecessor key: multiplicity}`` maps, in creation order, with
-no object per appearance, and per destination its target keys.
-``TbfsResult.records`` and ``TbfsResult.per_target`` build the views keyed
-by ``(node, time)`` on first access; the dependency pass and path sampling
-read the flat state.
-
-The sh/sfm BFS scans each node's out-edges once per layer. When a node v has
-several appearances t_1 < ... < t_k in one layer's frontier, a row labeled
-in (t_c, t_{c+1}] extends exactly the first c of them, so v scans its rows
-once from t_1 on, carrying the running sum of their path counts, and the
-row's head records one compressed predecessor "the first c members of this
-group" instead of c explicit ones. The dependency pass adds a compressed
-predecessor's weight to a difference array over the group and resolves it
-when the walk leaves the heads' layer. ``TbfsResult.predecessors``, the
-``records`` view and path sampling expand it into the members in ascending
-(node, time) order, each with the entry's multiplicity: the order and
-multiplicities a scan per appearance would give.
-
-Path counts are exact integers; dependency aggregates are exact rationals.
-The backward dependency pass walks the appearances in reverse creation
-order, which is a topological order of the predecessor DAG because every
-appearance is created after its predecessors. It runs in Python ints over one
-common denominator, the lcm of the destinations' path counts, and forms one
-Fraction per node at the end.
+:func:`full_tbfs` searches from one source to every destination,
+:func:`truncated_tbfs` to one, and :func:`pair_searches` runs many pair
+searches. ``sh`` and ``sfm`` run a hop-layered BFS over appearances
+(:func:`_shortest_bfs`). A pair search bounds it by each node's latest
+departure toward the destination (:class:`_LatestDeparture`), which one
+backward sweep finds for a group of pairs (:func:`_group_latest_departure`);
+under ``sfm`` one forward sweep first finds the destinations' earliest
+arrivals (:func:`_group_foremost_arrival`). ``pfm`` needs one sweep of the
+rows in time order (:func:`_prefix_foremost_sweep`). A :class:`TbfsResult`
+keeps the search state flat, in exact integer path counts, and computes the
+exact rational dependencies (:func:`_accumulate_dependency`) when first
+read. Every search and sweep runs on Python ints alone; the module imports
+no numpy.
 """
 
 from __future__ import annotations
@@ -91,7 +40,6 @@ from .graph import TemporalGraph
 __all__ = [
     "PathOptimality",
     "AppearanceRecord",
-    "PairTargets",
     "TbfsResult",
     "full_tbfs",
     "truncated_tbfs",
@@ -133,15 +81,6 @@ class AppearanceRecord:
     predecessors: dict[Appearance, int] = field(default_factory=dict)
 
 
-@dataclass(slots=True, frozen=True)
-class PairTargets:
-    """Optimal-path endpoints for one destination: target appearances and the
-    total optimal-path count sigma."""
-
-    appearances: tuple[Appearance, ...]
-    sigma: int
-
-
 @dataclass(slots=True)
 class TbfsResult:
     """Output of one (possibly truncated) temporal BFS.
@@ -162,22 +101,20 @@ class TbfsResult:
     ``groups[g]`` (``(cut, member keys)``, see :func:`_shortest_bfs`), each
     with the entry's multiplicity. :meth:`predecessors` expands it, in
     ascending (node, time) order. ``targets[z]`` holds destination z's target
-    appearance keys (empty when z is unreachable).
+    appearance keys (empty when z is unreachable), and :meth:`pair_sigma`
+    its optimal-path count.
 
-    ``per_target`` and ``records`` present the same state keyed by
-    ``(node, time)``, with compressed predecessors expanded; each is built on
-    first access and cached.
+    ``records`` presents the same state keyed by ``(node, time)``, with
+    compressed predecessors expanded; it is built on first access and cached.
     """
 
     source: int
-    optimality: PathOptimality
     base: int
     hops: dict[int, int]
     sigma: dict[int, int]
     preds: dict[int, dict[int, int]]
     groups: list[tuple[int, list[int]]]
     targets: dict[int, list[int]]
-    _per_target: dict[int, PairTargets] | None = field(default=None, init=False, repr=False)
     _dependency: dict[int, Fraction] | None = field(default=None, init=False, repr=False)
     _records: dict[Appearance, AppearanceRecord] | None = field(
         default=None, init=False, repr=False
@@ -190,20 +127,6 @@ class TbfsResult:
                 self.source, self.base, self.sigma, self.preds, self.groups, self.targets
             )
         return self._dependency
-
-    @property
-    def per_target(self) -> dict[int, PairTargets]:
-        """Per destination, its target appearances in sorted order and the
-        optimal-path count."""
-        if self._per_target is None:
-            base, sigma = self.base, self.sigma
-            self._per_target = {
-                z: PairTargets(
-                    tuple(divmod(key, base) for key in sorted(keys)), sum(sigma[key] for key in keys)
-                )
-                for z, keys in self.targets.items()
-            }
-        return self._per_target
 
     @property
     def records(self) -> dict[Appearance, AppearanceRecord]:
@@ -287,21 +210,21 @@ def _check_node(graph: TemporalGraph, v: int, role: str) -> None:
 
 
 def _pair_searches(graph, pairs, opt):
+    if opt is PathOptimality.PREFIX_FOREMOST:  # pfm pairs share no sweep
+        yield from (_tbfs(graph, s, z, opt) for s, z in pairs)
+        return
     out_times = graph._out_times
     for lo in range(0, len(pairs), GROUP_WIDTH):
         group = pairs[lo:lo + GROUP_WIDTH]
-        if opt is PathOptimality.PREFIX_FOREMOST:
-            yield from (_tbfs(graph, s, z, opt) for s, z in group)
-            continue
         # a pair with no path (s without out-edges, an sfm z never reached)
         # has no deadline: no bit, and the sentinel alone
-        deadlines = [graph.T + 1 if out_times[s] else None for s, _ in group]
-        if opt is PathOptimality.SHORTEST_FOREMOST and any(deadlines):
+        if opt is PathOptimality.SHORTEST:
+            deadlines = [graph.T + 1 if out_times[s] else None for s, _ in group]
+        else:
             deadlines = _group_foremost_arrival(graph, group)
         gains = _group_latest_departure(graph, group, deadlines)
         for k, ((s, z), d) in enumerate(zip(group, deadlines)):
-            latest = None if d is None else _pair_latest_departure(graph, gains, k, z)
-            yield _tbfs(graph, s, z, opt, latest)
+            yield _tbfs(graph, s, z, opt, None if d is None else _LatestDeparture(graph, gains, k, z))
 
 
 def _tbfs(
@@ -315,12 +238,10 @@ def _tbfs(
 
     Runs the criterion's search, then picks each requested destination's
     target appearance keys with one rule: sh takes its min-hop appearances,
-    sfm and pfm its earliest appearance. They seed the dependency pass as
-    keys; ``per_target`` turns them into sorted tuples only when read. A
-    source without out-edges runs no search. One sh or sfm pair runs the
-    bounded BFS only when handed a ``latest`` with ``latest[s]`` nonzero
-    (s can reach z); otherwise it keeps the sentinel. The caller has
-    checked s and z.
+    sfm and pfm its earliest appearance. A source without out-edges runs no
+    search. One sh or sfm pair runs the bounded BFS only when handed a
+    ``latest`` with ``latest[s]`` nonzero (s can reach z); otherwise it
+    keeps the sentinel. The caller has checked s and z.
     """
     base = graph.T + 1
     src = s * base
@@ -333,9 +254,7 @@ def _tbfs(
     elif z is None:
         hops, sigma, preds, groups, settled, first_time = _shortest_bfs(graph, s)
     elif latest is not None and latest[s]:
-        hops, sigma, preds, groups, settled, first_time = _shortest_bfs(
-            graph, s, stop_node=z, latest=latest
-        )
+        hops, sigma, preds, groups, settled, first_time = _shortest_bfs(graph, s, latest)
 
     if z is not None:
         if opt is PathOptimality.SHORTEST:
@@ -348,39 +267,32 @@ def _tbfs(
         targets = settled
     else:
         targets = {w: [w * base + t] for w, t in first_time.items() if w != s}
-    return TbfsResult(s, opt, base, hops, sigma, preds, groups, targets)
+    return TbfsResult(s, base, hops, sigma, preds, groups, targets)
 
 
-def _shortest_bfs(
-    graph: TemporalGraph,
-    s: int,
-    *,
-    stop_node: int | None = None,
-    latest: _LatestDeparture | None = None,
-):
+def _shortest_bfs(graph: TemporalGraph, s: int, latest: _LatestDeparture | None = None):
     """Hop-layered BFS over vertex appearances from the sentinel (s, 0).
 
     Computes, per appearance, the minimum hop count, the number of minimum-hop
     paths ending there, and the predecessor appearances realizing them. Within
     a layer, appearances are expanded in ascending key order, that is in
-    (node, time) order, so predecessor maps are reproducible. With
-    ``stop_node`` set, the search halts after the layer in which that node
-    first settles. With ``latest`` set (see :func:`_pair_latest_departure`), an
-    appearance (w, t2) is created only when ``latest[w] > t2``, that is, when
-    it can still reach the stop node, and an appearance of v follows only
+    (node, time) order, so predecessor maps are reproducible.
+
+    With ``latest`` set (a :class:`_LatestDeparture`), the search is one
+    pair's: it halts after the layer in which the pair's destination z first
+    settles. An appearance (w, t2) is created only when ``latest[w] > t2``,
+    that is, when it can still reach z, and an appearance of v follows only
     edges labeled up to ``latest[v]``: a row (t2, v, w) with
     ``latest[w] > t2`` lets v leave at t2, so the rows past ``latest[v]``
     lead nowhere live. For an sfm pair, ``latest`` counts no edge past z's
     earliest arrival, and at that label only edges into z, so the same rule
-    keeps the search within the foremost deadline.
-
-    With ``latest`` set, each layer first looks for frontier appearances
-    (v, t) with a counted row into the stop node z labeled after t. If there
-    are any, z settles in this layer, and it is the last: only they expand,
-    each scanning rows only up to v's last counted row into z, and only z's
-    appearances are created. Per node they are a prefix of its frontier
-    appearances, so a group keeps its first members and a compressed
-    predecessor means what it meant in the whole layer.
+    keeps the search within the foremost deadline. Each layer first looks
+    for frontier appearances (v, t) with a counted row into z labeled after
+    t. If there are any, z settles in this layer, and it is the last: only
+    they expand, each scanning rows only up to v's last counted row into z,
+    and only z's appearances are created. Per node they are a prefix of its
+    frontier appearances, so a group keeps its first members and a
+    compressed predecessor means what it meant in the whole layer.
 
     An appearance (w, t2) is not expanded when w is s, or when w appeared at
     an earlier layer at a time before t2: that earlier appearance reaches
@@ -417,10 +329,10 @@ def _shortest_bfs(
     # per node u, the latest label of a row u -> z that counts for this pair
     # (for sfm, one by z's earliest arrival): a frontier appearance (u, t)
     # with into_z[u] > t reaches z in the layer it expands
-    into_z = {} if latest is None else {
-        u: t for t, u, _ in graph._rows_into(stop_node) if latest[u] >= t
-    }
+    z = into_z = None
     if latest is not None:
+        z = latest.z
+        into_z = {u: t for t, u, _ in graph._rows_into(z) if latest[u] >= t}
         # the row loop reads ``labels`` inline and decodes a node on its
         # first read; every frontier node has been read, s before the
         # search and any other when its appearance was created
@@ -465,7 +377,7 @@ def _shortest_bfs(
                     if last:
                         # z's layer creates z's appearances alone, and z is
                         # always live
-                        if key // base != stop_node:
+                        if key // base != z:
                             continue
                     elif latest is not None:
                         w, t2 = divmod(key, base)
@@ -494,7 +406,7 @@ def _shortest_bfs(
                 apps.append(key)
             if t2 < min_time.get(w, base):
                 min_time[w] = t2
-        if stop_node is not None and stop_node in settled:
+        if z in settled:  # never for a full search, whose z is None
             break
     return hops, sigma, preds, groups, settled, min_time
 
@@ -570,8 +482,8 @@ def _group_latest_departure(graph: TemporalGraph, group, deadlines) -> list[list
     deadlines; bits enter at their segment's top, so the row loop tests no
     deadline. Returns per node its gains in descending label order, as one
     flat list ``[label, bits, label, bits, ...]`` (ints alone, which the
-    garbage collector does not track), for :func:`_pair_latest_departure`;
-    None when no pair has a deadline.
+    garbage collector does not track), for :class:`_LatestDeparture`; None
+    when no pair has a deadline.
     """
     entering: dict[int, list[int]] = {}  # deadline -> the pairs whose bit enters there
     for k, d in enumerate(deadlines):
@@ -606,18 +518,26 @@ def _group_latest_departure(graph: TemporalGraph, group, deadlines) -> list[list
 
 
 class _LatestDeparture:
-    """One pair's latest departure per node (see :func:`_pair_latest_departure`),
-    decoded from its group's gains when first read. ``labels[w]`` is -1
-    until node w is decoded; the search reads ``labels`` directly, since a
-    list read inline costs it less than a mapping whose ``__missing__``
-    decodes."""
+    """The state of one pair search: pair k of its group, its destination z,
+    and its latest departures, decoded from the group's gains (see
+    :func:`_group_latest_departure`).
 
-    __slots__ = ("labels", "gains", "bit")
+    ``latest[w]`` is the largest label at which w can leave and still reach
+    z by the pair's deadline (0 where it cannot, ``graph.T + 1`` at z),
+    exact at every label from the pair's source's first departure on. Each
+    node is decoded when first read: ``labels[w]`` is -1 until then. The
+    search reads ``labels`` directly, since a list read inline costs it less
+    than a mapping whose ``__missing__`` decodes.
+    """
 
-    def __init__(self, gains: list[list[int]], bit: int):
-        self.labels = [-1] * len(gains)
+    __slots__ = ("labels", "gains", "bit", "z")
+
+    def __init__(self, graph: TemporalGraph, gains: list[list[int]], k: int, z: int):
+        self.labels = [-1] * graph.n
+        self.labels[z] = graph.T + 1
         self.gains = gains
-        self.bit = bit
+        self.bit = 1 << k
+        self.z = z
 
     def __getitem__(self, w: int) -> int:
         label = self.labels[w]
@@ -637,17 +557,6 @@ def _decode_label(entries: list[int], bit: int) -> int:
     return 0
 
 
-def _pair_latest_departure(graph: TemporalGraph, gains, k: int, z: int) -> _LatestDeparture:
-    """Pair k's latest departures, decoded from its group's sweep: per node,
-    the largest label at which it can leave and still reach z by the pair's
-    deadline (0 where it cannot, ``graph.T + 1`` at z), exact at every label
-    from the pair's source's first departure on. Each node is decoded when
-    it is first read."""
-    latest = _LatestDeparture(gains, 1 << k)
-    latest.labels[z] = graph.T + 1
-    return latest
-
-
 def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None = None):
     """Single pass over edges in time order.
 
@@ -656,6 +565,9 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
     t equals v's settle time. Each node has exactly one appearance, at its
     earliest arrival. Edges tied at one label cannot chain (strict paths), so
     any processing order within a label is correct.
+
+    The rows run from s's first departure on: a path from s leaves s on one
+    of its out-edges, so no earlier row extends it.
 
     Returns the hops, sigma and predecessor maps by appearance key, each
     appearance created after its predecessors (they settled at earlier

@@ -12,7 +12,7 @@ import numpy as np
 
 from tempbc import TemporalGraph, load_edge_list
 from tempbc.bruteforce import _all_paths_from, _filter_optimal
-from tempbc.tbfs import AppearanceRecord, PairTargets, PathOptimality, TbfsResult
+from tempbc.tbfs import AppearanceRecord, PathOptimality, TbfsResult
 
 G1_TEXT = "1 2 1\n2 3 2\n1 3 2\n3 4 3\n2 4 3\n"
 
@@ -81,11 +81,21 @@ def path_appearances(path, source: int) -> tuple[tuple[int, int], ...]:
     return tuple(apps)
 
 
+def target_view(tbfs: TbfsResult) -> dict[int, tuple[tuple[tuple[int, int], ...], int]]:
+    """Per destination of a TBFS result, its target appearances in sorted
+    (node, time) order and its optimal-path count, read from ``targets`` and
+    ``pair_sigma``: the form :func:`tbfs_reference` gives."""
+    return {
+        z: (tuple(divmod(key, tbfs.base) for key in sorted(keys)), tbfs.pair_sigma(z))
+        for z, keys in tbfs.targets.items()
+    }
+
+
 def enumerate_dag_paths(tbfs: TbfsResult) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
     """Every appearance path of a single-destination TBFS result with its
     analytic probability under the backward sampling walk."""
-    (z, info), = tbfs.per_target.items()
-    assert info.sigma > 0
+    (z, (appearances, sigma)), = target_view(tbfs).items()
+    assert sigma > 0
     results: list[tuple[tuple[tuple[int, int], ...], Fraction]] = []
 
     def walk(app, prob: Fraction, suffix):
@@ -97,8 +107,8 @@ def enumerate_dag_paths(tbfs: TbfsResult) -> list[tuple[tuple[tuple[int, int], .
             branch = Fraction(mult * tbfs.records[pred].sigma, rec.sigma)
             walk(pred, prob * branch, (app, *suffix))
 
-    for app in info.appearances:
-        walk(app, Fraction(tbfs.records[app].sigma, info.sigma), ())
+    for app in appearances:
+        walk(app, Fraction(tbfs.records[app].sigma, sigma), ())
     return results
 
 
@@ -206,8 +216,10 @@ def dataset_path(name: str) -> Path | None:
 def tbfs_reference(
     graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality, *, cut_z_layer: bool = True
 ):
-    """(records, per_target, dependency) of one search; ``z=None`` means every
-    destination, as in ``tempbc.tbfs._tbfs``. An sh/sfm pair search keeps
+    """(records, targets, dependency) of one search; ``z=None`` means every
+    destination, as in ``tempbc.tbfs._tbfs``. ``targets`` maps each
+    destination to its sorted target appearances and optimal-path count, as
+    :func:`target_view` reads them from a result. An sh/sfm pair search keeps
     only z's appearances in z's hop layer; ``cut_z_layer=False`` keeps the
     whole layer, as the searches did before they cut it."""
     records, first_time = {(s, 0): AppearanceRecord(0, 1)}, {s: 0}
@@ -228,7 +240,7 @@ def tbfs_reference(
                     graph, s, stop_node=z, max_time=arrival, latest=latest, cut_z_layer=cut_z_layer
                 )
 
-    per_target: dict[int, PairTargets] = {}
+    targets: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
     for w in [w for w in first_time if w != s] if z is None else [z]:
         if w not in first_time:
             apps = ()
@@ -236,8 +248,8 @@ def tbfs_reference(
             apps = tuple(sorted(settle_apps[w]))
         else:
             apps = ((w, first_time[w]),)
-        per_target[w] = PairTargets(apps, sum(records[a].sigma for a in apps))
-    return records, per_target, _accumulate_dependency_reference(s, records, per_target)
+        targets[w] = (apps, sum(records[a].sigma for a in apps))
+    return records, targets, _accumulate_dependency_reference(s, records, targets)
 
 
 def foremost_arrival_reference(graph: TemporalGraph, s: int, z: int) -> int | None:
@@ -375,17 +387,17 @@ def _prefix_foremost_sweep_reference(graph, s, stop_node=None):
     return records, {v: t for v, t in records}
 
 
-def _accumulate_dependency_reference(s, records, per_target):
+def _accumulate_dependency_reference(s, records, targets):
     """Backward pass over the records in exact integers, one Fraction per node."""
-    sigmas = [info.sigma for info in per_target.values() if info.sigma]
+    sigmas = [sigma for _, sigma in targets.values() if sigma]
     if not sigmas:
         return {}
     scale = math.lcm(*sigmas)
     seeds = {}
-    for info in per_target.values():
-        if info.sigma:
-            for app in info.appearances:
-                seeds[app] = scale // info.sigma
+    for apps, sigma in targets.values():
+        if sigma:
+            for app in apps:
+                seeds[app] = scale // sigma
     acc = dict(seeds)
     totals = {}
     for app, rec in reversed(records.items()):

@@ -295,7 +295,8 @@ def test_chunk_contributions_match_per_pair_searches_on_a_bursty_graph():
 def test_sh_pairs_share_one_sweep_per_chunk(monkeypatch):
     # 40 samples at one worker are one chunk of 40 pairs, a single sweep
     # group: one backward group sweep under sh and under sfm, where the
-    # pairs first find their deadlines in one forward group sweep
+    # pairs first find their deadlines in one forward group sweep; pfm pairs
+    # share no sweep, so they run none of either kind
     graph = random_temporal_graph_large(21, n=40, m=400, max_time=30)
     assert all(graph._out_times[s] for s in range(graph.n))
     calls = {"group": 0, "arrival": 0}
@@ -317,6 +318,9 @@ def test_sh_pairs_share_one_sweep_per_chunk(monkeypatch):
     calls.update(group=0)
     ob_estimate(graph, SFM, 40, 1, threads=1)
     assert calls == {"group": 1, "arrival": 1}
+    calls.update(group=0, arrival=0)
+    ob_estimate(graph, PFM, 40, 1, threads=1)
+    assert calls == {"group": 0, "arrival": 0}
 
 
 @pytest.mark.parametrize("opt", [SH, SFM, PFM])

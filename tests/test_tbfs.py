@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from helpers import (
     make_g1,
     random_temporal_graph,
     random_temporal_graph_large,
+    target_view,
     tbfs_reference,
 )
 
@@ -78,7 +78,7 @@ def test_isolated_source_scores_nothing(g1):
     i = ids(g1)
     for opt in ALL_OPTS:
         r = full_tbfs(g1, i[4], opt)
-        assert r.per_target == {}
+        assert r.targets == {}
         assert r.dependency == {}
 
 
@@ -135,8 +135,8 @@ def test_full_tbfs_matches_bruteforce(seed):
             optimal = bruteforce_all_optimal(g, s, opt)
             for z, paths in optimal.items():
                 assert result.pair_sigma(z) == len(paths), (seed, opt, s, z)
-            for z, info in result.per_target.items():
-                assert info.sigma == len(optimal.get(z, []))
+            for z in result.targets:
+                assert result.pair_sigma(z) == len(optimal.get(z, []))
             assert result.dependency == bruteforce_dependency(g, s, opt)
 
 
@@ -154,7 +154,7 @@ def test_truncated_equals_full_restriction(seed):
                 if full.pair_sigma(z) == 0:
                     assert tr.dependency == {}
                     continue
-                assert tr.per_target[z] == full.per_target[z]
+                assert target_view(tr)[z] == target_view(full)[z]
                 sigma, through = bruteforce_pair_stats(g, s, z, opt)
                 assert tr.dependency == {
                     v: Fraction(c, sigma) for v, c in through.items()
@@ -394,9 +394,9 @@ def test_grouped_state_expands_to_the_reference(graph, request):
             assert len({key // result.base for key in members}) == 1
             assert all(result.hops[key] == result.hops[members[0]] for key in members)
             assert all(list(result.hops).index(key) < cut for key in members)
-        records, per_target, dependency = tbfs_reference(g, s, None, SH)
+        records, targets, dependency = tbfs_reference(g, s, None, SH)
         assert _record_items(result.records) == _record_items(records), s
-        assert list(result.per_target.items()) == list(per_target.items()), s
+        assert list(target_view(result).items()) == list(targets.items()), s
         assert list(result.dependency.items()) == list(dependency.items()), s
     assert groups > 0 and compressed > 0
 
@@ -425,18 +425,17 @@ def test_group_members_created_out_of_time_order():
     assert list(result.dependency.items()) == list(dependency.items())
 
 
-def _draw_from_records(result, rng):
-    """trk's backward walk over the expanded ``records`` view."""
-    (z, info), = result.per_target.items()
-    records = result.records
-    apps = info.appearances
+def _draw_from_records(source, targets, records, rng):
+    """trk's backward walk over expanded records, from the sorted target
+    appearances of a single-destination ``targets``."""
+    (z, (apps, _)), = targets.items()
     current = apps[_weighted_index(rng, [records[a].sigma for a in apps])]
     path = [current]
     while records[current].predecessors:
         items = list(records[current].predecessors.items())
         current = items[_weighted_index(rng, [mult * records[p].sigma for p, mult in items])][0]
         path.append(current)
-    return SampledPath((result.source, z), tuple(reversed(path)))
+    return SampledPath((source, z), tuple(reversed(path)))
 
 
 @pytest.mark.parametrize("opt", [SH, SFM], ids=lambda o: o.value)
@@ -449,7 +448,8 @@ def test_path_draws_match_a_walk_over_the_records(bursty60, opt):
         compressed += _compressed_entries(result)
         for j in range(3):
             path = sample_optimal_path(result, substream(i, j))
-            assert path == _draw_from_records(result, substream(i, j)), (s, z, j)
+            drawn_path = _draw_from_records(s, target_view(result), result.records, substream(i, j))
+            assert path == drawn_path, (s, z, j)
             drawn += 1
     assert drawn > 100 and compressed > 0
 
@@ -463,9 +463,9 @@ def _check_against_reference(graph, pairs):
         searches = [(s, None) for s in range(graph.n)] + list(pairs)
         for s, z in searches:
             result = full_tbfs(graph, s, opt) if z is None else truncated_tbfs(graph, s, z, opt)
-            records, per_target, dependency = tbfs_reference(graph, s, z, opt)
+            records, targets, dependency = tbfs_reference(graph, s, z, opt)
             assert _record_items(result.records) == _record_items(records), (opt, s, z)
-            assert list(result.per_target.items()) == list(per_target.items()), (opt, s, z)
+            assert list(target_view(result).items()) == list(targets.items()), (opt, s, z)
             assert list(result.dependency.items()) == list(dependency.items()), (opt, s, z)
 
 
@@ -532,7 +532,7 @@ def test_truncated_records_can_all_reach_the_destination(seed):
                     assert list(result.records) == [(s, 0)]
                     assert result.dependency == {}
                     continue
-                deadline = result.per_target[z].appearances[-1][1]
+                deadline = target_view(result)[z][0][-1][1]
                 for v, t in list(result.records)[1:]:
                     if v == z:
                         continue
@@ -555,7 +555,7 @@ def _check_cut_z_layer(graph) -> int:
             for (s, z), result in zip(group, tbfs_module.pair_searches(graph, group, opt)):
                 if (opt, s, z) not in references:
                     references[opt, s, z] = tbfs_reference(graph, s, z, opt, cut_z_layer=False)
-                records, per_target, dependency = references[opt, s, z]
+                records, targets, dependency = references[opt, s, z]
                 kept = result.records
                 assert _record_items(kept) == [
                     item for item in _record_items(records) if item[0] in kept
@@ -564,14 +564,13 @@ def _check_cut_z_layer(graph) -> int:
                 for app in records.keys() - kept.keys():
                     assert app[0] != z and records[app].hops == z_layer, (opt, s, z, app)
                     dropped += 1
-                assert result.per_target == per_target, (opt, s, z)
-                assert result.pair_sigma(z) == per_target[z].sigma
+                assert target_view(result) == targets, (opt, s, z)
+                assert result.pair_sigma(z) == targets[z][1]
                 assert result.dependency == dependency, (opt, s, z)
                 if result.pair_sigma(z):
-                    uncut = SimpleNamespace(source=s, per_target=per_target, records=records)
                     for j in range(2):
                         path = sample_optimal_path(result, substream(s * graph.n + z, j))
-                        drawn = _draw_from_records(uncut, substream(s * graph.n + z, j))
+                        drawn = _draw_from_records(s, targets, records, substream(s * graph.n + z, j))
                         assert path == drawn, (opt, s, z, j)
     return dropped
 
@@ -637,6 +636,7 @@ def _check_handed_latest(graph, groups, monkeypatch, opts=(SH, SFM)):
                     continue
                 if (z, deadline) not in reference:
                     reference[z, deadline] = latest_departure_reference(graph, z, deadline)
+                assert latest.z == z, (opt, len(group), k)
                 cut = graph._out_times[s][0]
                 expected = [t if t >= cut else 0 for t in reference[z, deadline]]
                 got = [latest[v] for v in range(graph.n)]
@@ -679,9 +679,9 @@ def test_sfm_pairs_sharing_a_destination_keep_their_own_deadlines(monkeypatch):
     assert deadlines == [1, 3]
     _check_handed_latest(g, [[(a, z), (b, z)], [(b, z), (a, z)]], monkeypatch, opts=(SFM,))
     for s, result in zip((a, b), tbfs_module.pair_searches(g, [(a, z), (b, z)], SFM)):
-        records, per_target, _ = tbfs_reference(g, s, z, SFM)
+        records, targets, _ = tbfs_reference(g, s, z, SFM)
         assert _record_items(result.records) == _record_items(records), s
-        assert result.per_target == per_target, s
+        assert target_view(result) == targets, s
 
 
 @pytest.mark.parametrize("graph", [*range(40), "ties", "bursty60"])
@@ -753,14 +753,19 @@ def test_group_foremost_arrival_stops_at_the_last_arrival():
 
 
 def test_source_without_out_edges_runs_no_sweep(monkeypatch):
+    # an sfm pair's group still calls _group_foremost_arrival, which finds no
+    # source to wait for and returns before reading a row
     g = load_edge_list("0 1 1\n1 2 2\n3 0 1\n")
     s = g.index_of(2)  # 2 has no out-edge
     assert not g._out_times[s]
+    rows = _RecordingRows(g.edges_by_time)
+    rows.read = []
+    g.edges_by_time = rows
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("a source without out-edges ran a sweep")
 
-    for name in ("_group_foremost_arrival", "_prefix_foremost_sweep", "_shortest_bfs"):
+    for name in ("_prefix_foremost_sweep", "_shortest_bfs"):
         monkeypatch.setattr(tbfs_module, name, no_sweep)
     for opt in ALL_OPTS:
         for z in range(g.n):
@@ -772,7 +777,8 @@ def test_source_without_out_edges_runs_no_sweep(monkeypatch):
             assert result.dependency == {}
         result = full_tbfs(g, s, opt)
         assert list(result.records) == [(s, 0)]
-        assert result.per_target == {} and result.dependency == {}
+        assert result.targets == {} and result.dependency == {}
+    assert rows.read == []
 
 
 def test_only_sh_and_sfm_pair_searches_build_the_in_row_index(ties, tmp_path):
