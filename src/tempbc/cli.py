@@ -274,10 +274,13 @@ def _evaluation(args) -> dict:
 
 
 def _check_output_dirs(args) -> None:
-    """Refuse, before any work, an output path whose directory is missing."""
+    """Refuse, before any work, an output path whose directory is missing or
+    that is itself a directory."""
     for path in (getattr(args, "scores", None), args.out):
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory to write {path} in")
+        if path and os.path.isdir(path):
+            raise IsADirectoryError(f"{path} is a directory, not a file to write")
 
 
 def _report(args, argv: list[str], freeze_heap: bool) -> dict:

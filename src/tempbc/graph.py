@@ -158,8 +158,9 @@ def load_edge_list(
 
     Lines starting with '#' or '%' and blank lines are skipped. Self-loops are
     dropped (and counted); a simple temporal path can never use one. Duplicate
-    rows are kept as parallel temporal edges unless ``dedupe`` is set. For
-    undirected input each row is stored in both orientations.
+    rows are kept as parallel temporal edges unless ``dedupe`` is set, which
+    for undirected input also drops a row repeated in the other orientation.
+    For undirected input each row is stored in both orientations.
     """
     rows: list[tuple[int, int, int]] = []
     dropped = 0
@@ -181,9 +182,10 @@ def load_edge_list(
             dropped += 1
             continue
         if dedupe:
-            if (u, v, t) in seen_rows:
+            key = (u, v, t) if directed or u < v else (v, u, t)
+            if key in seen_rows:
                 continue
-            seen_rows.add((u, v, t))
+            seen_rows.add(key)
         u = id_index.setdefault(u, len(id_index))
         rows.append((t, u, id_index.setdefault(v, len(id_index))))
 

@@ -18,17 +18,17 @@ by one of two rules:
 may run on, nor more than it has chunks. Workers are forked (``os.fork``), so
 each inherits the worker function and the graph it refers to, and nothing of
 them is pickled: a task is its ``(lo, hi)`` range on the worker's own pipe,
-and a reply is the chunk's pickled result on another. A worker ends as soon
-as the process that forked it closes its worker set or dies. Where the
-platform has no ``os.fork``, every run is serial.
+and a reply is the chunk's pickled result on another; a worker holds one
+chunk at a time. A worker ends as soon as the process that forked it closes
+its worker set or dies. Where the platform has no ``os.fork``, every run is
+serial.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
 __all__ = ["Fanout", "chunk_ranges", "run_chunks", "default_threads"]
@@ -36,9 +36,8 @@ __all__ = ["Fanout", "chunk_ranges", "run_chunks", "default_threads"]
 # chunks per worker: enough that one slow chunk does not leave a worker idle
 CHUNKS_PER_WORKER = 4
 
-# a task is a chunk's (lo, hi); a reply is its pickle's length, then the pickle
+# a task is a chunk's (lo, hi); a reply is one pickle, which marks its own end
 _TASK = struct.Struct("qq")
-_LENGTH = struct.Struct("Q")
 
 T = TypeVar("T")
 
@@ -83,12 +82,12 @@ def chunk_ranges(
 @dataclass
 class _Worker:
     """A forked worker: its pid, the parent's ends of its task and reply
-    pipes, and the chunks sent to it and not yet answered, oldest first."""
+    pipes, and the index of the chunk it was last handed."""
 
     pid: int
     tasks: int
     replies: int
-    queued: deque = field(default_factory=deque)
+    chunk: int = -1
 
 
 class Fanout:
@@ -149,33 +148,25 @@ class Fanout:
             os.close(lifeline)
 
     def _fan(self, ranges: list[tuple[int, int]]) -> Iterator[T]:
-        """Yield the results of ``ranges`` in order. Chunks are handed out as
-        workers answer, each worker holding the chunk it runs and one more."""
+        """Yield the results of ``ranges`` in order. Each worker holds one
+        chunk at a time and is handed the next one when its reply arrives."""
         import select
 
-        tasks = iter(enumerate(ranges))
+        tasks = enumerate(ranges)
         done: dict[int, T] = {}
         by_fd = {proc.replies: proc for proc in self._procs}
         poller = select.poll()
         for fd in by_fd:
             poller.register(fd, select.POLLIN)
-
-        def send(proc: _Worker) -> None:
-            item = next(tasks, None)
-            if item is not None:
-                proc.queued.append(item[0])
-                os.write(proc.tasks, _TASK.pack(*item[1]))
-
         try:
-            for proc in self._procs * 2:
-                send(proc)
+            for proc in self._procs:
+                _send(proc, tasks)
             for i in range(len(ranges)):
                 while i not in done:
                     for fd, _ in poller.poll():
                         proc = by_fd[fd]
-                        result = _receive(proc)
-                        done[proc.queued.popleft()] = result
-                        send(proc)
+                        done[proc.chunk] = _receive(proc)
+                        _send(proc, tasks)
                 yield done.pop(i)
         except BaseException:
             # a map that failed or was left early leaves replies in the
@@ -230,7 +221,7 @@ def _serve(worker: Callable, tasks: int, replies: int, lifeline: int) -> None:
                 reply = pickle.dumps((None, worker(*_TASK.unpack(task))), pickle.HIGHEST_PROTOCOL)
             except Exception as exc:
                 reply = _pickled_error(exc)
-            out.write(_LENGTH.pack(len(reply)) + reply)
+            out.write(reply)
             out.flush()
         status = 0
     finally:
@@ -255,25 +246,28 @@ def _pickled_error(exc: Exception) -> bytes:
         return pickle.dumps((text, RuntimeError(repr(exc))), pickle.HIGHEST_PROTOCOL)
 
 
-def _read_exact(fd: int, size: int) -> bytes:
-    parts = []
-    while size:
-        parts.append(os.read(fd, size))
-        if not parts[-1]:
-            raise EOFError
-        size -= len(parts[-1])
-    return b"".join(parts)
+def _send(proc: _Worker, tasks: Iterator[tuple[int, tuple[int, int]]]) -> None:
+    """Hand ``proc`` the next of the numbered ``tasks``, if one is left. A
+    worker that has exited cannot take it; ``_receive`` then reports it."""
+    item = next(tasks, None)
+    if item is not None:
+        proc.chunk, (lo, hi) = item
+        try:
+            os.write(proc.tasks, _TASK.pack(lo, hi))
+        except BrokenPipeError:
+            pass
 
 
 def _receive(proc: _Worker):
-    """The result of ``proc``'s oldest queued chunk. An exception the chunk
-    raised is raised here, and a worker that died raises ``RuntimeError``."""
+    """The result of the chunk ``proc`` holds, read as one pickle from its
+    reply pipe. An exception the chunk raised is raised here, and a worker
+    that died, before or while it wrote its reply, raises ``RuntimeError``."""
     import pickle
 
     try:
-        (size,) = _LENGTH.unpack(_read_exact(proc.replies, _LENGTH.size))
-        error, value = pickle.loads(_read_exact(proc.replies, size))
-    except EOFError:
+        with open(proc.replies, "rb", closefd=False) as reply:
+            error, value = pickle.load(reply)
+    except (EOFError, pickle.UnpicklingError):
         status = os.waitstatus_to_exitcode(os.waitpid(proc.pid, 0)[1])
         raise RuntimeError(
             f"worker process {proc.pid} ended (exit code {status}) before returning its chunk"

@@ -352,12 +352,13 @@ def test_a_missing_output_directory_fails_before_the_graph_is_read(tmp_path, cap
         raise AssertionError("the graph was read before the output paths were checked")
 
     monkeypatch.setattr(tempbc.cli, "read_edge_list", no_read)
-    path = tmp_path / "missing" / "out.txt"
-    code = main(["exact", str(tmp_path / "g1.txt"), flag, str(path)])
-    captured = capsys.readouterr()
-    assert code == 4
-    assert captured.out == ""
-    assert str(path) in captured.err
+    # a path in a missing directory, and a path that is a directory
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        code = main(["exact", str(tmp_path / "g1.txt"), flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert str(path) in captured.err
 
 
 def test_fixed_samples_leave_epsilon_unchecked(g1_path, capsys):

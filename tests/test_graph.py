@@ -49,9 +49,11 @@ def test_malformed_lines_report_line_number():
 
 
 def test_duplicate_rows_kept_unless_deduped():
-    text = "0 1 4\n0 1 4\n"
-    assert len(load_edge_list(text).edges) == 2
-    assert len(load_edge_list(text, dedupe=True).edges) == 1
+    # an undirected contact listed in both orientations is one contact
+    cases = [("0 1 4\n0 1 4\n", True, 2, 1), ("1 2 5\n2 1 5\n2 3 6\n1 4 5\n4 3 6\n", False, 10, 8)]
+    for text, directed, kept, deduped in cases:
+        assert len(load_edge_list(text, directed=directed).edges) == kept
+        assert len(load_edge_list(text, directed=directed, dedupe=True).edges) == deduped
 
 
 def test_arbitrary_ids_are_compacted_with_id_map():

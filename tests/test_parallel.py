@@ -1,13 +1,15 @@
 """The chunked fan-out: chunk sizes for source and pair work, the worker cap,
 one worker set per run, workers that inherit the worker and are never sent
-it, failures that reach the caller and leave no worker behind, and outputs
-that do not depend on where the chunks are cut."""
+it, chunks that go to whichever worker is free, failures that reach the
+caller and leave no worker behind, and outputs that do not depend on where
+the chunks are cut."""
 
 from __future__ import annotations
 
 import contextlib
 import json
 import os
+import pickle
 import signal
 import time
 
@@ -188,6 +190,12 @@ def _stall_after_0(lo, hi):
     return lo
 
 
+def _pid_after_a_slow_0(lo, hi):
+    if lo == 0:
+        time.sleep(1)
+    return os.getpid()
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM for the deadline")
 def test_a_worker_exception_reaches_the_caller(pools):
     with _deadline(30), parallel.Fanout(_raise_at_4, 2) as fan:
@@ -201,11 +209,51 @@ def test_a_worker_exception_reaches_the_caller(pools):
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM for the deadline")
 def test_a_worker_that_dies_makes_map_raise(pools):
-    with _deadline(30):
-        with pytest.raises(RuntimeError, match=r"ended \(exit code 3\) before returning its chunk"):
-            with parallel.Fanout(_exit_at_4, 2) as fan:
-                list(fan.map(0, 10))
-    assert pools[0]["workers"] == 2
+    # the death races with the parent handing out the chunks after it: run
+    # it often enough that a send to the dead worker would show
+    with _deadline(60):
+        for _ in range(100):
+            with pytest.raises(RuntimeError, match=r"ended \(exit code 3\) before returning its chunk"):
+                with parallel.Fanout(_exit_at_4, 2) as fan:
+                    list(fan.map(0, 10))
+    assert [pool["workers"] for pool in pools] == [2] * 100
+    assert _no_children()
+
+
+def test_a_dead_worker_is_reported_with_its_exit_code():
+    # a worker that exited before it was handed its chunk, and one that
+    # exited halfway through writing its reply
+    reply = pickle.dumps((None, list(range(1000))), pickle.HIGHEST_PROTOCOL)
+    for written in (b"", reply[: len(reply) // 2]):
+        task_read, task_write = os.pipe()
+        reply_read, reply_write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(reply_write, written)
+            finally:
+                os._exit(5)
+        os.close(task_read)
+        os.close(reply_write)
+        worker = parallel._Worker(pid, task_write, reply_read)
+        try:
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # exited, not yet reaped
+            parallel._send(worker, iter([(0, (0, 1))]))
+            with pytest.raises(RuntimeError, match=rf"process {pid} ended \(exit code 5\)"):
+                parallel._receive(worker)
+        finally:
+            os.close(task_write)
+            os.close(reply_read)
+    assert _no_children()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM for the deadline")
+def test_a_free_worker_takes_the_next_chunk(pools):
+    # while one worker sleeps in chunk 0, the other runs all the rest
+    with _deadline(30), parallel.Fanout(_pid_after_a_slow_0, 2) as fan:
+        pids = list(fan.map(0, 6, chunk=1))
+    assert pools[0]["maps"] == [[(i, i + 1) for i in range(6)]]
+    assert len(set(pids[1:])) == 1 and pids[0] != pids[1]
     assert _no_children()
 
 
