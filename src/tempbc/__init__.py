@@ -1,22 +1,16 @@
 """Temporal betweenness centrality: exact computation and sampling estimators.
 
-Public surface:
+Public surface: graph loading (:mod:`tempbc.graph`), optimal-path counting
+(:mod:`tempbc.tbfs`) and its brute-force oracle (:mod:`tempbc.bruteforce`),
+exact betweenness (:mod:`tempbc.exact`), fixed-sample and progressive
+estimators (:mod:`tempbc.samplers`, :mod:`tempbc.progressive`), sample-size
+bounds (:mod:`tempbc.bounds`), hop-distance summaries
+(:mod:`tempbc.distances`) and score comparison (:mod:`tempbc.evaluation`).
 
-* graph loading and relabeling (:mod:`tempbc.graph`),
-* optimal-path counting engines (:mod:`tempbc.tbfs`) and the definitional
-  brute-force oracle (:mod:`tempbc.bruteforce`),
-* exact betweenness (:mod:`tempbc.exact`),
-* fixed-sample estimators (:mod:`tempbc.samplers`) and their progressive
-  versions (:mod:`tempbc.progressive`),
-* a-priori sample-size bounds (:mod:`tempbc.bounds`),
-* hop-distance and connectivity summaries (:mod:`tempbc.distances`),
-* score comparison metrics (:mod:`tempbc.evaluation`).
-
-The namespace is lazy (PEP 562): ``import tempbc`` imports no submodule, and
-so no numpy. A public name, or a submodule such as ``tempbc.tbfs``, imports
-its home submodule on first access. This lets the process entry point
-(:mod:`tempbc.__main__`) set the environment before numpy loads, and lets a
-command import only the modules it runs.
+The namespace is lazy (PEP 562): ``import tempbc`` imports no submodule. A
+public name, or a submodule such as ``tempbc.tbfs``, imports its home
+submodule on first access, so a command imports only the modules it runs.
+The package computes in pure Python: only ``ScoreVector.values`` needs numpy.
 """
 
 from importlib import import_module

@@ -1,24 +1,14 @@
 """Command-line interface: load a temporal graph, run an algorithm, report.
 
 Every graph command runs one pipeline (``_report``): check the flags that
-need no graph, load the graph, let the command derive its parameters and
-name its one library call, time that call alone (``wall_seconds``), then
-build the report and emit it. Reports are JSON (schema_version 1) written
-to stdout or ``--out``; score vectors go to a separate CSV (``node_id,score``
-with 17 significant digits) named by ``--scores``, or inline in the report
-when no path is given.
-
-A command imports the modules that only it uses (``progressive``,
-``distances``, ``evaluation``) when it runs, so no command pays for
-another's imports. ``exact``, ``fixed``, ``progressive`` and ``diameter``
-compute in Python ints, floats and fractions and draw from the pure-Python
-streams of ``rng``, so they never load numpy; ``compare`` does, and so does
-``diameter --no-replace``, before its timed call. A run on more than one
-worker forks its workers inside the timed call (see :mod:`tempbc.parallel`);
-they inherit every loaded module and the graph, and import nothing of their
-own. In a process started by :func:`tempbc.__main__.run`, the start-up heap
-is frozen right before the timed call, when every module the command needs
-has loaded.
+need no graph, load the graph, derive the parameters and the one library
+call, time that call alone (``wall_seconds``), then emit the JSON report
+(schema_version 1) to stdout or ``--out``. Scores go to the ``--scores``
+CSV (``node_id,score``, 17 significant digits), or inline in the report.
+A command imports the modules only it uses when it runs; the workers it
+forks inside the timed call inherit them and the graph (see
+:mod:`tempbc.parallel`). Under :func:`tempbc.__main__.run`, the start-up
+heap is frozen just before the timed call.
 
 Exit codes: 0 success, 2 validation error, 3 work guardrail, 4 I/O error.
 """
@@ -120,6 +110,10 @@ def _check_flags(args) -> None:
     before it loads the graph, so a usage error exits 2 at once, whatever
     the file; a value check gives the library's message. Fills in the
     defaults of the flags that the command uses."""
+    if args.command == "compare":
+        if args.k < 1:
+            raise ValueError("k must be >= 1")
+        return
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.command == "exact" and args.work_limit is not None and args.work_limit < 0:
@@ -249,9 +243,6 @@ def _diameter(args, graph: TemporalGraph):
     else:
         s = recommended_sample_size(sampled_n(graph), args.epsilon)
     params = {"samples": s, "tau": args.tau, "seed": args.seed, "threads": args.threads}
-    if args.no_replace:
-        import numpy  # noqa: F401  draws the distinct sources; loads outside the timed call
-
     return params, partial(
         estimate_distances, graph, s, args.tau, args.seed,
         replace=not args.no_replace, threads=args.threads,
@@ -286,10 +277,10 @@ def _check_output_dirs(args) -> None:
 def _report(args, argv: list[str], freeze_heap: bool) -> dict:
     report = {"schema_version": 1, "command": argv, "algorithm": getattr(args, "algo", args.command)}
     _check_output_dirs(args)
+    _check_flags(args)
     if args.command == "compare":
         report.update(parameters={"k": args.k}, evaluation=_evaluation(args))
         return report
-    _check_flags(args)
     graph = read_edge_list(args.graph, directed=not args.undirected, dedupe=args.dedupe)
     report["parameters"], call = _COMMANDS[args.command](args, graph)
     if freeze_heap:

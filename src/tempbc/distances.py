@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .graph import TemporalGraph
 from .parallel import run_chunks
-from .rng import _MASK64, draw_source, substream
+from .rng import draw_distinct, draw_source, substream
 
 __all__ = ["DistanceSummary", "estimate_distances", "recommended_sample_size"]
 
@@ -122,11 +122,7 @@ def estimate_distances(
     elif replace:
         sources = [draw_source(substream(seed, i), n) for i in range(sample_size)]
     else:
-        import numpy as np  # the one draw that needs numpy: Generator.choice
-
-        key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        sources = [int(v) for v in rng.choice(n, size=sample_size, replace=False)]
+        sources = draw_distinct(substream(seed, 0), n, sample_size)
     s_used = len(sources)
 
     dd: dict[int, int] = {}

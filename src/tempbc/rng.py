@@ -1,18 +1,16 @@
 """Counter-based random substreams.
 
-Every sample index gets its own Philox stream keyed by (seed, index), so a
-sample's draws do not depend on execution order. Serial and parallel runs of
-the same seeded experiment therefore produce identical output.
-
-:class:`Substream` is Philox4x64-10 (Salmon et al., SC 2011) in pure Python,
-drawn the way numpy's ``Generator(Philox(key=[seed, index]))`` draws: its
-``integers(n)`` returns what numpy's scalar ``integers(n)`` returns, word for
-word, so the module imports no numpy.
+Every sample index gets its own Philox stream keyed by (seed, index), so
+serial and parallel runs of a seeded experiment give identical output.
+:class:`Substream` is Philox4x64-10 (Salmon et al., SC 2011) in pure Python:
+its ``integers(n)`` returns what numpy's ``Generator(Philox(key=[seed,
+index])).integers(n)`` returns, word for word, and :func:`draw_distinct`
+what its ``choice(n, size, replace=False)`` returns.
 """
 
 from __future__ import annotations
 
-__all__ = ["Substream", "substream", "draw_source", "draw_pair", "randbelow"]
+__all__ = ["Substream", "substream", "draw_source", "draw_pair", "draw_distinct", "randbelow"]
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -113,6 +111,26 @@ def draw_pair(rng: Substream, n: int) -> tuple[int, int]:
     if z >= s:
         z += 1
     return s, z
+
+
+def draw_distinct(rng: Substream, n: int, size: int) -> list[int]:
+    """``size`` distinct values of [0, n) in random order, as numpy's
+    ``choice(n, size, replace=False)`` draws them: a shuffle of the tail of
+    ``range(n)`` when n > 10,000 and size > n // 50, otherwise Floyd's
+    algorithm (Bentley & Floyd, CACM 1987) and a Fisher-Yates pass."""
+    if n > 10_000 and size > n // 50:
+        values, first = list(range(n)), max(n - size, 1)
+    else:
+        values, seen, first = [], set(), 1
+        for j in range(n - size, n):
+            value = rng.integers(j + 1)
+            value = j if value in seen else value  # no earlier draw reached j
+            seen.add(value)
+            values.append(value)
+    for i in range(len(values) - 1, first - 1, -1):
+        j = rng.integers(i + 1)
+        values[i], values[j] = values[j], values[i]
+    return values[len(values) - size:]
 
 
 def randbelow(rng: Substream, bound: int) -> int:

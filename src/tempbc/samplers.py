@@ -11,25 +11,20 @@ and turned into those contributions, a chunk of indices at a time:
 * ``trk``: a uniform ordered pair, then one optimal path drawn uniformly from
   the pair's optimal-path set; 1 for every internal node of the drawn path.
 
-Sample i draws from its own counter-based substream ``substream(seed, i)``,
-so a seeded run is reproducible for any worker count. A chunk draws all of
-its pairs before it searches, so that :func:`tempbc.tbfs.pair_searches` can
-share sweeps among them: one backward sweep per group of ``sh`` or ``sfm``
-pairs, and one forward sweep per group of ``sfm`` pairs; pair work is
-therefore cut into chunks of at most ``tbfs.GROUP_WIDTH`` pairs, whole sweep
-groups (see :func:`tempbc.parallel.chunk_ranges`), and source work into
-about four chunks per worker. The fixed-sample estimators sum contributions
-per chunk and fold the chunk sums exactly, so where the chunks are cut does
-not matter. Each keeps its own normalisation:
-rtb divides by r(n-1), ob by r, and trk multiplies its integer counts by 1/r.
-
-Samples are drawn in pure Python (:mod:`tempbc.rng`), so the module
-imports numpy only where a score vector's array is first read.
+Sample i draws from its own substream ``substream(seed, i)``, so a seeded
+run is reproducible for any worker count. A chunk draws all of its pairs
+before it searches, so that :func:`tempbc.tbfs.pair_searches` can share
+sweeps among them; pair work is cut into whole sweep groups of at most
+``tbfs.GROUP_WIDTH`` pairs (see :func:`tempbc.parallel.chunk_ranges`), and
+source work into about four chunks per worker. Chunk sums fold exactly, so
+where the chunks are cut does not matter. rtb divides by r(n-1), ob by r,
+and trk multiplies its integer counts by 1/r.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -68,7 +63,8 @@ class ScoreVector:
     """Per-node scores in [0, 1], indexed by compact node id.
 
     ``scores`` holds the Python floats the estimator computed; ``values``
-    presents them as a float64 array, built on first read and cached.
+    presents them as a float64 array, built on first read and cached; it
+    needs numpy, which nothing else in the package imports.
     ``sample_size`` is set by the sampling estimators and absent for exact
     computation. ``optimality`` may be None for vectors read back from CSV.
     """
@@ -99,7 +95,9 @@ class ScoreVector:
 
     @classmethod
     def read_csv(cls, source: TextIO | str | Path, optimality: PathOptimality | None = None):
-        """Read a score CSV back; returns (vector, node_ids)."""
+        """Read a score CSV back; returns (vector, node_ids). A line without a
+        comma, a repeated node id or a score that is not finite raises
+        ``ValueError`` naming the line, as does a number that does not parse."""
         if isinstance(source, (str, Path)):
             with open(source, "r", encoding="utf-8") as fh:
                 return cls.read_csv(fh, optimality)
@@ -108,13 +106,26 @@ class ScoreVector:
             raise ValueError(f"unexpected score CSV header: {header!r}")
         ids: list[int] = []
         vals: list[float] = []
-        for line in source:
+        seen: set[int] = set()
+        name = getattr(source, "name", "score CSV")
+        for number, line in enumerate(source, start=2):
             line = line.strip()
             if not line:
                 continue
-            nid, _, val = line.partition(",")
-            ids.append(int(nid))
-            vals.append(float(val))
+            try:  # a fault of the line is reported with its number
+                nid, comma, val = line.partition(",")
+                if not comma:
+                    raise ValueError(f"no comma in {line!r}")
+                node, score = int(nid), float(val)
+                if node in seen:
+                    raise ValueError(f"node id {node} repeats")
+                if not math.isfinite(score):
+                    raise ValueError(f"score {val!r} is not finite")
+            except ValueError as exc:
+                raise ValueError(f"{name} line {number}: {exc}") from None
+            seen.add(node)
+            ids.append(node)
+            vals.append(score)
         return cls(optimality, vals), ids
 
 

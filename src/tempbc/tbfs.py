@@ -21,8 +21,7 @@ arrivals (:func:`_group_foremost_arrival`). ``pfm`` needs one sweep of the
 rows in time order (:func:`_prefix_foremost_sweep`). A :class:`TbfsResult`
 keeps the search state flat, in exact integer path counts, and computes the
 exact rational dependencies (:func:`_accumulate_dependency`) when first
-read. Every search and sweep runs on Python ints alone; the module imports
-no numpy.
+read. Every search and sweep runs on Python ints alone.
 """
 
 from __future__ import annotations

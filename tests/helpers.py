@@ -411,3 +411,31 @@ def _accumulate_dependency_reference(s, records, targets):
         if through and v != s:
             totals[v] = totals.get(v, 0) + rec.sigma * through
     return {v: Fraction(total, scale) for v, total in totals.items()}
+
+
+def weighted_kendall_reference(x, y) -> float:
+    """``evaluation.weighted_kendall`` by its pair-sum definition, on n x n
+    numpy matrices: sign matrices of x and y, pair weights w_i + w_j with
+    w = 1/(1 + rank) for ranks by descending score (ties by ascending id),
+    averaged over the rankings of x and of y."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if len(x) < 2:
+        return 1.0
+    sx = np.sign(x[:, None] - x[None, :])
+    sy = np.sign(y[:, None] - y[None, :])
+    upper = np.triu(np.ones((len(x), len(x)), dtype=bool), 1)
+    taus = []
+    for scores in (x, y):
+        order = np.lexsort((np.arange(len(scores)), -scores))
+        ranks = np.empty(len(scores), dtype=np.int64)
+        ranks[order] = np.arange(len(scores))
+        w = 1.0 / (1.0 + ranks.astype(np.float64))
+        weight = w[:, None] + w[None, :]
+        num = float(np.sum(weight * sx * sy, where=upper))
+        den_x = float(np.sum(weight * sx * sx, where=upper))
+        den_y = float(np.sum(weight * sy * sy, where=upper))
+        if den_x == 0.0 or den_y == 0.0:
+            return 1.0 if np.array_equal(sx, sy) else 0.0
+        taus.append(num / np.sqrt(den_x * den_y))
+    return 0.5 * (taus[0] + taus[1])

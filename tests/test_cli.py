@@ -389,6 +389,31 @@ def test_compare_identity_and_round_trip(g1_path, tmp_path, capsys):
     assert report["evaluation"]["k"] == 50  # default
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1,0.5\n2,nan\n", "line 3: score 'nan' is not finite"),
+    ("1,0.5\n2,-inf\n", "line 3: score '-inf' is not finite"),
+    ("1,0.5\n1,0.25\n", "line 3: node id 1 repeats"),
+    ("1,0.5\n0\n", "line 3: no comma in '0'"),
+], ids=["nan", "inf", "repeated-id", "no-comma"])
+def test_compare_refuses_a_malformed_score_line(tmp_path, capsys, rows, message):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("node_id,score\n1,0.5\n2,0.25\n")
+    bad.write_text("node_id,score\n" + rows)
+    code = main(["compare", str(good), str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{bad} {message}" in captured.err
+
+
+def test_compare_k_below_one_fails_before_the_scores_are_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    code = main(["compare", missing, missing, "--k", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "k must be >= 1" in captured.err
+
+
 def test_undirected_flag_doubles_edges(tmp_path, capsys):
     p = tmp_path / "u.txt"
     p.write_text("0 1 3\n1 2 5\n")

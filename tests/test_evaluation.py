@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from helpers import weighted_kendall_reference
+
 from tempbc import PathOptimality, ScoreVector, compare, weighted_kendall
+from tempbc.cli import main
 from tempbc.evaluation import _ranks, top_k_nodes
 
 
@@ -109,3 +115,52 @@ def test_sample_size_echoed():
     x = vec([0.1, 0.2])
     y = vec([0.1, 0.2], sample_size=77)
     assert compare(x, y, k=1).sample_size == 77
+
+
+def _seeded_pair(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two correlated vectors of up to 300 entries; odd seeds draw them from
+    a handful of levels, so that most pairs are tied in x, in y or in both."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 301))
+    if seed % 2:
+        x = rng.integers(0, 2 + seed % 6, n).astype(np.float64)
+        y = np.where(rng.random(n) < 0.5, x, rng.integers(0, 2 + seed % 4, n))
+        return x, y.astype(np.float64)
+    x = rng.random(n)
+    return x, x + rng.normal(0, 0.3, n)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_tau_agrees_with_the_pair_sum_definition(chunk):
+    for seed in range(100 * chunk, 100 * chunk + 100):
+        x, y = _seeded_pair(seed)
+        assert abs(weighted_kendall(x, y) - weighted_kendall_reference(x, y)) <= 1e-12, seed
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.5] * 5, [0.5] * 5),
+    ([0.5] * 5, [0.1, 0.2, 0.3, 0.4, 0.5]),
+    ([0.1, 0.2, 0.3, 0.4, 0.5], [0.0] * 5),
+    ([0.0, -0.0, 0.0], [1.0, 2.0, 3.0]),
+    ([0.3, 0.1], [0.3, 0.1]),
+], ids=["all-tied", "x-tied", "y-tied", "signed-zeros", "two-nodes"])
+def test_tau_on_tied_sides_equals_the_pair_sum_definition(x, y):
+    assert weighted_kendall(x, y) == weighted_kendall_reference(x, y)
+
+
+def test_compare_of_a_hundred_thousand_nodes_stays_in_linear_memory(tmp_path):
+    draw = random.Random(5)
+    exact, approx = tmp_path / "exact.csv", tmp_path / "approx.csv"
+    scores = [draw.random() for _ in range(100_000)]
+    ScoreVector(None, scores).write_csv(exact)
+    ScoreVector(None, [v + draw.gauss(0, 0.05) for v in scores]).write_csv(approx)
+    del scores
+    tracemalloc.start()
+    try:
+        code = main(["compare", str(exact), str(approx), "--out", str(tmp_path / "report.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * 2**20
+    assert 0.5 < json.loads((tmp_path / "report.json").read_text())["evaluation"]["weighted_kendall"] < 1

@@ -3,7 +3,6 @@ modules each CLI command imports, and the heap it freezes before its call."""
 
 from __future__ import annotations
 
-import gc
 import importlib
 import json
 import os
@@ -16,8 +15,6 @@ import pytest
 from helpers import G1_TEXT
 
 import tempbc
-import tempbc.__main__
-import tempbc.cli
 from tempbc.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -59,20 +56,6 @@ def test_import_tempbc_loads_no_numpy_and_leaves_the_environment_alone():
         "print(tempbc.tbfs.GROUP_WIDTH, 'numpy' in sys.modules)\n"
     )
     assert out.split("\n") == ["['tempbc', 'tempbc.__main__']", "False", "64 False", ""]
-
-
-@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
-def test_run_caps_openblas_threads_unless_set(monkeypatch, preset, seen):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")  # restored after the test
-    if preset is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
-    values = []
-    monkeypatch.setattr(gc, "freeze", lambda: None)
-    monkeypatch.setattr(tempbc.cli, "main", lambda **_: values.append(os.environ["OPENBLAS_NUM_THREADS"]) or 0)
-    assert tempbc.__main__.run() == 0
-    assert values == [seen]
 
 
 def test_main_in_process_leaves_the_environment_alone(tmp_path, capsys, monkeypatch):
@@ -129,13 +112,17 @@ def test_each_command_imports_only_what_it_uses(tmp_path, argv, unused):
 
 
 def _imports_of(tmp_path, argv) -> list[str]:
-    """The modules that ``python -m tempbc`` imports on g1 for ``argv``, in
-    its process and in the workers it forks, which log their own imports to
-    the same stderr."""
+    """The modules that ``python -m tempbc`` imports on g1 for ``argv`` (or,
+    for ``compare``, on a score CSV of g1 compared with itself), in its
+    process and in the workers it forks, which log their own imports to the
+    same stderr."""
     graph = tmp_path / "g1.txt"
     graph.write_text(G1_TEXT)
+    scores = tmp_path / "g1.csv"
+    scores.write_text("node_id,score\n1,0\n2,0.041666666666666664\n3,0.041666666666666664\n4,0\n")
     command, *options = argv
-    proc = _interpreter("-X", "importtime", "-m", "tempbc", command, str(graph), *options)
+    operands = [str(scores)] * 2 if command == "compare" else [str(graph)]
+    proc = _interpreter("-X", "importtime", "-m", "tempbc", command, *operands, *options)
     return [line.rsplit("|", 1)[-1].strip()
             for line in proc.stderr.splitlines() if line.startswith("import time:")]
 
@@ -161,11 +148,13 @@ _SAMPLING = {
     "progressive-trk": ["progressive", "--algo", "trk", "--epsilon", "0.3", "--threads", "2"],
     "progressive-prtb": ["progressive", "--algo", "prtb", "--max-samples", "40"],
     "diameter": ["diameter", "--samples", "4", "--threads", "2"],
+    "diameter-no-replace": ["diameter", "--samples", "2", "--no-replace", "--threads", "2"],
+    "compare": ["compare", "--k", "2"],
 }
 
 
 _COMMAND_MODULE = {"fixed": "tempbc.samplers", "progressive": "tempbc.progressive",
-                   "diameter": "tempbc.distances"}
+                   "diameter": "tempbc.distances", "compare": "tempbc.evaluation"}
 
 
 @pytest.mark.parametrize("name", _SAMPLING)
@@ -225,15 +214,16 @@ def test_sampling_commands_freeze_the_heap_before_the_timed_call(tmp_path, argv)
     assert _at_the_call(tmp_path, "run", argv) == [0, [[False, False]]]
 
 
-def test_only_run_freezes_the_heap_and_no_replace_loads_numpy_before_its_call(tmp_path):
+def test_only_run_freezes_the_heap_and_no_replace_loads_no_numpy(tmp_path):
     argv = ["fixed", "--algo", "trk", "--samples", "20", "--seed", "1", "--threads", "1"]
     assert _at_the_call(tmp_path, "main", argv) == [0, [[False, True]]]
     argv = ["diameter", "--samples", "4", "--no-replace", "--threads", "1"]
-    assert _at_the_call(tmp_path, "run", argv) == [0, [[True, False]]]
+    assert _at_the_call(tmp_path, "run", argv) == [0, [[False, False]]]
 
 
-# a graph of 200 arithmetic rows on up to 31 nodes, and the outputs of the
-# two commands that still load numpy, pinned from numpy's own Philox stream
+# a graph of 200 arithmetic rows on up to 31 nodes, and the outputs of
+# diameter --no-replace and compare, pinned when the first drew its sources
+# with numpy's Generator.choice and the second computed on numpy arrays
 _ARITH_TEXT = "".join(f"{(7 * i) % 31} {(11 * i + 3) % 29} {i % 17 + 1}\n" for i in range(200))
 _NO_REPLACE_SUMMARY = {
     "avg_distance": 2.3071161048689137, "connectivity_rate": 0.89, "diameter": 7,
@@ -273,3 +263,49 @@ def test_score_vector_values_is_one_cached_float64_array():
     assert values is vector.values
     assert values.dtype == np.float64
     assert values.tolist() == vector.scores
+
+
+# runs each argv of a JSON list through the process entry point, in one
+# interpreter where, when asked, no import of numpy can succeed
+_ENTRY_POINT_RUNS = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # an import of numpy now raises ImportError
+from tempbc import __main__
+codes = []
+for argv in json.loads(sys.argv[2]):
+    sys.argv = ["tempbc", *argv]
+    codes.append(__main__.run())
+print(json.dumps(codes))
+"""
+
+
+def test_every_command_runs_alike_with_numpy_blocked(tmp_path):
+    graph = tmp_path / "arith.txt"
+    graph.write_text(_ARITH_TEXT)
+    outputs = {}
+    for mode in ("blocked", "importable"):
+        out = tmp_path / mode
+        out.mkdir()
+        g, two = str(graph), ["--threads", "2"]
+        commands = [
+            ["exact", g, *two, "--scores", f"{out}/exact.csv"],
+            ["fixed", g, "--algo", "ob", "--bound", "vc", "--epsilon", "0.3", *two, "--scores", f"{out}/ob.csv"],
+            ["fixed", g, "--algo", "trk", "--samples", "40", "--seed", "1", *two, "--scores", f"{out}/trk.csv"],
+            ["progressive", g, "--algo", "ob", "--epsilon", "0.3", *two, "--scores", f"{out}/pob.csv"],
+            ["progressive", g, "--algo", "trk", "--epsilon", "0.3", *two, "--scores", f"{out}/ptrk.csv"],
+            ["progressive", g, "--algo", "prtb", "--max-samples", "40", "--scores", f"{out}/prtb.csv"],
+            ["diameter", g, "--samples", "10", *two],
+            ["diameter", g, "--samples", "10", "--no-replace", "--seed", "3", *two],
+            ["compare", f"{out}/exact.csv", f"{out}/ob.csv", "--k", "5"],
+        ]
+        commands = [[*argv, "--out", f"{out}/report{i}.json"] for i, argv in enumerate(commands)]
+        assert json.loads(_python(_ENTRY_POINT_RUNS, mode, json.dumps(commands))) == [0] * len(commands)
+        outputs[mode] = {path.name: path.read_bytes() for path in out.glob("*.csv")}
+        for path in out.glob("*.json"):
+            report = json.loads(path.read_text())
+            for run_specific in ("wall_seconds", "command", "scores_path"):
+                report.pop(run_specific, None)
+            outputs[mode][path.name] = report
+    assert len(outputs["blocked"]) == 15
+    assert outputs["blocked"] == outputs["importable"]

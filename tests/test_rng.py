@@ -1,4 +1,4 @@
-"""The pure-Python Philox substream against numpy's Generator(Philox)."""
+"""The pure-Python Philox substream and its draws against numpy's Generator(Philox)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from tempbc.rng import randbelow, substream
+from tempbc.rng import draw_distinct, randbelow, substream
 
 M64 = (1 << 64) - 1
 
@@ -86,3 +86,19 @@ def test_integers_refuses_an_empty_range():
             rng.integers(bound)
         with pytest.raises(ValueError):
             _numpy_stream(1, 2).integers(bound)
+
+
+# both of numpy's paths for choice(n, size, replace=False), and the edges
+# between them: Floyd's algorithm up to n = 10,000 or size = n // 50, a tail
+# shuffle of range(n) above both
+CHOICE_SHAPES = [(2, 1), (31, 10), (1000, 999), (10_000, 10_000), (10_001, 200), (10_001, 201),
+                 (20_000, 19_999), (50_000, 1000), (50_000, 1001)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 12345, 2**63 + 5, M64])
+def test_draw_distinct_matches_numpy_choice_without_replacement(seed):
+    for n, size in CHOICE_SHAPES:
+        drawn = draw_distinct(substream(seed, 0), n, size)
+        chosen = _numpy_stream(seed, 0).choice(n, size=size, replace=False)
+        assert drawn == [int(v) for v in chosen], (seed, n, size)
+        assert len(set(drawn)) == size
