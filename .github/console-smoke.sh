@@ -13,3 +13,6 @@ tempbc progressive "$dir/g.txt" --algo prtb --max-samples 40 > /dev/null
 tempbc diameter "$dir/g.txt" --samples 4 > /dev/null
 tempbc diameter "$dir/g.txt" --samples 2 --no-replace > /dev/null
 tempbc compare "$dir/exact.csv" "$dir/ob.csv" > /dev/null
+# the same scores in the opposite row order compare by node id
+{ head -n 1 "$dir/exact.csv"; tail -n +2 "$dir/exact.csv" | tac; } > "$dir/reversed.csv"
+tempbc compare "$dir/exact.csv" "$dir/reversed.csv" > /dev/null

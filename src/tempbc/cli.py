@@ -7,8 +7,11 @@ call, time that call alone (``wall_seconds``), then emit the JSON report
 CSV (``node_id,score``, 17 significant digits), or inline in the report.
 A command imports the modules only it uses when it runs; the workers it
 forks inside the timed call inherit them and the graph (see
-:mod:`tempbc.parallel`). Under :func:`tempbc.__main__.run`, the start-up
-heap is frozen just before the timed call.
+:mod:`tempbc.parallel`). A report's ``stop``, ``summary`` and
+``evaluation`` sections are the ``_asdict()`` of the library's
+``NamedTuple`` records. Under :func:`tempbc.__main__.run`, the start-up
+heap is frozen just before the timed call. ``compare`` pairs the two score
+files' rows by node id.
 
 Exit codes: 0 success, 2 validation error, 3 work guardrail, 4 I/O error.
 """
@@ -21,7 +24,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from functools import partial
 
 from .bounds import check_bound_inputs, hoeffding_size, vc_size
@@ -257,9 +259,12 @@ def _evaluation(args) -> dict:
 
     exact_vec, exact_ids = ScoreVector.read_csv(args.exact_scores)
     approx_vec, approx_ids = ScoreVector.read_csv(args.approx_scores)
-    if exact_ids != approx_ids:
-        raise ValueError("score files cover different node sets")
-    evaluation = asdict(compare(exact_vec, approx_vec, args.k))
+    if exact_ids != approx_ids:  # the same ids in another row order are aligned by id
+        if set(exact_ids) != set(approx_ids):
+            raise ValueError("score files cover different node sets")
+        by_id = dict(zip(approx_ids, approx_vec.scores))
+        approx_vec.scores = [by_id[nid] for nid in exact_ids]
+    evaluation = compare(exact_vec, approx_vec, args.k)._asdict()
     del evaluation["sample_size"]  # a score CSV carries no sample size
     return evaluation
 
@@ -302,12 +307,12 @@ def _report(args, argv: list[str], freeze_heap: bool) -> dict:
     if hasattr(args, "opt"):
         report["optimality"] = args.opt
     if args.command == "diameter":
-        report["summary"] = asdict(result)
+        report["summary"] = result._asdict()
         return report
     scores = result
     if isinstance(result, tuple):  # progressive runs also say why they stopped
         scores, stop = result
-        report["stop"] = asdict(stop)
+        report["stop"] = stop._asdict()
     if args.scores:
         scores.write_csv(args.scores, graph.node_ids)
         report["scores_path"] = args.scores

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import TemporalGraph
 from .parallel import run_chunks
@@ -24,8 +24,7 @@ from .rng import draw_distinct, draw_source, substream
 __all__ = ["DistanceSummary", "estimate_distances", "recommended_sample_size"]
 
 
-@dataclass(frozen=True)
-class DistanceSummary:
+class DistanceSummary(NamedTuple):
     """Sampling summary of shortest-temporal hop distances.
 
     ``reach_profile[h]`` estimates the number of ordered distinct pairs within

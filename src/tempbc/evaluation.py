@@ -5,15 +5,14 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import ScoreVector
 
 __all__ = ["EvalReport", "compare", "weighted_kendall", "top_k_nodes"]
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     sup_deviation: float
     mse: float
     weighted_kendall: float

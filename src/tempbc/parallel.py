@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
 __all__ = ["Fanout", "chunk_ranges", "run_chunks", "default_threads"]
@@ -79,15 +78,17 @@ def chunk_ranges(
     return list(zip(bounds, bounds[1:]))
 
 
-@dataclass
 class _Worker:
     """A forked worker: its pid, the parent's ends of its task and reply
     pipes, and the index of the chunk it was last handed."""
 
-    pid: int
-    tasks: int
-    replies: int
-    chunk: int = -1
+    __slots__ = ("pid", "tasks", "replies", "chunk")
+
+    def __init__(self, pid: int, tasks: int, replies: int, chunk: int = -1):
+        self.pid = pid
+        self.tasks = tasks
+        self.replies = replies
+        self.chunk = chunk
 
 
 class Fanout:

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import tbfs
 from .bounds import check_bound_inputs, hoeffding_size
@@ -67,8 +67,7 @@ class StopReason(str, Enum):
     ITERATION_CAP = "iteration_cap"
 
 
-@dataclass(frozen=True)
-class StopReport:
+class StopReport(NamedTuple):
     final_sample_size: int
     iterations: int
     xi: float
@@ -76,24 +75,23 @@ class StopReport:
     stopped_by: StopReason
 
 
-@dataclass(frozen=True)
 class Schedule:
     """Geometric sample schedule: the i-th checkpoint is ceil(alpha^(i-1) * initial)."""
 
-    initial: int
-    alpha: float
+    __slots__ = ("initial", "alpha")
 
-    def __post_init__(self):
-        if self.initial < 1:
+    def __init__(self, initial: int, alpha: float):
+        if initial < 1:
             raise ValueError("initial sample size must be >= 1")
-        if self.alpha <= 1.0:
+        if alpha <= 1.0:
             raise ValueError("schedule constant alpha must be > 1")
+        self.initial = initial
+        self.alpha = alpha
 
     def size(self, iteration: int) -> int:
         return math.ceil(self.alpha ** (iteration - 1) * self.initial)
 
 
-@dataclass
 class RademacherState:
     """Running per-node sums needed by the stopping bound.
 
@@ -103,10 +101,19 @@ class RademacherState:
     vectors and are accounted for separately via ``n_nodes``.
     """
 
-    n_nodes: int
-    b: dict[float, int] = field(default_factory=dict)
-    b1: dict[int, float] = field(default_factory=dict)
-    b2: dict[int, float] = field(default_factory=dict)
+    __slots__ = ("n_nodes", "b", "b1", "b2")
+
+    def __init__(
+        self,
+        n_nodes: int,
+        b: dict[float, int] | None = None,
+        b1: dict[int, float] | None = None,
+        b2: dict[int, float] | None = None,
+    ):
+        self.n_nodes = n_nodes
+        self.b = {} if b is None else b
+        self.b1 = {} if b1 is None else b1
+        self.b2 = {} if b2 is None else b2
 
     @property
     def untouched(self) -> int:

@@ -26,10 +26,9 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from . import tbfs
 from .graph import TemporalGraph
@@ -58,7 +57,6 @@ class Algorithm(str, Enum):
     TRK = "trk"
 
 
-@dataclass
 class ScoreVector:
     """Per-node scores in [0, 1], indexed by compact node id.
 
@@ -69,9 +67,12 @@ class ScoreVector:
     computation. ``optimality`` may be None for vectors read back from CSV.
     """
 
-    optimality: PathOptimality | None
-    scores: list[float]
-    sample_size: int | None = None
+    def __init__(
+        self, optimality: PathOptimality | None, scores: list[float], sample_size: int | None = None
+    ):
+        self.optimality = optimality
+        self.scores = scores
+        self.sample_size = sample_size
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -129,8 +130,7 @@ class ScoreVector:
         return cls(optimality, vals), ids
 
 
-@dataclass(frozen=True)
-class SampledPath:
+class SampledPath(NamedTuple):
     """One drawn optimal path, as its vertex-appearance sequence.
 
     ``appearances`` runs from the source sentinel (s, 0) to a target

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
@@ -64,7 +63,6 @@ class PathOptimality(str, Enum):
             raise ValueError(f"unknown path optimality {tag!r}; expected sh, sfm, or pfm") from None
 
 
-@dataclass(slots=True)
 class AppearanceRecord:
     """Counting state for one reachable vertex appearance.
 
@@ -75,12 +73,22 @@ class AppearanceRecord:
     record's key in ``TbfsResult.records``.
     """
 
-    hops: int
-    sigma: int
-    predecessors: dict[Appearance, int] = field(default_factory=dict)
+    __slots__ = ("hops", "sigma", "predecessors")
+
+    def __init__(self, hops: int, sigma: int, predecessors: dict[Appearance, int] | None = None):
+        self.hops = hops
+        self.sigma = sigma
+        self.predecessors = {} if predecessors is None else predecessors
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.hops, self.sigma, self.predecessors) == (other.hops, other.sigma, other.predecessors)
+
+    def __repr__(self) -> str:
+        return f"AppearanceRecord({self.hops!r}, {self.sigma!r}, {self.predecessors!r})"
 
 
-@dataclass(slots=True)
 class TbfsResult:
     """Output of one (possibly truncated) temporal BFS.
 
@@ -107,17 +115,29 @@ class TbfsResult:
     compressed predecessors expanded; it is built on first access and cached.
     """
 
-    source: int
-    base: int
-    hops: dict[int, int]
-    sigma: dict[int, int]
-    preds: dict[int, dict[int, int]]
-    groups: list[tuple[int, list[int]]]
-    targets: dict[int, list[int]]
-    _dependency: dict[int, Fraction] | None = field(default=None, init=False, repr=False)
-    _records: dict[Appearance, AppearanceRecord] | None = field(
-        default=None, init=False, repr=False
+    __slots__ = (
+        "source", "base", "hops", "sigma", "preds", "groups", "targets", "_dependency", "_records",
     )
+
+    def __init__(
+        self,
+        source: int,
+        base: int,
+        hops: dict[int, int],
+        sigma: dict[int, int],
+        preds: dict[int, dict[int, int]],
+        groups: list[tuple[int, list[int]]],
+        targets: dict[int, list[int]],
+    ):
+        self.source = source
+        self.base = base
+        self.hops = hops
+        self.sigma = sigma
+        self.preds = preds
+        self.groups = groups
+        self.targets = targets
+        self._dependency: dict[int, Fraction] | None = None
+        self._records: dict[Appearance, AppearanceRecord] | None = None
 
     @property
     def dependency(self) -> dict[int, Fraction]:

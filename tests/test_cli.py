@@ -16,6 +16,13 @@ from helpers import G1_TEXT, random_temporal_graph_large
 import tempbc.__main__
 import tempbc.cli
 from tempbc import hoeffding_size, write_edge_list
+from tempbc.distances import estimate_distances
+from tempbc.evaluation import compare
+from tempbc.exact import ScoreVector
+from tempbc.graph import read_edge_list
+from tempbc.progressive import prtb_estimate
+from tempbc.samplers import SampledPath
+from tempbc.tbfs import PathOptimality
 from tempbc.cli import main
 from tempbc.parallel import default_threads
 
@@ -451,6 +458,7 @@ SUMMARY_KEYS = {
     "diameter", "effective_diameter", "tau", "connectivity_rate",
     "avg_distance", "sample_size", "has_paths", "reach_profile",
 }
+EVALUATION_KEYS = {"sup_deviation", "mse", "weighted_kendall", "topk_intersection", "k"}
 
 
 @pytest.mark.parametrize(
@@ -502,9 +510,54 @@ def test_compare_report_shape_is_pinned(g1_path, tmp_path, capsys):
     assert code == 0
     assert set(report) == {"schema_version", "command", "algorithm", "parameters", "evaluation"}
     assert set(report["parameters"]) == {"k"}
-    assert set(report["evaluation"]) == {
-        "sup_deviation", "mse", "weighted_kendall", "topk_intersection", "k",
-    }
+    assert set(report["evaluation"]) == EVALUATION_KEYS
+
+
+def test_the_reported_records_refuse_assignment_and_give_the_report_keys(g1_path):
+    graph = read_edge_list(str(g1_path))
+    _, stop = prtb_estimate(graph, PathOptimality.SHORTEST, 2.0, 0, max_samples=5)
+    summary = estimate_distances(graph, 4, 0.9, 0, threads=1)
+    vector = ScoreVector(None, [0.5, 0.25, 0.0])
+    evaluation = compare(vector, vector, 2)
+    path = SampledPath((0, 1), ((0, 0), (1, 1)))
+    for record in (stop, summary, evaluation, path):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    assert set(stop._asdict()) == STOP_KEYS
+    assert set(summary._asdict()) == SUMMARY_KEYS
+    # a score CSV carries no sample size, so the report leaves it out
+    assert set(evaluation._asdict()) == EVALUATION_KEYS | {"sample_size"}
+
+
+@pytest.mark.parametrize("reversed_file", ["exact", "approx"])
+def test_compare_aligns_score_rows_by_node_id(g1_path, tmp_path, capsys, reversed_file):
+    exact, approx = tmp_path / "exact.csv", tmp_path / "approx.csv"
+    run(capsys, "exact", g1_path, "--scores", exact, "--threads", "1")
+    run(capsys, "fixed", g1_path, "--algo", "ob", "--samples", "40", "--seed", "3",
+        "--scores", approx, "--threads", "1")
+    code, expected = run(capsys, "compare", exact, approx, "--k", "2")
+    assert code == 0
+    target = exact if reversed_file == "exact" else approx
+    header, *rows = target.read_text().splitlines()
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("\n".join([header, *reversed(rows)]) + "\n")
+    operands = (swapped, approx) if reversed_file == "exact" else (exact, swapped)
+    code, report = run(capsys, "compare", *operands, "--k", "2")
+    assert code == 0
+    assert report["evaluation"] == expected["evaluation"]
+
+
+def test_compare_refuses_score_files_over_different_node_sets(tmp_path, capsys):
+    full, short = tmp_path / "full.csv", tmp_path / "short.csv"
+    full.write_text("node_id,score\n1,0.5\n2,0.25\n3,0.125\n")
+    short.write_text("node_id,score\n3,0.125\n1,0.5\n")
+    code = main(["compare", str(full), str(short)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "score files cover different node sets" in captured.err
 
 
 def test_wall_seconds_leaves_out_the_vertex_diameter_estimate(g1_path, capsys, monkeypatch):

@@ -165,6 +165,23 @@ def test_sampling_commands_import_no_numpy_in_the_process_or_its_workers(tmp_pat
     assert [m for m in imported if m.split(".")[0] == "numpy"] == []
 
 
+# dataclasses would load inspect (and with it ast, dis and tokenize), which
+# nothing else the package runs loads
+@pytest.mark.parametrize("argv", [
+    ["exact", "--threads", "2"],
+    _SAMPLING["fixed-ob-vc"],
+    _SAMPLING["fixed-trk-sh"],
+    _SAMPLING["progressive-ob"],
+    _SAMPLING["progressive-prtb"],
+    _SAMPLING["diameter"],
+    _SAMPLING["compare"],
+], ids=["exact", "fixed-ob-vc", "fixed-trk", "progressive-ob", "progressive-prtb", "diameter",
+        "compare"])
+def test_no_command_imports_dataclasses_or_inspect(tmp_path, argv):
+    imported = _imports_of(tmp_path, argv)
+    assert not {"dataclasses", "inspect"} & set(imported)
+
+
 # a command whose timed call first reports whether numpy has loaded and
 # whether the collector still tracks the loaded graph: after gc.freeze() it
 # is absent from the collector's generations. The first argument picks the
