@@ -23,7 +23,7 @@ _EXPORTS = {
     "bruteforce": ("PathBudgetExceeded", "enumerate_paths_bruteforce"),
     "distances": ("DistanceSummary", "estimate_distances", "recommended_sample_size"),
     "evaluation": ("EvalReport", "compare", "weighted_kendall"),
-    "exact": ("GuardrailError", "ScoreVector", "exact_tbc", "exact_tbc_fractions"),
+    "exact": ("GuardrailError", "exact_tbc", "exact_tbc_fractions"),
     "graph": (
         "ParseError", "TemporalGraph", "load_edge_list", "read_edge_list", "summarize",
         "write_edge_list",
@@ -34,8 +34,8 @@ _EXPORTS = {
         "update_values",
     ),
     "samplers": (
-        "Algorithm", "SampledPath", "ob_estimate", "rtb_estimate", "sample_optimal_path",
-        "trk_estimate",
+        "Algorithm", "SampledPath", "ScoreVector", "ob_estimate", "rtb_estimate",
+        "sample_optimal_path", "trk_estimate",
     ),
     "tbfs": ("AppearanceRecord", "PathOptimality", "TbfsResult", "full_tbfs", "truncated_tbfs"),
 }

@@ -27,9 +27,9 @@ import time
 from functools import partial
 
 from .bounds import check_bound_inputs, hoeffding_size, vc_size
-from .exact import GuardrailError, ScoreVector, exact_tbc, work_estimate
+from .exact import GuardrailError, exact_tbc, work_estimate
 from .graph import ParseError, TemporalGraph, read_edge_list, summarize
-from .samplers import Algorithm, ob_estimate, rtb_estimate, sampled_n, trk_estimate
+from .samplers import Algorithm, ScoreVector, ob_estimate, rtb_estimate, sampled_n, trk_estimate
 from .tbfs import PathOptimality
 from .parallel import default_threads
 
@@ -67,9 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = add_command("exact", "exact betweenness over all sources")
     p_exact.add_argument("--force", action="store_true", help="ignore the work guardrail")
-    p_exact.add_argument(
-        "--work-limit", type=int, default=None, help="override the guardrail work estimate limit"
-    )
 
     p_fixed = add_command("fixed", "fixed-sample-size estimator")
     p_fixed.add_argument("--algo", choices=[a.value for a in Algorithm], required=True)
@@ -118,8 +115,6 @@ def _check_flags(args) -> None:
         return
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
-    if args.command == "exact" and args.work_limit is not None and args.work_limit < 0:
-        raise ValueError("--work-limit must be >= 0")
     if args.command == "progressive":
         if args.algo == "prtb":
             defaults = {"c": 2.0}
@@ -172,9 +167,8 @@ def _check_flags(args) -> None:
 
 def _exact(args, graph: TemporalGraph):
     params = {"threads": args.threads, "force": args.force, "work_estimate": work_estimate(graph)}
-    limits = {} if args.work_limit is None else {"work_limit": args.work_limit}
     opt = PathOptimality.parse(args.opt)
-    return params, partial(exact_tbc, graph, opt, threads=args.threads, force=args.force, **limits)
+    return params, partial(exact_tbc, graph, opt, threads=args.threads, force=args.force)
 
 
 def _fixed_sample_size(args, graph: TemporalGraph) -> dict:
@@ -269,19 +263,34 @@ def _evaluation(args) -> dict:
     return evaluation
 
 
-def _check_output_dirs(args) -> None:
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path that does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(args) -> None:
     """Refuse, before any work, an output path whose directory is missing or
-    that is itself a directory."""
-    for path in (getattr(args, "scores", None), args.out):
+    that is itself a directory, and one that names an input file or the
+    other output."""
+    scores = getattr(args, "scores", None)
+    for path in (scores, args.out):
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory to write {path} in")
         if path and os.path.isdir(path):
             raise IsADirectoryError(f"{path} is a directory, not a file to write")
+    inputs = (args.exact_scores, args.approx_scores) if args.command == "compare" else (args.graph,)
+    for flag, path in (("--scores", scores), ("--out", args.out)):
+        if path and any(_same_file(path, name) for name in inputs):
+            raise ValueError(f"{flag} {path} would overwrite an input file")
+    if scores and args.out and _same_file(scores, args.out):
+        raise ValueError(f"--scores and --out both name {scores}")
 
 
 def _report(args, argv: list[str], freeze_heap: bool) -> dict:
     report = {"schema_version": 1, "command": argv, "algorithm": getattr(args, "algo", args.command)}
-    _check_output_dirs(args)
+    _check_outputs(args)
     _check_flags(args)
     if args.command == "compare":
         report.update(parameters={"k": args.k}, evaluation=_evaluation(args))

@@ -7,7 +7,7 @@ import operator
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .exact import ScoreVector
+from .samplers import ScoreVector
 
 __all__ = ["EvalReport", "compare", "weighted_kendall", "top_k_nodes"]
 

@@ -5,8 +5,7 @@ Exact betweenness is the rtb census: the per-sample pipeline of
 n / (4 * workers) sources. Per-source dependencies are summed as exact
 rationals and divided by n(n-1); rounding to float happens once, at the
 score-vector boundary, so results are bit-reproducible regardless of worker
-count and chunk size. ``ScoreVector`` is defined in
-:mod:`tempbc.samplers` and re-exported here.
+count and chunk size.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from .graph import TemporalGraph
 from .samplers import Algorithm, ScoreVector, summed_contributions
 from .tbfs import PathOptimality
 
-__all__ = ["ScoreVector", "GuardrailError", "exact_tbc", "exact_tbc_fractions", "work_estimate"]
+__all__ = ["GuardrailError", "exact_tbc", "exact_tbc_fractions", "work_estimate"]
 
 # coarse per-run cost proxy; exact runs above this need force=True
 DEFAULT_WORK_LIMIT = 200_000_000
@@ -44,21 +43,17 @@ def exact_tbc_fractions(
 
 
 def exact_tbc(
-    graph: TemporalGraph,
-    opt: PathOptimality,
-    *,
-    threads: int = 1,
-    force: bool = False,
-    work_limit: int = DEFAULT_WORK_LIMIT,
+    graph: TemporalGraph, opt: PathOptimality, *, threads: int = 1, force: bool = False
 ) -> ScoreVector:
     """Exact normalized temporal betweenness of all nodes.
 
-    Refuses graphs whose work estimate exceeds ``work_limit`` unless ``force``
-    is set; a full run visits every source and can take hours on large inputs.
+    Refuses graphs whose work estimate exceeds ``DEFAULT_WORK_LIMIT`` unless
+    ``force`` is set; a full run visits every source and can take hours on
+    large inputs.
     """
-    if not force and work_estimate(graph) > work_limit:
+    if not force and work_estimate(graph) > DEFAULT_WORK_LIMIT:
         raise GuardrailError(
-            f"work estimate {work_estimate(graph)} exceeds limit {work_limit}; "
+            f"work estimate {work_estimate(graph)} exceeds limit {DEFAULT_WORK_LIMIT}; "
             "pass force=True (or --force) to run anyway"
         )
     fractions = exact_tbc_fractions(graph, opt, threads=threads)

@@ -76,7 +76,6 @@ class TemporalGraph:
         "_out_times",
         "_out_keys",
         "_in_rows",
-        "_id_index",
     )
 
     def __init__(
@@ -95,7 +94,6 @@ class TemporalGraph:
         self.directed = directed
         self.node_ids = node_ids if node_ids is not None else tuple(range(n))
         self.dropped_self_loops = dropped_self_loops
-        self._id_index = {orig: i for i, orig in enumerate(self.node_ids)}
 
         self.edges_by_time = tuple(sorted(self.edges, key=itemgetter(0)))
         # equal rows are indistinguishable, so no input-order tie-break
@@ -118,8 +116,8 @@ class TemporalGraph:
         return rows[bisect_left(rows, node, key=head):bisect_right(rows, node, key=head)]
 
     def index_of(self, original_id: int) -> int:
-        """Compact id of an original input node id."""
-        return self._id_index[original_id]
+        """Compact id of an original input node id; ``ValueError`` if there is none."""
+        return self.node_ids.index(original_id)
 
     def out_edges_after(self, node: int, time: int) -> list[tuple[int, int]]:
         """``(time, head)`` of the edges leaving ``node`` labeled after ``time``."""

@@ -84,11 +84,11 @@ class _Worker:
 
     __slots__ = ("pid", "tasks", "replies", "chunk")
 
-    def __init__(self, pid: int, tasks: int, replies: int, chunk: int = -1):
+    def __init__(self, pid: int, tasks: int, replies: int):
         self.pid = pid
         self.tasks = tasks
         self.replies = replies
-        self.chunk = chunk
+        self.chunk = -1
 
 
 class Fanout:

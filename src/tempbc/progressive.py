@@ -103,17 +103,11 @@ class RademacherState:
 
     __slots__ = ("n_nodes", "b", "b1", "b2")
 
-    def __init__(
-        self,
-        n_nodes: int,
-        b: dict[float, int] | None = None,
-        b1: dict[int, float] | None = None,
-        b2: dict[int, float] | None = None,
-    ):
+    def __init__(self, n_nodes: int):
         self.n_nodes = n_nodes
-        self.b = {} if b is None else b
-        self.b1 = {} if b1 is None else b1
-        self.b2 = {} if b2 is None else b2
+        self.b: dict[float, int] = {}
+        self.b1: dict[int, float] = {}
+        self.b2: dict[int, float] = {}
 
     @property
     def untouched(self) -> int:

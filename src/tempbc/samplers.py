@@ -95,13 +95,13 @@ class ScoreVector:
             destination.write(f"{nid},{val:.17g}\n")
 
     @classmethod
-    def read_csv(cls, source: TextIO | str | Path, optimality: PathOptimality | None = None):
+    def read_csv(cls, source: TextIO | str | Path):
         """Read a score CSV back; returns (vector, node_ids). A line without a
         comma, a repeated node id or a score that is not finite raises
         ``ValueError`` naming the line, as does a number that does not parse."""
         if isinstance(source, (str, Path)):
             with open(source, "r", encoding="utf-8") as fh:
-                return cls.read_csv(fh, optimality)
+                return cls.read_csv(fh)
         header = source.readline().strip()
         if header != "node_id,score":
             raise ValueError(f"unexpected score CSV header: {header!r}")
@@ -127,7 +127,7 @@ class ScoreVector:
             seen.add(node)
             ids.append(node)
             vals.append(score)
-        return cls(optimality, vals), ids
+        return cls(None, vals), ids
 
 
 class SampledPath(NamedTuple):

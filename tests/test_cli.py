@@ -15,13 +15,13 @@ from helpers import G1_TEXT, random_temporal_graph_large
 
 import tempbc.__main__
 import tempbc.cli
+import tempbc.exact
 from tempbc import hoeffding_size, write_edge_list
 from tempbc.distances import estimate_distances
 from tempbc.evaluation import compare
-from tempbc.exact import ScoreVector
 from tempbc.graph import read_edge_list
 from tempbc.progressive import prtb_estimate
-from tempbc.samplers import SampledPath
+from tempbc.samplers import SampledPath, ScoreVector
 from tempbc.tbfs import PathOptimality
 from tempbc.cli import main
 from tempbc.parallel import default_threads
@@ -69,12 +69,13 @@ def test_exact_empty_graph(tmp_path, capsys):
     assert report["scores"] == []
 
 
-def test_exact_guardrail_exit_code(tmp_path, capsys):
+def test_exact_guardrail_exit_code(tmp_path, capsys, monkeypatch):
     p = tmp_path / "g.txt"
     write_edge_list(random_temporal_graph_large(3, 40, 200, 20), p)
-    code, _ = run(capsys, "exact", p, "--work-limit", "10", "--threads", "1")
+    monkeypatch.setattr(tempbc.exact, "DEFAULT_WORK_LIMIT", 10)
+    code, _ = run(capsys, "exact", p, "--threads", "1")
     assert code == 3
-    code, _ = run(capsys, "exact", p, "--work-limit", "10", "--force", "--threads", "1")
+    code, _ = run(capsys, "exact", p, "--force", "--threads", "1")
     assert code == 0
 
 
@@ -328,7 +329,6 @@ def test_progressive_refuses_flags_its_algorithm_ignores(g1_path, capsys, algo, 
         (["fixed", "--algo", "ob", "--bound", "vc", "--vd", "1"], "vertex diameter must be >= 2"),
         (["fixed", "--algo", "ob", "--bound", "hoeffding", "--epsilon", "0"], "epsilon must be in (0, 1)"),
         (["fixed", "--algo", "ob", "--bound", "vc", "--delta", "1.5"], "delta must be in (0, 1)"),
-        (["exact", "--work-limit", "-5"], "--work-limit must be >= 0"),
     ],
     ids=[
         "samples-and-bound", "vd-without-vc", "zero-samples", "no-sample-size",
@@ -336,7 +336,7 @@ def test_progressive_refuses_flags_its_algorithm_ignores(g1_path, capsys, algo, 
         "diameter-zero-samples", "diameter-tau", "diameter-epsilon",
         "diameter-samples-and-epsilon", "ob-zero-cap",
         "prtb-zero-cap", "ob-epsilon", "trk-delta", "trk-alpha", "prtb-c", "vd-below-2",
-        "hoeffding-epsilon", "vc-delta", "negative-work-limit",
+        "hoeffding-epsilon", "vc-delta",
     ],
 )
 def test_flag_errors_come_before_the_graph_is_read(tmp_path, capsys, monkeypatch, argv, message):
@@ -366,6 +366,71 @@ def test_a_missing_output_directory_fails_before_the_graph_is_read(tmp_path, cap
         assert code == 4
         assert captured.out == ""
         assert str(path) in captured.err
+
+
+# {g} is the graph and {a}, {b} two score files; {link} is a hard link to
+# the graph, the same file under another name
+@pytest.mark.parametrize("argv, message", [
+    (["exact", "{g}", "--scores", "{g}"], "--scores {g} would overwrite an input file"),
+    (["exact", "{g}", "--out", "{g}"], "--out {g} would overwrite an input file"),
+    (["fixed", "{g}", "--algo", "ob", "--samples", "2", "--scores", "{link}"],
+     "--scores {link} would overwrite an input file"),
+    (["exact", "{g}", "--scores", "{d}/s.csv", "--out", "{d}/./s.csv"], "--scores and --out both name"),
+    (["compare", "{a}", "{b}", "--out", "{a}"], "--out {a} would overwrite an input file"),
+    (["compare", "{a}", "{b}", "--out", "{b}"], "--out {b} would overwrite an input file"),
+], ids=["scores-is-graph", "out-is-graph", "scores-is-graph-link", "scores-is-out", "out-is-first-scores",
+        "out-is-second-scores"])
+def test_an_output_that_names_an_input_or_the_other_output_fails_before_anything_is_read(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read before the output paths were checked")
+
+    monkeypatch.setattr(tempbc.cli, "read_edge_list", no_read)
+    monkeypatch.setattr(ScoreVector, "read_csv", no_read)
+    names = {"g": tmp_path / "g1.txt", "a": tmp_path / "a.csv", "b": tmp_path / "b.csv",
+             "link": tmp_path / "link.txt", "d": tmp_path}
+    names["g"].write_text(G1_TEXT)
+    os.link(names["g"], names["link"])
+    for name in ("a", "b"):
+        names[name].write_text("node_id,score\n1,0.5\n")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    code = main([arg.format(**names) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message.format(**names) in captured.err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+# every command's option strings; a new option, or one removed, changes this
+# table
+_FLAGS = {
+    "exact": "--dedupe --force --opt --out --scores --threads --undirected",
+    "fixed": "--algo --bound --dedupe --delta --epsilon --opt --out --samples --scores --seed "
+             "--threads --undirected --vd",
+    "progressive": "--algo --alpha --c --dedupe --delta --epsilon --max-samples --opt --out "
+                   "--scores --seed --threads --undirected",
+    "diameter": "--dedupe --epsilon --no-replace --out --samples --seed --tau --threads --undirected",
+    "compare": "--k --out",
+}
+
+
+def test_each_command_takes_exactly_its_pinned_flags(tmp_path, capsys):
+    parser = tempbc.cli.build_parser()
+    [commands] = [action.choices for action in parser._actions if action.dest == "command"]
+    flags = {
+        name: " ".join(sorted(
+            option for action in sub._actions for option in action.option_strings
+            if option not in ("-h", "--help")
+        ))
+        for name, sub in commands.items()
+    }
+    assert flags == _FLAGS
+    with pytest.raises(SystemExit) as usage_error:
+        parser.parse_args(["exact", str(tmp_path / "g.txt"), "--work-limit", "5"])
+    assert usage_error.value.code == 2
+    assert "--work-limit" in capsys.readouterr().err
 
 
 def test_fixed_samples_leave_epsilon_unchecked(g1_path, capsys):

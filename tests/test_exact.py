@@ -21,7 +21,7 @@ from tempbc import (
     trk_estimate,
     truncated_tbfs,
 )
-from tempbc import parallel
+from tempbc import exact as exact_module, parallel
 from tempbc.bruteforce import bruteforce_betweenness
 
 SH = PathOptimality.SHORTEST
@@ -138,10 +138,11 @@ def test_never_internal_nodes_score_zero(g1):
     assert values[g1.index_of(4)] == 0.0
 
 
-def test_guardrail_refuses_without_force(g1):
+def test_guardrail_refuses_without_force(g1, monkeypatch):
+    monkeypatch.setattr(exact_module, "DEFAULT_WORK_LIMIT", 1)
     with pytest.raises(GuardrailError):
-        exact_tbc(g1, SH, work_limit=1)
-    forced = exact_tbc(g1, SH, work_limit=1, force=True)
+        exact_tbc(g1, SH)
+    forced = exact_tbc(g1, SH, force=True)
     assert forced.values.max() > 0
 
 

@@ -111,26 +111,45 @@ def test_each_command_imports_only_what_it_uses(tmp_path, argv, unused):
     assert pool_modules == []
 
 
+# runs ``python -m tempbc`` with a finder first on sys.meta_path that writes
+# to stderr the name of every module imported from then on; the workers a
+# run forks inherit it. Unlike ``-X importtime``, it also sees a submodule
+# that ``from . import name`` loads.
+_LOGGED_IMPORTS = """
+import os, runpy, sys
+
+class LogImports:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        os.write(2, f"imported: {name}\\n".encode())
+
+os.write(2, "".join(f"imported: {name}\\n" for name in list(sys.modules)).encode())
+sys.meta_path.insert(0, LogImports)
+runpy.run_module("tempbc", run_name="__main__", alter_sys=True)
+"""
+
+
 def _imports_of(tmp_path, argv) -> list[str]:
-    """The modules that ``python -m tempbc`` imports on g1 for ``argv`` (or,
-    for ``compare``, on a score CSV of g1 compared with itself), in its
-    process and in the workers it forks, which log their own imports to the
-    same stderr."""
+    """The modules that ``python -m tempbc`` holds or imports on g1 for
+    ``argv`` (or, for ``compare``, on a score CSV of g1 compared with
+    itself), in its process and in the workers it forks, which log their
+    own imports to the same stderr."""
     graph = tmp_path / "g1.txt"
     graph.write_text(G1_TEXT)
     scores = tmp_path / "g1.csv"
     scores.write_text("node_id,score\n1,0\n2,0.041666666666666664\n3,0.041666666666666664\n4,0\n")
     command, *options = argv
     operands = [str(scores)] * 2 if command == "compare" else [str(graph)]
-    proc = _interpreter("-X", "importtime", "-m", "tempbc", command, *operands, *options)
-    return [line.rsplit("|", 1)[-1].strip()
-            for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    proc = _interpreter("-c", _LOGGED_IMPORTS, command, *operands, *options)
+    return [line.removeprefix("imported: ")
+            for line in proc.stderr.splitlines() if line.startswith("imported: ")]
 
 
 @pytest.mark.parametrize("opt", ["sh", "pfm"])
 def test_exact_imports_no_numpy_in_the_process_or_its_workers(tmp_path, opt):
     imported = _imports_of(tmp_path, ["exact", "--opt", opt, "--threads", "2"])
     assert "tempbc.exact" in imported
+    assert {"tempbc.cli", "tempbc.tbfs"} <= set(imported)
     assert [m for m in imported if m.split(".")[0] == "numpy"] == []
 
 
