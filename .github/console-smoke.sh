@@ -7,6 +7,7 @@ dir="${RUNNER_TEMP:-$(mktemp -d)}"
 printf '1 2 1\n2 3 2\n1 3 2\n3 4 3\n2 4 3\n' > "$dir/g.txt"
 tempbc exact "$dir/g.txt" --threads 2 --scores "$dir/exact.csv" > /dev/null
 tempbc exact "$dir/g.txt" --opt pfm > /dev/null
+tempbc exact "$dir/g.txt" --opt sfm > /dev/null
 tempbc fixed "$dir/g.txt" --algo ob --samples 20 --scores "$dir/ob.csv" > /dev/null
 tempbc fixed "$dir/g.txt" --algo ob --opt sfm --samples 20 > /dev/null
 tempbc fixed "$dir/g.txt" --algo trk --opt sfm --samples 20 > /dev/null

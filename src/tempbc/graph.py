@@ -204,7 +204,8 @@ def load_edge_list(
 
 
 def read_edge_list(path: str | Path, *, directed: bool = True, dedupe: bool = False) -> TemporalGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark some editors write first
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return load_edge_list(fh, directed=directed, dedupe=dedupe)
 
 

@@ -100,7 +100,7 @@ class ScoreVector:
         comma, a repeated node id or a score that is not finite raises
         ``ValueError`` naming the line, as does a number that does not parse."""
         if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8") as fh:
+            with open(source, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
                 return cls.read_csv(fh)
         header = source.readline().strip()
         if header != "node_id,score":

@@ -64,7 +64,7 @@ class PathOptimality(str, Enum):
 
 
 class AppearanceRecord:
-    """Counting state for one reachable vertex appearance.
+    """Counting state for one vertex appearance that a search created.
 
     ``sigma`` is the number of admissible paths whose last edge arrives here;
     ``predecessors`` maps each predecessor appearance to its edge multiplicity
@@ -111,6 +111,9 @@ class TbfsResult:
     appearance keys (empty when z is unreachable), and :meth:`pair_sigma`
     its optimal-path count.
 
+    Under ``sh`` and ``sfm`` the state holds no dominated appearance (see
+    :func:`_shortest_bfs`): a node's appearance later than one at a lower
+    hop layer is neither expanded nor a target, so it is never created.
     ``records`` presents the same state keyed by ``(node, time)``, with
     compressed predecessors expanded; it is built on first access and cached.
     """
@@ -149,6 +152,8 @@ class TbfsResult:
 
     @property
     def records(self) -> dict[Appearance, AppearanceRecord]:
+        """One record per appearance the search created, in creation order;
+        under ``sh`` and ``sfm`` that leaves out every dominated one."""
         if self._records is None:
             self._records = _build_records(self)
         return self._records
@@ -197,8 +202,8 @@ def truncated_tbfs(graph: TemporalGraph, s: int, z: int, opt: PathOptimality) ->
     target set, and per-node ratios match the full search restricted to z.
     Under ``sh`` and ``sfm``, ``records`` holds the source sentinel ``(s, 0)``
     and only the appearances that can still reach z (for ``sfm``, by z's
-    earliest arrival), and of z's hop layer only z's appearances; a
-    disconnected pair gets the sentinel alone.
+    earliest arrival) and are not dominated, and of z's hop layer only z's
+    appearances; a disconnected pair gets the sentinel alone.
     """
     return next(pair_searches(graph, [(s, z)], opt))
 
@@ -265,27 +270,27 @@ def _tbfs(
     base = graph.T + 1
     src = s * base
     hops, sigma, preds, groups = {src: 0}, {src: 1}, {src: {}}, []
-    settled, first_time = {s: [src]}, {s: 0}
+    settled, earliest = {s: [src]}, {s: src}
     if not graph._out_times[s]:
         pass  # s reaches nothing: the sentinel alone, no sweep
     elif opt is PathOptimality.PREFIX_FOREMOST:
-        hops, sigma, preds, first_time = _prefix_foremost_sweep(graph, s, stop_node=z)
+        hops, sigma, preds, earliest = _prefix_foremost_sweep(graph, s, stop_node=z)
     elif z is None:
-        hops, sigma, preds, groups, settled, first_time = _shortest_bfs(graph, s)
+        hops, sigma, preds, groups, settled, earliest = _shortest_bfs(graph, s)
     elif latest is not None and latest[s]:
-        hops, sigma, preds, groups, settled, first_time = _shortest_bfs(graph, s, latest)
+        hops, sigma, preds, groups, settled, earliest = _shortest_bfs(graph, s, latest)
 
     if z is not None:
         if opt is PathOptimality.SHORTEST:
             keys = settled.get(z, [])
         else:
-            keys = [z * base + first_time[z]] if z in first_time else []
+            keys = [earliest[z]] if z in earliest else []
         targets = {z: keys}
     elif opt is PathOptimality.SHORTEST:
         del settled[s]
         targets = settled
     else:
-        targets = {w: [w * base + t] for w, t in first_time.items() if w != s}
+        targets = {w: [key] for w, key in earliest.items() if w != s}
     return TbfsResult(s, base, hops, sigma, preds, groups, targets)
 
 
@@ -313,10 +318,15 @@ def _shortest_bfs(graph: TemporalGraph, s: int, latest: _LatestDeparture | None 
     frontier appearances, so a group keeps its first members and a
     compressed predecessor means what it meant in the whole layer.
 
-    An appearance (w, t2) is not expanded when w is s, or when w appeared at
-    an earlier layer at a time before t2: that earlier appearance reaches
-    every appearance (w, t2) reaches, each at a lower layer, so expanding
-    (w, t2) would add nothing. Its record is still created and counted.
+    An appearance (w, t2) is dominated when w is s, or when w appeared at an
+    earlier layer at a time before t2: that earlier appearance reaches every
+    appearance (w, t2) reaches, each at a lower layer, and (w, t2) is no
+    target (sh takes w's min-hop appearances, sfm its earliest). So no
+    dominated appearance is created. ``floor[w]`` holds w's earliest
+    appearance key over the finished layers (``floor[s]`` is the sentinel's),
+    and a row whose head key is at or above its node's floor is dropped by
+    that one comparison: it is dominated, or it exists at an earlier layer.
+    The next frontier is every appearance that the layer created.
 
     A node v with k >= 2 appearances t_1 < ... < t_k in one layer's frontier
     forms a group and scans its out-edges once: member c scans only the rows
@@ -330,8 +340,8 @@ def _shortest_bfs(graph: TemporalGraph, s: int, latest: _LatestDeparture | None 
 
     Returns the hops, sigma and predecessor maps by appearance key, in
     creation order, each appearance after all of its predecessors; the
-    groups; per node its min-hop appearance keys; and per node its earliest
-    appearance time (the source's is 0).
+    groups; per node its min-hop appearance keys; and ``floor``, per node its
+    earliest appearance key (the source's is the sentinel's).
     """
     base = graph.T + 1
     src = s * base
@@ -340,7 +350,8 @@ def _shortest_bfs(graph: TemporalGraph, s: int, latest: _LatestDeparture | None 
     preds: dict[int, dict[int, int]] = {src: {}}
     groups: list[tuple[int, list[int]]] = []
     settled = {s: [src]}
-    min_time = {s: 0}
+    # per reached node, its earliest appearance key over the finished layers
+    floor = {s: src}
     out_keys = graph._out_keys
     out_times = graph._out_times
     past = graph.n * base  # above every key: the successor of the last one
@@ -391,8 +402,11 @@ def _shortest_bfs(graph: TemporalGraph, s: int, latest: _LatestDeparture | None 
             else:
                 members = None
             for key in out_keys[v][lo:hi]:
-                h = hops.get(key)
-                if h is None:
+                # an appearance of a node that appeared at an earlier layer
+                # no later than key's time exists already or is dominated
+                if key >= floor.get(key // base, past):
+                    continue
+                if key not in hops:
                     if last:
                         # z's layer creates z's appearances alone, and z is
                         # always live
@@ -409,25 +423,23 @@ def _shortest_bfs(graph: TemporalGraph, s: int, latest: _LatestDeparture | None 
                     sigma[key] = sigma_v
                     preds[key] = {pk: 1}
                     discovered.append(key)
-                elif h == layer:
+                else:  # created in this layer
                     sigma[key] += sigma_v
                     p = preds[key]
                     p[pk] = p.get(pk, 0) + 1
-        # leave dominated appearances out; min_time still holds the earlier
-        # layers only, so appearances of one node in this layer all stay
-        frontier = [key for key in discovered if key % base < min_time.get(key // base, base)]
         for key in discovered:
-            w, t2 = divmod(key, base)
+            w = key // base
             apps = settled.get(w)
             if apps is None:
                 settled[w] = [key]
             elif hops[apps[0]] == layer:
                 apps.append(key)
-            if t2 < min_time.get(w, base):
-                min_time[w] = t2
+            if key < floor.get(w, past):
+                floor[w] = key
         if z in settled:  # never for a full search, whose z is None
             break
-    return hops, sigma, preds, groups, settled, min_time
+        frontier = discovered
+    return hops, sigma, preds, groups, settled, floor
 
 
 def _group_foremost_arrival(graph: TemporalGraph, group) -> list[int | None]:
@@ -590,7 +602,8 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
 
     Returns the hops, sigma and predecessor maps by appearance key, each
     appearance created after its predecessors (they settled at earlier
-    labels), and the arrival time of every reached node, in the order reached.
+    labels), and per reached node its one appearance key, in the order
+    reached.
     """
     base = never = graph.T + 1
     arrival = [never] * graph.n
@@ -624,7 +637,7 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
             p = preds[key]
             p[uk] = p.get(uk, 0) + 1
         # a_v < t: arriving later than the earliest time, not foremost
-    return hops, sigma, preds, {key // base: key % base for key in hops}
+    return hops, sigma, preds, {key // base: key for key in hops}
 
 
 def _accumulate_dependency(

@@ -214,21 +214,29 @@ def dataset_path(name: str) -> Path | None:
 
 
 def tbfs_reference(
-    graph: TemporalGraph, s: int, z: int | None, opt: PathOptimality, *, cut_z_layer: bool = True
+    graph: TemporalGraph,
+    s: int,
+    z: int | None,
+    opt: PathOptimality,
+    *,
+    cut_z_layer: bool = True,
+    keep_dominated: bool = False,
 ):
     """(records, targets, dependency) of one search; ``z=None`` means every
     destination, as in ``tempbc.tbfs._tbfs``. ``targets`` maps each
     destination to its sorted target appearances and optimal-path count, as
     :func:`target_view` reads them from a result. An sh/sfm pair search keeps
     only z's appearances in z's hop layer; ``cut_z_layer=False`` keeps the
-    whole layer, as the searches did before they cut it."""
+    whole layer, as the searches did before they cut it. An sh/sfm search
+    creates no dominated appearance; ``keep_dominated=True`` creates and
+    counts them, as the searches did before they dropped them."""
     records, first_time = {(s, 0): AppearanceRecord(0, 1)}, {s: 0}
     if not graph._out_times[s]:
         pass
     elif opt is PathOptimality.PREFIX_FOREMOST:
         records, first_time = _prefix_foremost_sweep_reference(graph, s, stop_node=z)
     elif z is None:
-        records, settle_apps, first_time = _shortest_bfs_reference(graph, s)
+        records, settle_apps, first_time = _shortest_bfs_reference(graph, s, keep_dominated=keep_dominated)
     else:
         arrival = None
         if opt is PathOptimality.SHORTEST_FOREMOST:
@@ -237,7 +245,13 @@ def tbfs_reference(
             latest = latest_departure_reference(graph, z, arrival)
             if latest[s]:
                 records, settle_apps, first_time = _shortest_bfs_reference(
-                    graph, s, stop_node=z, max_time=arrival, latest=latest, cut_z_layer=cut_z_layer
+                    graph,
+                    s,
+                    stop_node=z,
+                    max_time=arrival,
+                    latest=latest,
+                    cut_z_layer=cut_z_layer,
+                    keep_dominated=keep_dominated,
                 )
 
     targets: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
@@ -290,12 +304,14 @@ def latest_departure_reference(graph: TemporalGraph, z: int, max_time: int | Non
 
 
 def _shortest_bfs_reference(
-    graph, s, *, stop_node=None, max_time=None, latest=None, cut_z_layer=False
+    graph, s, *, stop_node=None, max_time=None, latest=None, cut_z_layer=False, keep_dominated=False
 ):
     """Hop-layered BFS over (node, time) appearances, one record each. With
     ``cut_z_layer``, the layer in which ``stop_node`` settles keeps only
     that node's appearances: nothing on an optimal path to it reads the
-    others."""
+    others. Without ``keep_dominated``, an appearance (w, t2) is not created
+    when w appeared at an earlier layer at a time before t2 (s did, at 0):
+    it would be neither expanded nor a target."""
     src_app = (s, 0)
     records = {src_app: AppearanceRecord(0, 1)}
     settle_hops = {s: 0}
@@ -327,6 +343,8 @@ def _shortest_bfs_reference(
                 app = (w, t2)
                 known = records.get(app)
                 if known is None:
+                    if not keep_dominated and min_time.get(w, never) < t2:
+                        continue
                     if latest is not None and latest[w] <= t2:
                         continue
                     known = AppearanceRecord(layer, 0)

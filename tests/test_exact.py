@@ -218,3 +218,14 @@ def test_score_csv_round_trip(tmp_path, g1):
     back, ids = ScoreVector.read_csv(path)
     assert ids == list(g1.node_ids)
     assert np.array_equal(back.values, scores.values)
+
+
+def test_score_csv_with_a_byte_order_mark_reads_as_the_plain_file(tmp_path, g1):
+    from tempbc import ScoreVector
+
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    exact_tbc(g1, SH).write_csv(plain, g1.node_ids)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    (back, ids), (marked_back, marked_ids) = ScoreVector.read_csv(plain), ScoreVector.read_csv(marked)
+    assert marked_ids == ids == list(g1.node_ids)
+    assert marked_back.scores == back.scores

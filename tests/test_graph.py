@@ -220,3 +220,18 @@ def test_stream_input_accepted(tmp_path):
     from tempbc import read_edge_list
 
     assert read_edge_list(p) == load_edge_list(g_text)
+
+
+def test_a_byte_order_mark_reads_as_the_plain_file(tmp_path):
+    # some editors save UTF-8 with a leading BOM; it is not part of the
+    # first row's source id
+    from tempbc import read_edge_list
+
+    text = "1 2 1\n2 3 2\n1 3 2\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    graph = read_edge_list(marked)
+    assert graph == read_edge_list(plain)
+    assert graph.node_ids == (1, 2, 3)

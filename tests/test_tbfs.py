@@ -294,15 +294,18 @@ def test_invalid_explicit_pairs_fail_before_any_sweep(threads, monkeypatch):
 # change a record. The truncated sh/sfm digests were recorded again when a
 # pair search stopped creating anything but z's appearances in z's hop layer:
 # that drops records by design, and test_cut_z_layer_drops_only_dead_records
-# holds every kept record to the uncut search.
+# holds every kept record to the uncut search. All sh/sfm digests were
+# recorded again when the search stopped creating dominated appearances: that
+# drops records by design, and test_search_drops_only_dominated_records holds
+# every kept record to the search that keeps them. The pfm digests never moved.
 FULL_RECORDS_SHA256 = {
-    SH: "ce7b22dd2f30d6324c881cf7dac382724eac47218a82e214bc45ae917b60ab98",
-    SFM: "ce7b22dd2f30d6324c881cf7dac382724eac47218a82e214bc45ae917b60ab98",
+    SH: "f252925aac71d6d96460e3e6a14def4721b6f3568f17dc4fec7835f2e96a2b60",
+    SFM: "f252925aac71d6d96460e3e6a14def4721b6f3568f17dc4fec7835f2e96a2b60",
     PFM: "f09f658542e083336cf1d2f4ba510e63f8434551de4a3d59c6da47c43e992882",
 }
 TRUNCATED_RECORDS_SHA256 = {
-    SH: "af51b8fbd0b869313238e509671e2d51a08a81fcfe4cb687a14020871267ad04",
-    SFM: "1ed288954931c758b19862950d05482c8ac51e23d103700b9b3f575aeee6efb0",
+    SH: "c8c70fd34465a0254d5becb9bb2c8f9cda6843072088964fbb3b680e8dfc1eb2",
+    SFM: "37ce284154426883fe49af82fd22f5a66d60fdcc6f52f429cf6deb9c9db79208",
     PFM: "49ee5fde0a1ff095827fc167ad24480859a4647d5f004d80c4c457363ec2c825",
 }
 
@@ -332,12 +335,13 @@ def test_truncated_records_are_pinned(ties, opt):
 # appearances in one frontier layer, so the sh/sfm search scans them as groups
 # and records compressed predecessors. Recorded before the search grouped
 # them: the expanded records must not change. The truncated digests moved,
-# as above, when pair searches cut z's hop layer.
+# as above, when pair searches cut z's hop layer, and all of them when the
+# search stopped creating dominated appearances.
 BURSTY_RECORDS_SHA256 = {
-    (SH, "full"): "fef4b4fc317f018c67e733f0c63598cc02bfb0299543bcdf79cc9cd5812d1e2d",
-    (SFM, "full"): "fef4b4fc317f018c67e733f0c63598cc02bfb0299543bcdf79cc9cd5812d1e2d",
-    (SH, "truncated"): "de1f46e07a25394385fffc090178534dd9d2c7684e324ebd97c61dd27340b004",
-    (SFM, "truncated"): "f3d5231d2b02b7a9b76c855d08d53cd7373e6c3a908410b76036ab6e24b0dd31",
+    (SH, "full"): "4dcb32de9a947fa5ee7af08fefc87062a4e14fc37a051b39bba823a890fb0f54",
+    (SFM, "full"): "4dcb32de9a947fa5ee7af08fefc87062a4e14fc37a051b39bba823a890fb0f54",
+    (SH, "truncated"): "234f3d2252f260e8a718c025031e0139c33ebd5de30d7488b5054c5e6d4c1ce4",
+    (SFM, "truncated"): "a0a8639b73599a2f3f0c7a19077ffb516eb1e6efa8808747d2191d03728be64f",
 }
 
 
@@ -361,8 +365,10 @@ def test_bursty_records_are_pinned(bursty60, opt, kind):
 
 # Appearances created by all truncated searches over the ordered pairs of
 # bursty60. Before pair searches cut z's hop layer they read 78,381 (sh) and
-# 35,180 (sfm); a change that stops the cut moves them back up.
-BURSTY_TRUNCATED_APPEARANCES = {SH: 26_200, SFM: 20_333}
+# 35,180 (sfm); a change that stops the cut moves them back up. They then
+# read 26,200 and 20,333 until the search stopped creating dominated
+# appearances.
+BURSTY_TRUNCATED_APPEARANCES = {SH: 24_517, SFM: 18_737}
 
 
 @pytest.mark.parametrize("opt", [SH, SFM], ids=lambda o: o.value)
@@ -371,6 +377,18 @@ def test_bursty_truncated_appearances_are_pinned(bursty60, opt):
     pairs = [(s, z) for s in range(g.n) for z in range(g.n) if s != z]
     total = sum(len(result.hops) for result in tbfs_module.pair_searches(g, pairs, opt))
     assert total == BURSTY_TRUNCATED_APPEARANCES[opt]
+
+
+# Appearances created by the full searches from every source of bursty60
+# (sh and sfm run one search). They read 9,094 while the search created
+# dominated appearances; a change that brings them back moves this up.
+BURSTY_FULL_APPEARANCES = 5_228
+
+
+def test_bursty_full_appearances_are_pinned(bursty60):
+    for opt in (SH, SFM):
+        total = sum(len(full_tbfs(bursty60, s, opt).hops) for s in range(bursty60.n))
+        assert total == BURSTY_FULL_APPEARANCES, opt
 
 
 def _compressed_entries(result):
@@ -573,6 +591,52 @@ def _check_cut_z_layer(graph) -> int:
                         drawn = _draw_from_records(s, targets, records, substream(s * graph.n + z, j))
                         assert path == drawn, (opt, s, z, j)
     return dropped
+
+
+def _check_dominated_dropped(graph) -> int:
+    """Holds every full search and every pair search (all ordered pairs,
+    grouped as ``pair_searches`` groups them) under sh and sfm to the
+    reference search that keeps dominated appearances: the kept records are
+    its records, in its order; each dropped one is dominated, its node
+    having a record at a lower hop layer at an earlier time; targets, sigma,
+    dependencies and trk's path draws are equal. Returns the number
+    dropped."""
+    dropped = 0
+    pairs = [(s, z) for s in range(graph.n) for z in range(graph.n) if s != z]
+    for opt in (SH, SFM):
+        searches = [(s, None, full_tbfs(graph, s, opt)) for s in range(graph.n)]
+        searches += [(s, z, r) for (s, z), r in zip(pairs, tbfs_module.pair_searches(graph, pairs, opt))]
+        for s, z, result in searches:
+            records, targets, dependency = tbfs_reference(graph, s, z, opt, keep_dominated=True)
+            kept = result.records
+            assert _record_items(kept) == [
+                item for item in _record_items(records) if item[0] in kept
+            ], (opt, s, z)
+            layers: dict[int, list[tuple[int, int]]] = {}
+            for (w, t), rec in records.items():
+                layers.setdefault(w, []).append((rec.hops, t))
+            for w, t2 in records.keys() - kept.keys():
+                hops = records[w, t2].hops
+                assert any(h < hops and t < t2 for h, t in layers[w]), (opt, s, z, (w, t2))
+                dropped += 1
+            assert list(target_view(result).items()) == list(targets.items()), (opt, s, z)
+            assert list(result.dependency.items()) == list(dependency.items()), (opt, s, z)
+            if z is not None and result.pair_sigma(z):
+                for j in range(2):
+                    path = sample_optimal_path(result, substream(s * graph.n + z, j))
+                    drawn = _draw_from_records(s, targets, records, substream(s * graph.n + z, j))
+                    assert path == drawn, (opt, s, z, j)
+    return dropped
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_search_drops_only_dominated_records(seed):
+    _check_dominated_dropped(random_temporal_graph(seed + 6000))
+
+
+@pytest.mark.parametrize("graph", ["ties", "bursty60"])
+def test_search_drops_only_dominated_records_on_larger_graphs(graph, request):
+    assert _check_dominated_dropped(request.getfixturevalue(graph)) > 0
 
 
 @pytest.mark.parametrize("seed", range(40))
