@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 __all__ = ["check_bound_inputs", "hoeffding_size", "vc_size"]
 
@@ -29,6 +30,18 @@ def check_bound_inputs(
         raise ValueError("vertex diameter must be >= 2")
 
 
+def epsilon_size(epsilon: float, size: Callable[[float], float]) -> int:
+    """``ceil(size(epsilon^2))``: a sample size that grows as 1/epsilon^2.
+
+    Raises ValueError naming epsilon when that is no finite integer, as when
+    a tiny epsilon makes epsilon^2 underflow to 0 or the size overflow.
+    """
+    try:
+        return math.ceil(size(epsilon * epsilon))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"epsilon {epsilon!r} is too small: its sample size is no finite integer") from None
+
+
 def hoeffding_size(epsilon: float, delta: float, n: int) -> int:
     """Union-bound sample size: ceil(ln(2n / delta) / (2 epsilon^2)).
 
@@ -36,7 +49,7 @@ def hoeffding_size(epsilon: float, delta: float, n: int) -> int:
     within epsilon with probability 1 - delta.
     """
     check_bound_inputs(epsilon, delta, n=n)
-    return math.ceil(math.log(2 * n / delta) / (2 * epsilon * epsilon))
+    return epsilon_size(epsilon, lambda e2: math.log(2 * n / delta) / (2 * e2))
 
 
 def vc_size(epsilon: float, delta: float, vd: int) -> int:
@@ -54,4 +67,4 @@ def vc_size(epsilon: float, delta: float, vd: int) -> int:
     else:
         # exact floor(log2) on the integer
         bracket = ((vd - 2).bit_length() - 1) + 1 + math.log(1 / delta)
-    return math.ceil(C_UNIV / (epsilon * epsilon) * bracket)
+    return epsilon_size(epsilon, lambda e2: C_UNIV / e2 * bracket)

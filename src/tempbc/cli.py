@@ -5,9 +5,12 @@ need no graph, load the graph, derive the parameters and the one library
 call, time that call alone (``wall_seconds``), then emit the JSON report
 (schema_version 1) to stdout or ``--out``. Scores go to the ``--scores``
 CSV (``node_id,score``, 17 significant digits), or inline in the report.
-A command imports the modules only it uses when it runs; the workers it
-forks inside the timed call inherit them and the graph (see
-:mod:`tempbc.parallel`). A report's ``stop``, ``summary`` and
+Through this module every command, ``compare`` too, imports ``bounds``,
+``exact``, ``graph``, ``parallel``, ``rng``, ``samplers`` and ``tbfs``.
+``progressive``, ``distances`` and ``evaluation`` load only with their
+command (``distances`` also with ``fixed --bound vc`` and no ``--vd``). The
+workers a command forks inside the timed call inherit its modules and the
+graph (see :mod:`tempbc.parallel`). A report's ``stop``, ``summary`` and
 ``evaluation`` sections are the ``_asdict()`` of the library's
 ``NamedTuple`` records. Under :func:`tempbc.__main__.run`, the start-up
 heap is frozen just before the timed call. ``compare`` pairs the two score
@@ -258,9 +261,7 @@ def _evaluation(args) -> dict:
             raise ValueError("score files cover different node sets")
         by_id = dict(zip(approx_ids, approx_vec.scores))
         approx_vec.scores = [by_id[nid] for nid in exact_ids]
-    evaluation = compare(exact_vec, approx_vec, args.k)._asdict()
-    del evaluation["sample_size"]  # a score CSV carries no sample size
-    return evaluation
+    return compare(exact_vec, approx_vec, args.k)._asdict()
 
 
 def _same_file(a: str, b: str) -> bool:

@@ -17,6 +17,7 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
+from .bounds import epsilon_size
 from .graph import TemporalGraph
 from .parallel import run_chunks
 from .rng import draw_distinct, draw_source, substream
@@ -49,7 +50,7 @@ def recommended_sample_size(n: int, epsilon: float) -> int:
         raise ValueError("node count must be >= 2")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    return math.ceil(math.log(n) / (epsilon * epsilon))
+    return epsilon_size(epsilon, lambda e2: math.log(n) / e2)
 
 
 def _settle_hops(graph: TemporalGraph, s: int) -> dict[int, int]:

@@ -18,7 +18,6 @@ class EvalReport(NamedTuple):
     weighted_kendall: float
     topk_intersection: int
     k: int
-    sample_size: int | None = None
 
 
 def compare(exact: ScoreVector, approx: ScoreVector, k: int = 50) -> EvalReport:
@@ -39,7 +38,7 @@ def compare(exact: ScoreVector, approx: ScoreVector, k: int = 50) -> EvalReport:
     mse = math.fsum(d * d for d in map(operator.sub, e, a)) / len(e) if e else 0.0
     tau = weighted_kendall(e, a)
     inter = len(set(top_k_nodes(e, k)) & set(top_k_nodes(a, k)))
-    return EvalReport(sup, mse, tau, inter, k, sample_size=approx.sample_size)
+    return EvalReport(sup, mse, tau, inter, k)
 
 
 def top_k_nodes(scores: Sequence[float], k: int) -> list[int]:

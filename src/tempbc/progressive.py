@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import tbfs
-from .bounds import check_bound_inputs, hoeffding_size
+from .bounds import check_bound_inputs, epsilon_size, hoeffding_size
 from .graph import TemporalGraph
 from .parallel import Fanout
 from .rng import draw_source, substream
@@ -95,10 +95,11 @@ class Schedule:
 class RademacherState:
     """Running per-node sums needed by the stopping bound.
 
-    ``b`` maps a squared-norm value to the number of touched nodes currently
-    holding it; ``b1``/``b2`` hold each touched node's running value sum and
-    squared-value sum. Nodes never touched correspond to all-zero value
-    vectors and are accounted for separately via ``n_nodes``.
+    ``b`` maps a squared-norm value to the number of nodes currently holding
+    it; ``b1`` holds each touched node's running value sum and ``b2`` its
+    squared-value sum where that is nonzero. The other nodes, whose norm is
+    0 (never touched, or touched only by values whose squares underflow),
+    are accounted for separately via ``n_nodes``.
     """
 
     __slots__ = ("n_nodes", "b", "b1", "b2")
@@ -119,7 +120,7 @@ def initial_sample_size(epsilon: float, delta: float) -> int:
     already reach ``epsilon``: ceil((1 + 8e + sqrt(1 + 16e)) * ln(6/d) / (4e^2))."""
     check_bound_inputs(epsilon, delta)
     closed_form = (1 + 8 * epsilon + math.sqrt(1 + 16 * epsilon)) * math.log(6 / delta)
-    return math.ceil(closed_form / (4 * epsilon * epsilon))
+    return epsilon_size(epsilon, lambda e2: closed_form / (4 * e2))
 
 
 def update_values(state: RademacherState, u: int, h_u: float) -> None:
@@ -127,7 +128,9 @@ def update_values(state: RademacherState, u: int, h_u: float) -> None:
 
     Moves one unit of mass in the squared-norm multiset from the node's old
     norm to its new one, and advances the running sums. A zero value changes
-    nothing and is skipped outright.
+    nothing and is skipped outright. A value whose square underflows to 0.0
+    adds to the node's value sum, and a node whose squared sum is still 0.0
+    stays among the untouched.
     """
     if not 0.0 <= h_u <= 1.0:
         raise ValueError(f"per-sample value {h_u!r} outside [0, 1]")
@@ -135,13 +138,14 @@ def update_values(state: RademacherState, u: int, h_u: float) -> None:
         return
     old = state.b2.get(u, 0.0)
     new = old + h_u * h_u
-    state.b[new] = state.b.get(new, 0) + 1
-    if state.b.get(old, 0) >= 1:
-        state.b[old] -= 1
-        if old > 0 and state.b[old] == 0:
-            del state.b[old]
+    if new:
+        state.b[new] = state.b.get(new, 0) + 1
+        if old:
+            state.b[old] -= 1
+            if state.b[old] == 0:
+                del state.b[old]
+        state.b2[u] = new
     state.b1[u] = state.b1.get(u, 0.0) + h_u
-    state.b2[u] = new
 
 
 def _log_mass(state: RademacherState, s: float, r: int) -> float:
@@ -274,6 +278,13 @@ def progressive_estimate(
     with Fanout(worker, threads) as fan:
         while True:
             iteration += 1
+            delta_i = math.ldexp(delta, -iteration)  # delta / 2^i, exact
+            if not delta_i:
+                raise ValueError(
+                    f"no stop after {iteration - 1} checkpoints, and the confidence budget"
+                    f" delta / 2^{iteration} is 0: cap the samples (--max-samples) or take"
+                    " a larger alpha (--alpha)"
+                )
             target = schedule.size(iteration)
             if cap is not None:
                 target = min(target, cap)
@@ -283,7 +294,7 @@ def progressive_estimate(
                         update_values(state, u, h_u)
             done = target
             bound = rademacher_bound(state, done)
-            xi = stopping_xi(bound, done, delta / 2.0**iteration)
+            xi = stopping_xi(bound, done, delta_i)
             if xi <= epsilon:
                 reason = StopReason.BOUND_MET
                 break
@@ -293,7 +304,7 @@ def progressive_estimate(
 
     scores = [state.b1.get(u, 0.0) / done for u in range(graph.n)]
     report = StopReport(done, iteration, xi, epsilon, reason)
-    return ScoreVector(opt, scores, sample_size=done), report
+    return ScoreVector(opt, scores), report
 
 
 def _sample_chunk(graph, opt, algorithm, seed, lo, hi) -> list[dict[int, float]]:
@@ -359,4 +370,4 @@ def prtb_estimate(
     denom = (graph.n - 1) * r
     scores = [float(totals.get(v, Fraction(0)) / denom) for v in range(graph.n)]
     report = StopReport(r, r, float(max_total), float(threshold), reason)
-    return ScoreVector(opt, scores, sample_size=r), report
+    return ScoreVector(opt, scores), report

@@ -63,16 +63,12 @@ class ScoreVector:
     ``scores`` holds the Python floats the estimator computed; ``values``
     presents them as a float64 array, built on first read and cached; it
     needs numpy, which nothing else in the package imports.
-    ``sample_size`` is set by the sampling estimators and absent for exact
-    computation. ``optimality`` may be None for vectors read back from CSV.
+    ``optimality`` may be None for vectors read back from CSV.
     """
 
-    def __init__(
-        self, optimality: PathOptimality | None, scores: list[float], sample_size: int | None = None
-    ):
+    def __init__(self, optimality: PathOptimality | None, scores: list[float]):
         self.optimality = optimality
         self.scores = scores
-        self.sample_size = sample_size
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -231,7 +227,7 @@ def rtb_estimate(
     total = summed_contributions(graph, opt, Algorithm.RTB, seed, sources, r, threads)
     denom = r * (graph.n - 1)
     scores = [float(total.get(v, 0) / denom) for v in range(graph.n)]
-    return ScoreVector(opt, scores, sample_size=r)
+    return ScoreVector(opt, scores)
 
 
 def ob_estimate(
@@ -248,7 +244,7 @@ def ob_estimate(
     _require_sampling_pre(graph, r, pairs, "pair")
     total = summed_contributions(graph, opt, Algorithm.OB, seed, pairs, r, threads)
     scores = [float(total.get(v, 0) / r) for v in range(graph.n)]
-    return ScoreVector(opt, scores, sample_size=r)
+    return ScoreVector(opt, scores)
 
 
 def sample_optimal_path(tbfs: TbfsResult, rng: Substream) -> SampledPath:
@@ -306,4 +302,4 @@ def trk_estimate(
     total = summed_contributions(graph, opt, Algorithm.TRK, seed, pairs, r, threads)
     scale = 1.0 / r
     scores = [float(total.get(v, 0)) * scale for v in range(graph.n)]
-    return ScoreVector(opt, scores, sample_size=r)
+    return ScoreVector(opt, scores)

@@ -19,9 +19,10 @@ backward sweep finds for a group of pairs (:func:`_group_latest_departure`);
 under ``sfm`` one forward sweep first finds the destinations' earliest
 arrivals (:func:`_group_foremost_arrival`). ``pfm`` needs one sweep of the
 rows in time order (:func:`_prefix_foremost_sweep`). A :class:`TbfsResult`
-keeps the search state flat, in exact integer path counts, and computes the
-exact rational dependencies (:func:`_accumulate_dependency`) when first
-read. Every search and sweep runs on Python ints alone.
+keeps the search state flat: exact integer path counts, predecessors and
+each destination's targets. It computes the exact rational dependencies
+(:func:`_accumulate_dependency`) when first read. Every search and sweep
+runs on Python ints alone.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from .graph import TemporalGraph
 
@@ -63,7 +65,7 @@ class PathOptimality(str, Enum):
             raise ValueError(f"unknown path optimality {tag!r}; expected sh, sfm, or pfm") from None
 
 
-class AppearanceRecord:
+class AppearanceRecord(NamedTuple):
     """Counting state for one vertex appearance that a search created.
 
     ``sigma`` is the number of admissible paths whose last edge arrives here;
@@ -73,20 +75,8 @@ class AppearanceRecord:
     record's key in ``TbfsResult.records``.
     """
 
-    __slots__ = ("hops", "sigma", "predecessors")
-
-    def __init__(self, hops: int, sigma: int, predecessors: dict[Appearance, int] | None = None):
-        self.hops = hops
-        self.sigma = sigma
-        self.predecessors = {} if predecessors is None else predecessors
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.hops, self.sigma, self.predecessors) == (other.hops, other.sigma, other.predecessors)
-
-    def __repr__(self) -> str:
-        return f"AppearanceRecord({self.hops!r}, {self.sigma!r}, {self.predecessors!r})"
+    sigma: int
+    predecessors: dict[Appearance, int]
 
 
 class TbfsResult:
@@ -100,7 +90,7 @@ class TbfsResult:
     is cached. Path sampling (trk) reads only ``sigma`` and the predecessors,
     so its searches never run the pass.
 
-    The search state is flat: ``hops``, ``sigma`` and ``preds`` are keyed by
+    The search state is flat: ``sigma`` and ``preds`` are keyed by
     appearance key ``node * base + time`` (``base`` is ``T + 1``), in
     creation order, and ``preds[key]`` maps each predecessor to its edge
     multiplicity. Under ``sh`` and ``sfm`` a predecessor may be compressed: a
@@ -109,7 +99,8 @@ class TbfsResult:
     with the entry's multiplicity. :meth:`predecessors` expands it, in
     ascending (node, time) order. ``targets[z]`` holds destination z's target
     appearance keys (empty when z is unreachable), and :meth:`pair_sigma`
-    its optimal-path count.
+    its optimal-path count. The estimators read nothing else; no hop count
+    is kept.
 
     Under ``sh`` and ``sfm`` the state holds no dominated appearance (see
     :func:`_shortest_bfs`): a node's appearance later than one at a lower
@@ -119,14 +110,13 @@ class TbfsResult:
     """
 
     __slots__ = (
-        "source", "base", "hops", "sigma", "preds", "groups", "targets", "_dependency", "_records",
+        "source", "base", "sigma", "preds", "groups", "targets", "_dependency", "_records",
     )
 
     def __init__(
         self,
         source: int,
         base: int,
-        hops: dict[int, int],
         sigma: dict[int, int],
         preds: dict[int, dict[int, int]],
         groups: list[tuple[int, list[int]]],
@@ -134,7 +124,6 @@ class TbfsResult:
     ):
         self.source = source
         self.base = base
-        self.hops = hops
         self.sigma = sigma
         self.preds = preds
         self.groups = groups
@@ -177,12 +166,12 @@ class TbfsResult:
 
 def _build_records(result: TbfsResult) -> dict[Appearance, AppearanceRecord]:
     """The ``records`` view: one record per appearance, in creation order."""
-    base, sigma = result.base, result.sigma
+    base = result.base
     return {
         divmod(key, base): AppearanceRecord(
-            hops, sigma[key], {divmod(p, base): mult for p, mult in result.predecessors(key)}
+            sigma, {divmod(p, base): mult for p, mult in result.predecessors(key)}
         )
-        for key, hops in result.hops.items()
+        for key, sigma in result.sigma.items()
     }
 
 
@@ -269,16 +258,16 @@ def _tbfs(
     """
     base = graph.T + 1
     src = s * base
-    hops, sigma, preds, groups = {src: 0}, {src: 1}, {src: {}}, []
+    sigma, preds, groups = {src: 1}, {src: {}}, []
     settled, earliest = {s: [src]}, {s: src}
     if not graph._out_times[s]:
         pass  # s reaches nothing: the sentinel alone, no sweep
     elif opt is PathOptimality.PREFIX_FOREMOST:
-        hops, sigma, preds, earliest = _prefix_foremost_sweep(graph, s, stop_node=z)
+        sigma, preds, earliest = _prefix_foremost_sweep(graph, s, stop_node=z)
     elif z is None:
-        hops, sigma, preds, groups, settled, earliest = _shortest_bfs(graph, s)
+        sigma, preds, groups, settled, earliest = _shortest_bfs(graph, s)
     elif latest is not None and latest[s]:
-        hops, sigma, preds, groups, settled, earliest = _shortest_bfs(graph, s, latest)
+        sigma, preds, groups, settled, earliest = _shortest_bfs(graph, s, latest)
 
     if z is not None:
         if opt is PathOptimality.SHORTEST:
@@ -291,15 +280,16 @@ def _tbfs(
         targets = settled
     else:
         targets = {w: [key] for w, key in earliest.items() if w != s}
-    return TbfsResult(s, base, hops, sigma, preds, groups, targets)
+    return TbfsResult(s, base, sigma, preds, groups, targets)
 
 
 def _shortest_bfs(graph: TemporalGraph, s: int, latest: _LatestDeparture | None = None):
     """Hop-layered BFS over vertex appearances from the sentinel (s, 0).
 
-    Computes, per appearance, the minimum hop count, the number of minimum-hop
-    paths ending there, and the predecessor appearances realizing them. Within
-    a layer, appearances are expanded in ascending key order, that is in
+    Creates each appearance in the hop layer that first reaches it and
+    counts the minimum-hop paths ending there and the predecessor
+    appearances realizing them; the layer itself is not kept. Within a
+    layer, appearances are expanded in ascending key order, that is in
     (node, time) order, so predecessor maps are reproducible.
 
     With ``latest`` set (a :class:`_LatestDeparture`), the search is one
@@ -338,14 +328,16 @@ def _shortest_bfs(graph: TemporalGraph, s: int, latest: _LatestDeparture | None 
     ``(cut, members)``: its members' keys in time order, and the number of
     appearances created before its heads' layer.
 
-    Returns the hops, sigma and predecessor maps by appearance key, in
-    creation order, each appearance after all of its predecessors; the
-    groups; per node its min-hop appearance keys; and ``floor``, per node its
-    earliest appearance key (the source's is the sentinel's).
+    Returns the sigma and predecessor maps by appearance key, in creation
+    order, each appearance after all of its predecessors; the groups;
+    ``settled``, per node its min-hop appearance keys (its sh targets),
+    taken from each layer's map of the nodes it reached first; and
+    ``floor``, per node its earliest appearance key (the source's is the
+    sentinel's). Both are needed: a node's appearances in later layers, at
+    times before its floor, lower the floor but are no sh targets.
     """
     base = graph.T + 1
     src = s * base
-    hops = {src: 0}
     sigma = {src: 1}
     preds: dict[int, dict[int, int]] = {src: {}}
     groups: list[tuple[int, list[int]]] = []
@@ -370,16 +362,14 @@ def _shortest_bfs(graph: TemporalGraph, s: int, latest: _LatestDeparture | None 
     last = False  # expanding z's layer
 
     frontier = [src]
-    layer = 0
     while frontier:
-        layer += 1
         discovered = []
         frontier.sort()
         if into_z:
             near = [vk for vk in frontier if into_z.get(vk // base, 0) > vk % base]
             if near:
                 frontier, last = near, True
-        cut = len(hops)
+        cut = len(sigma)
         members = None  # the open group, whose next member is the next key
         for vk, after in zip(frontier, frontier[1:] + [past]):
             v, t = divmod(vk, base)
@@ -406,7 +396,7 @@ def _shortest_bfs(graph: TemporalGraph, s: int, latest: _LatestDeparture | None 
                 # no later than key's time exists already or is dominated
                 if key >= floor.get(key // base, past):
                     continue
-                if key not in hops:
+                if key not in sigma:
                     if last:
                         # z's layer creates z's appearances alone, and z is
                         # always live
@@ -419,7 +409,6 @@ def _shortest_bfs(graph: TemporalGraph, s: int, latest: _LatestDeparture | None 
                             lw = labels[w] = _decode_label(node_gains[w], bit)
                         if lw <= t2:
                             continue
-                    hops[key] = layer
                     sigma[key] = sigma_v
                     preds[key] = {pk: 1}
                     discovered.append(key)
@@ -427,19 +416,18 @@ def _shortest_bfs(graph: TemporalGraph, s: int, latest: _LatestDeparture | None 
                     sigma[key] += sigma_v
                     p = preds[key]
                     p[pk] = p.get(pk, 0) + 1
+        first: dict[int, list[int]] = {}  # the nodes this layer reached first
         for key in discovered:
             w = key // base
-            apps = settled.get(w)
-            if apps is None:
-                settled[w] = [key]
-            elif hops[apps[0]] == layer:
-                apps.append(key)
+            if w not in settled:
+                first.setdefault(w, []).append(key)
             if key < floor.get(w, past):
                 floor[w] = key
+        settled.update(first)
         if z in settled:  # never for a full search, whose z is None
             break
         frontier = discovered
-    return hops, sigma, preds, groups, settled, floor
+    return sigma, preds, groups, settled, floor
 
 
 def _group_foremost_arrival(graph: TemporalGraph, group) -> list[int | None]:
@@ -600,7 +588,7 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
     The rows run from s's first departure on: a path from s leaves s on one
     of its out-edges, so no earlier row extends it.
 
-    Returns the hops, sigma and predecessor maps by appearance key, each
+    Returns the sigma and predecessor maps by appearance key, each
     appearance created after its predecessors (they settled at earlier
     labels), and per reached node its one appearance key, in the order
     reached.
@@ -609,7 +597,6 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
     arrival = [never] * graph.n
     arrival[s] = 0
     src = s * base
-    hops = {src: 0}
     sigma = {src: 1}
     preds: dict[int, dict[int, int]] = {src: {}}
     edges = graph.edges_by_time
@@ -627,17 +614,15 @@ def _prefix_foremost_sweep(graph: TemporalGraph, s: int, stop_node: int | None =
             if v == stop_node:
                 deadline = t
             key = v * base + t
-            hops[key] = hops[uk] + 1
             sigma[key] = sigma[uk]
             preds[key] = {uk: 1}
         elif a_v == t:
             key = v * base + t
             sigma[key] += sigma[uk]
-            hops[key] = min(hops[key], hops[uk] + 1)
             p = preds[key]
             p[uk] = p.get(uk, 0) + 1
         # a_v < t: arriving later than the earliest time, not foremost
-    return hops, sigma, preds, {key // base: key for key in hops}
+    return sigma, preds, {key // base: key for key in sigma}
 
 
 def _accumulate_dependency(

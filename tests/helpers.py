@@ -12,7 +12,7 @@ import numpy as np
 
 from tempbc import TemporalGraph, load_edge_list
 from tempbc.bruteforce import _all_paths_from, _filter_optimal
-from tempbc.tbfs import AppearanceRecord, PathOptimality, TbfsResult
+from tempbc.tbfs import PathOptimality, TbfsResult
 
 G1_TEXT = "1 2 1\n2 3 2\n1 3 2\n3 4 3\n2 4 3\n"
 
@@ -208,9 +208,23 @@ def dataset_path(name: str) -> Path | None:
     return None
 
 
-# Reference searches: the tuple-keyed engine that kept one AppearanceRecord per
+# Reference searches: the tuple-keyed engine that kept one record per
 # appearance, keyed by (node, time). tempbc.tbfs keeps the same state in flat
 # int-keyed dicts; tests hold it to these records, targets and dependencies.
+
+
+class ReferenceRecord:
+    """One appearance of a reference search: its hop layer, ``sigma`` and
+    ``predecessors``. The library keeps no hop count, so tests compare its
+    records with these on ``(sigma, predecessors)`` in creation order; the
+    layer serves the tests that ask which layer an appearance lies in."""
+
+    __slots__ = ("hops", "sigma", "predecessors")
+
+    def __init__(self, hops: int, sigma: int):
+        self.hops = hops
+        self.sigma = sigma
+        self.predecessors: dict[tuple[int, int], int] = {}
 
 
 def tbfs_reference(
@@ -230,7 +244,7 @@ def tbfs_reference(
     whole layer, as the searches did before they cut it. An sh/sfm search
     creates no dominated appearance; ``keep_dominated=True`` creates and
     counts them, as the searches did before they dropped them."""
-    records, first_time = {(s, 0): AppearanceRecord(0, 1)}, {s: 0}
+    records, first_time = {(s, 0): ReferenceRecord(0, 1)}, {s: 0}
     if not graph._out_times[s]:
         pass
     elif opt is PathOptimality.PREFIX_FOREMOST:
@@ -313,7 +327,7 @@ def _shortest_bfs_reference(
     when w appeared at an earlier layer at a time before t2 (s did, at 0):
     it would be neither expanded nor a target."""
     src_app = (s, 0)
-    records = {src_app: AppearanceRecord(0, 1)}
+    records = {src_app: ReferenceRecord(0, 1)}
     settle_hops = {s: 0}
     settle_apps = {s: [src_app]}
     min_time = {s: 0}
@@ -347,7 +361,7 @@ def _shortest_bfs_reference(
                         continue
                     if latest is not None and latest[w] <= t2:
                         continue
-                    known = AppearanceRecord(layer, 0)
+                    known = ReferenceRecord(layer, 0)
                     records[app] = known
                     discovered[app] = known
                 elif known.hops != layer:
@@ -378,7 +392,7 @@ def _prefix_foremost_sweep_reference(graph, s, stop_node=None):
     never = graph.T + 1
     arrival = [never] * graph.n
     arrival[s] = 0
-    records = {(s, 0): AppearanceRecord(0, 1)}
+    records = {(s, 0): ReferenceRecord(0, 1)}
     edges = graph.edges_by_time
     deadline = never
     for t, u, v in edges[bisect_left(edges, (graph._out_times[s][0],)):]:
@@ -393,7 +407,7 @@ def _prefix_foremost_sweep_reference(graph, s, stop_node=None):
             arrival[v] = t
             if v == stop_node:
                 deadline = t
-            rec = AppearanceRecord(u_rec.hops + 1, u_rec.sigma)
+            rec = ReferenceRecord(u_rec.hops + 1, u_rec.sigma)
             rec.predecessors[(u, a_u)] = 1
             records[(v, t)] = rec
         elif a_v == t:

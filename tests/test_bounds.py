@@ -25,6 +25,20 @@ def test_hoeffding_doubling_n_adds_log2_term():
         assert large == math.ceil(exact_large)
 
 
+@pytest.mark.parametrize("eps", [1e-200, 1e-160])
+def test_hoeffding_tiny_epsilon_is_a_value_error(eps):
+    # 1e-200 squared underflows to 0; 1e-160 squared is subnormal and the
+    # size overflows
+    with pytest.raises(ValueError, match=f"epsilon {eps!r} is too small"):
+        hoeffding_size(eps, 0.1, 5)
+
+
+@pytest.mark.parametrize("eps", [1e-170, 1e-160])
+def test_vc_tiny_epsilon_is_a_value_error(eps):
+    with pytest.raises(ValueError, match=f"epsilon {eps!r} is too small"):
+        vc_size(eps, 0.1, 3)
+
+
 def test_vc_example():
     assert vc_size(0.05, 0.1, 34) == 1661
 

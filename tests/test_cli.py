@@ -151,6 +151,37 @@ def test_max_samples_below_one_is_a_validation_error(g1_path, capsys, algo, cap)
     assert "cap must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diameter", "--epsilon", "1e-200"],
+        ["fixed", "--algo", "ob", "--bound", "hoeffding", "--epsilon", "1e-200"],
+        ["fixed", "--algo", "ob", "--bound", "vc", "--vd", "3", "--epsilon", "1e-170"],
+        ["progressive", "--algo", "ob", "--epsilon", "1e-160"],
+    ],
+    ids=["diameter", "fixed-hoeffding", "fixed-vc", "progressive"],
+)
+def test_a_tiny_epsilon_is_a_validation_error(g1_path, capsys, argv):
+    # each epsilon makes its sample size no finite integer: epsilon^2
+    # underflows to 0, or the size overflows
+    code = main([argv[0], str(g1_path), *argv[1:], "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"epsilon {argv[-1]} is too small" in captured.err
+
+
+def test_a_stalled_progressive_schedule_is_a_validation_error(g1_path, capsys):
+    # alpha this close to 1 adds no sample for over a thousand checkpoints,
+    # until the confidence budget delta / 2^i reaches 0
+    code = main(["progressive", str(g1_path), "--algo", "ob", "--alpha", "1.00001", "--epsilon", "0.01",
+                 "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "checkpoints" in captured.err and "--max-samples" in captured.err and "--alpha" in captured.err
+
+
 def test_progressive_ob_start_size(g1_path, capsys):
     code, report = run(
         capsys, "progressive", g1_path, "--algo", "ob",
@@ -592,8 +623,7 @@ def test_the_reported_records_refuse_assignment_and_give_the_report_keys(g1_path
             record.extra = None
     assert set(stop._asdict()) == STOP_KEYS
     assert set(summary._asdict()) == SUMMARY_KEYS
-    # a score CSV carries no sample size, so the report leaves it out
-    assert set(evaluation._asdict()) == EVALUATION_KEYS | {"sample_size"}
+    assert set(evaluation._asdict()) == EVALUATION_KEYS
 
 
 @pytest.mark.parametrize("reversed_file", ["exact", "approx"])

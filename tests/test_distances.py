@@ -115,6 +115,12 @@ def test_validation(g1):
         estimate_distances(g1, 2, 1.5, 0)
 
 
+@pytest.mark.parametrize("eps", [1e-200, 1e-160])
+def test_recommended_sample_size_tiny_epsilon_is_a_value_error(eps):
+    with pytest.raises(ValueError, match=f"epsilon {eps!r} is too small"):
+        recommended_sample_size(4, eps)
+
+
 def test_recommended_sample_size():
     assert recommended_sample_size(1899, 0.25) == 121
     assert recommended_sample_size(2, 1.0) == 1

@@ -16,8 +16,8 @@ from tempbc.cli import main
 from tempbc.evaluation import _ranks, top_k_nodes
 
 
-def vec(values, opt=PathOptimality.SHORTEST, sample_size=None):
-    return ScoreVector(opt, np.array(values, dtype=np.float64), sample_size=sample_size)
+def vec(values, opt=PathOptimality.SHORTEST):
+    return ScoreVector(opt, np.array(values, dtype=np.float64))
 
 
 def test_identity_comparison():
@@ -111,10 +111,12 @@ def test_validation():
         compare(x, vec([0.1, 0.2]), k=0)
 
 
-def test_sample_size_echoed():
-    x = vec([0.1, 0.2])
-    y = vec([0.1, 0.2], sample_size=77)
-    assert compare(x, y, k=1).sample_size == 77
+def test_report_holds_the_metrics_alone():
+    # the stop report carries a run's sample size; a score vector and its
+    # comparison carry none
+    report = compare(vec([0.1, 0.2]), vec([0.1, 0.2]), k=1)
+    assert report._fields == ("sup_deviation", "mse", "weighted_kendall", "topk_intersection", "k")
+    assert not hasattr(vec([0.1, 0.2]), "sample_size")
 
 
 def _seeded_pair(seed: int) -> tuple[np.ndarray, np.ndarray]:

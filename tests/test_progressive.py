@@ -27,6 +27,7 @@ from tempbc import (
     update_values,
 )
 from tempbc.parallel import chunk_ranges
+from tempbc.progressive import _log_mass
 from tempbc.rng import draw_pair, draw_source, substream
 
 SH = PathOptimality.SHORTEST
@@ -40,6 +41,12 @@ def test_initial_sample_size_is_ceiling_of_closed_form():
     assert initial_sample_size(0.1, 0.1) == 350
     assert initial_sample_size(0.07, 0.1) == 631
     assert initial_sample_size(0.05, 0.1) == 1123
+
+
+@pytest.mark.parametrize("eps", [1e-200, 1e-160])
+def test_initial_sample_size_tiny_epsilon_is_a_value_error(eps):
+    with pytest.raises(ValueError, match=f"epsilon {eps!r} is too small"):
+        initial_sample_size(eps, 0.1)
 
 
 def test_initial_sample_size_validates():
@@ -73,6 +80,22 @@ def test_update_values_traces():
     update_values(st, 0, 0.0)
     assert (dict(st.b), dict(st.b1), dict(st.b2)) == before
     assert st.untouched == 3
+
+
+def test_a_value_whose_square_underflows_keeps_the_node_untouched():
+    # 1e-200 squared is 0.0: the node's norm stays 0, so its mass stays in
+    # the bound (ln 3 over three zero norms, not ln 2), and its score still
+    # counts the value
+    st = RademacherState(3)
+    update_values(st, 0, 1e-200)
+    assert st.b == {} and st.b2 == {}
+    assert st.b1 == {0: 1e-200}
+    assert st.untouched == 3
+    assert _log_mass(st, 1.0, 10) == math.log(3)
+    update_values(st, 0, 0.5)
+    assert st.b == {0.25: 1} and st.b2 == {0: 0.25}
+    assert st.b1 == {0: 0.5 + 1e-200}
+    assert st.untouched == 2
 
 
 def test_update_values_contract():
@@ -272,7 +295,7 @@ def test_explicit_iteration_cap(g1):
     )
     assert report.final_sample_size == 50
     assert report.stopped_by is StopReason.ITERATION_CAP
-    assert scores.sample_size == 50
+    assert scores.n == g1.n
 
 
 def test_progressive_is_independent_of_thread_count(monkeypatch):
@@ -373,7 +396,6 @@ def test_prtb_stops_once_every_source_gave_zero_dependency(text, seed):
     assert report.stopped_by is StopReason.ITERATION_CAP
     assert report.xi == 0.0
     assert scores.values.tolist() == [0.0] * g.n
-    assert scores.sample_size == r
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])

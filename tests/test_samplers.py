@@ -48,7 +48,6 @@ def test_rtb_census_equals_exact(g1):
     exact = exact_tbc(g1, SH)
     census = rtb_estimate(g1, SH, g1.n, 0, sources=list(range(g1.n)))
     assert np.array_equal(census.values, exact.values)
-    assert census.sample_size == g1.n
 
 
 def test_ob_census_equals_exact(g1):

@@ -285,7 +285,7 @@ def test_invalid_explicit_pairs_fail_before_any_sweep(threads, monkeypatch):
                         estimator(g, opt, len(pairs), 1, threads=threads, pairs=pairs)
 
 
-# SHA-256 of the records (key, hops, sigma and the predecessor items in order)
+# SHA-256 of the records (key, sigma and the predecessor items in order)
 # of every full search from each source of the tie graph, and of every
 # truncated search over each ordered pair. A full sfm search runs the sh
 # search, so both give the same digest. The sh/sfm digest was recorded before
@@ -297,16 +297,19 @@ def test_invalid_explicit_pairs_fail_before_any_sweep(threads, monkeypatch):
 # holds every kept record to the uncut search. All sh/sfm digests were
 # recorded again when the search stopped creating dominated appearances: that
 # drops records by design, and test_search_drops_only_dominated_records holds
-# every kept record to the search that keeps them. The pfm digests never moved.
+# every kept record to the search that keeps them. The pfm digests did not
+# move until every digest here was recorded again, from the search that still
+# kept hop counts, when the hop field left the records: that drops a field,
+# not a record, and pins the same order and counts.
 FULL_RECORDS_SHA256 = {
-    SH: "f252925aac71d6d96460e3e6a14def4721b6f3568f17dc4fec7835f2e96a2b60",
-    SFM: "f252925aac71d6d96460e3e6a14def4721b6f3568f17dc4fec7835f2e96a2b60",
-    PFM: "f09f658542e083336cf1d2f4ba510e63f8434551de4a3d59c6da47c43e992882",
+    SH: "00c35e2876ee527303d602a721b793b91f2d11c17042fa91d7493b9d2e4f7daf",
+    SFM: "00c35e2876ee527303d602a721b793b91f2d11c17042fa91d7493b9d2e4f7daf",
+    PFM: "5683de691abf7901c0207e6cb2e29f2f52f54ef3e54a2764626fb67cd107ffab",
 }
 TRUNCATED_RECORDS_SHA256 = {
-    SH: "c8c70fd34465a0254d5becb9bb2c8f9cda6843072088964fbb3b680e8dfc1eb2",
-    SFM: "37ce284154426883fe49af82fd22f5a66d60fdcc6f52f429cf6deb9c9db79208",
-    PFM: "49ee5fde0a1ff095827fc167ad24480859a4647d5f004d80c4c457363ec2c825",
+    SH: "d0b79a769eee66e7b18f386ffc4feba877aca181a078a0e6fa33148e673c7949",
+    SFM: "5107053b59eb4472e46cd4b26794015185cc117626cb452954879a34c7163a30",
+    PFM: "3e8d12e9a6ad3e9c080f4d1fee8e4e57cc64198c1dc5b2adfe1f7875750b3289",
 }
 
 
@@ -314,7 +317,7 @@ def _records_digest(results) -> str:
     h = hashlib.sha256()
     for s, result in results:
         for app, rec in result.records.items():
-            h.update(f"{s} {app} {rec.hops} {rec.sigma} {list(rec.predecessors.items())}\n".encode())
+            h.update(f"{s} {app} {rec.sigma} {list(rec.predecessors.items())}\n".encode())
     return h.hexdigest()
 
 
@@ -336,12 +339,13 @@ def test_truncated_records_are_pinned(ties, opt):
 # and records compressed predecessors. Recorded before the search grouped
 # them: the expanded records must not change. The truncated digests moved,
 # as above, when pair searches cut z's hop layer, and all of them when the
-# search stopped creating dominated appearances.
+# search stopped creating dominated appearances. All four were recorded
+# again, as above, when the hop field left the records.
 BURSTY_RECORDS_SHA256 = {
-    (SH, "full"): "4dcb32de9a947fa5ee7af08fefc87062a4e14fc37a051b39bba823a890fb0f54",
-    (SFM, "full"): "4dcb32de9a947fa5ee7af08fefc87062a4e14fc37a051b39bba823a890fb0f54",
-    (SH, "truncated"): "234f3d2252f260e8a718c025031e0139c33ebd5de30d7488b5054c5e6d4c1ce4",
-    (SFM, "truncated"): "a0a8639b73599a2f3f0c7a19077ffb516eb1e6efa8808747d2191d03728be64f",
+    (SH, "full"): "addd3bfa9fba3b3619726c1de57c002132e1b0c1a002bc050218f38e862033f4",
+    (SFM, "full"): "addd3bfa9fba3b3619726c1de57c002132e1b0c1a002bc050218f38e862033f4",
+    (SH, "truncated"): "8ffd726bb0d2a9e69775521c317eb72dea915ea56565f3f2d7434b1de02b9d94",
+    (SFM, "truncated"): "0ec95655e10bdc0d9a06a975900c25ae91a023b48785b0f2ec3047ea170a0150",
 }
 
 
@@ -375,7 +379,7 @@ BURSTY_TRUNCATED_APPEARANCES = {SH: 24_517, SFM: 18_737}
 def test_bursty_truncated_appearances_are_pinned(bursty60, opt):
     g = bursty60
     pairs = [(s, z) for s in range(g.n) for z in range(g.n) if s != z]
-    total = sum(len(result.hops) for result in tbfs_module.pair_searches(g, pairs, opt))
+    total = sum(len(result.sigma) for result in tbfs_module.pair_searches(g, pairs, opt))
     assert total == BURSTY_TRUNCATED_APPEARANCES[opt]
 
 
@@ -387,7 +391,7 @@ BURSTY_FULL_APPEARANCES = 5_228
 
 def test_bursty_full_appearances_are_pinned(bursty60):
     for opt in (SH, SFM):
-        total = sum(len(full_tbfs(bursty60, s, opt).hops) for s in range(bursty60.n))
+        total = sum(len(full_tbfs(bursty60, s, opt).sigma) for s in range(bursty60.n))
         assert total == BURSTY_FULL_APPEARANCES, opt
 
 
@@ -404,15 +408,16 @@ def test_grouped_state_expands_to_the_reference(graph, request):
     groups = compressed = 0
     for s in range(g.n):
         result = full_tbfs(g, s, SH)
+        records, targets, dependency = tbfs_reference(g, s, None, SH)
         groups += len(result.groups)
         compressed += _compressed_entries(result)
         for cut, members in result.groups:
             times = [key % result.base for key in members]
             assert len(members) >= 2 and times == sorted(set(times))
             assert len({key // result.base for key in members}) == 1
-            assert all(result.hops[key] == result.hops[members[0]] for key in members)
-            assert all(list(result.hops).index(key) < cut for key in members)
-        records, targets, dependency = tbfs_reference(g, s, None, SH)
+            layers = {records[divmod(key, result.base)].hops for key in members}
+            assert len(layers) == 1
+            assert all(list(result.sigma).index(key) < cut for key in members)
         assert _record_items(result.records) == _record_items(records), s
         assert list(target_view(result).items()) == list(targets.items()), s
         assert list(result.dependency.items()) == list(dependency.items()), s
@@ -430,7 +435,7 @@ def test_group_members_created_out_of_time_order():
     base = result.base
     (g3, (cut, members)), = [(k, gr) for k, gr in enumerate(result.groups) if gr[1][0] // base == v]
     assert members == [v * base + 2, v * base + 4]
-    order = list(result.hops)
+    order = list(result.sigma)
     assert order.index(members[0]) > order.index(members[1])
     assert result.preds[w * base + 3] == {members[0]: 1}
     both = ~(g3 * base + 2)
@@ -473,7 +478,9 @@ def test_path_draws_match_a_walk_over_the_records(bursty60, opt):
 
 
 def _record_items(records):
-    return [(app, rec.hops, rec.sigma, list(rec.predecessors.items())) for app, rec in records.items()]
+    """A search's records, or a reference search's, as comparable items:
+    (appearance, sigma, predecessor items) in creation order."""
+    return [(app, rec.sigma, list(rec.predecessors.items())) for app, rec in records.items()]
 
 
 def _check_against_reference(graph, pairs):
