@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 import time
@@ -128,10 +129,15 @@ def _check_flags(args) -> None:
                 setattr(args, name, defaults.get(name))
             elif name not in defaults:
                 raise ValueError(f"--{name} applies only with --algo {'prtb' if name == 'c' else 'ob or trk'}")
-        if args.algo == "prtb" and args.c < 2:
-            raise ValueError("threshold constant c must be >= 2")
-        if args.algo != "prtb":
+        if args.algo == "prtb":
+            if not math.isfinite(args.c):
+                raise ValueError(f"threshold constant c must be finite, got {args.c!r}")
+            if args.c < 2:
+                raise ValueError("threshold constant c must be >= 2")
+        else:
             check_bound_inputs(args.epsilon, args.delta)
+            if not math.isfinite(args.alpha):
+                raise ValueError(f"schedule constant alpha must be finite, got {args.alpha!r}")
             if args.alpha <= 1.0:
                 raise ValueError("schedule constant alpha must be > 1")
         if args.max_samples is not None and args.max_samples < 1:

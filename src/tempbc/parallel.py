@@ -8,11 +8,12 @@ by one of two rules:
 
 * source work (exact, rtb, distances): ``ceil(items / (4 * workers))``
   items, about four chunks per worker, so that uneven chunk costs even out;
-* pair work (ob, trk): the caller names the widest chunk, the width of one
-  shared sweep group (``tbfs.GROUP_WIDTH``), and the run is cut into the
-  fewest chunks of near-equal width that fit it and number a multiple of
-  the workers. A pair's sweep is cheaper the wider its group, and a group
-  never spans two chunks.
+* pair work (ob, trk): the caller names the widest chunk, the widest
+  shared sweep group (``tbfs.GROUP_WIDTH``, 128 pairs), and the run is cut
+  into the fewest chunks of near-equal width that fit it and number a
+  multiple of the workers, so that each chunk is one sweep group: 184 pairs
+  at 2 workers make 2 chunks of 92. A sweep scans the same rows at any
+  width, so a pair's sweep is cheaper the wider its group.
 
 ``threads`` is an upper bound: a run starts no more workers than the CPUs it
 may run on, nor more than it has chunks. Workers are forked (``os.fork``), so

@@ -13,7 +13,8 @@ Two schemes:
 
 Both run their samples through :func:`tempbc.samplers.chunk_contributions`,
 the sample pipeline of the fixed-sample estimators. Each checkpoint batch of
-:func:`progressive_estimate` runs in chunks of whole sweep groups on up to
+:func:`progressive_estimate` runs in chunks of one sweep group each (at 2
+workers, a batch of up to 256 samples is one group per worker) on up to
 ``threads`` workers forked once for the whole run; a chunk returns each
 sample's per-node values as floats in fold order, and the batch is folded in
 sample-index order, so the scores and the bound are the same for any worker
@@ -83,13 +84,29 @@ class Schedule:
     def __init__(self, initial: int, alpha: float):
         if initial < 1:
             raise ValueError("initial sample size must be >= 1")
+        if not math.isfinite(alpha):
+            raise ValueError(f"schedule constant alpha must be finite, got {alpha!r}")
         if alpha <= 1.0:
             raise ValueError("schedule constant alpha must be > 1")
         self.initial = initial
         self.alpha = alpha
 
-    def size(self, iteration: int) -> int:
-        return math.ceil(self.alpha ** (iteration - 1) * self.initial)
+    def size(self, iteration: int, cap: int | None = None) -> int:
+        """The i-th checkpoint, at most ``cap``. Raises ValueError naming alpha
+        when it is no finite integer and the cap does not bound it."""
+        try:
+            size = self.alpha ** (iteration - 1) * self.initial
+        except OverflowError:
+            size = math.inf
+        if cap is not None and size >= cap:
+            return cap
+        if size == math.inf:
+            raise ValueError(
+                f"schedule constant alpha {self.alpha!r} makes checkpoint {iteration}'s sample"
+                " size no finite integer: take a smaller alpha (--alpha) or cap the samples"
+                " (--max-samples)"
+            )
+        return math.ceil(size)
 
 
 class RademacherState:
@@ -251,7 +268,9 @@ def progressive_estimate(
     connected, fold each internal node's value into the state (the exact path
     fraction for ``ob``, by ascending node id, or a 0/1 indicator of one
     uniformly drawn path for ``trk``, in path order). At each checkpoint the
-    supremum-deviation bound is evaluated with confidence budget delta / 2^i.
+    supremum-deviation bound is evaluated with confidence budget delta / 2^i;
+    its Rademacher bound is evaluated again only when the checkpoint added
+    samples.
     On a bound-met stop, all node estimates are within epsilon of the truth
     with probability at least 1 - delta. For ``trk`` the sample size is
     additionally capped at the union-bound size, after which the run stops
@@ -285,15 +304,16 @@ def progressive_estimate(
                     f" delta / 2^{iteration} is 0: cap the samples (--max-samples) or take"
                     " a larger alpha (--alpha)"
                 )
-            target = schedule.size(iteration)
-            if cap is not None:
-                target = min(target, cap)
-            for samples in fan.map(done, target, tbfs.GROUP_WIDTH):
-                for sample in samples:
-                    for u, h_u in sample.items():
-                        update_values(state, u, h_u)
-            done = target
-            bound = rademacher_bound(state, done)
+            target = schedule.size(iteration, cap)
+            # a checkpoint that adds no sample leaves the state, and so the
+            # bound, as it was; only delta_i changes
+            if target > done:
+                for samples in fan.map(done, target, tbfs.GROUP_WIDTH):
+                    for sample in samples:
+                        for u, h_u in sample.items():
+                            update_values(state, u, h_u)
+                done = target
+                bound = rademacher_bound(state, done)
             xi = stopping_xi(bound, done, delta_i)
             if xi <= epsilon:
                 reason = StopReason.BOUND_MET
@@ -336,6 +356,8 @@ def prtb_estimate(
     report, ``xi`` carries the largest accumulated dependency and ``epsilon``
     the threshold ``c * n``.
     """
+    if not math.isfinite(c):
+        raise ValueError(f"threshold constant c must be finite, got {c!r}")
     if c < 2:
         raise ValueError("threshold constant c must be >= 2")
     sampled_n(graph)
@@ -343,6 +365,8 @@ def prtb_estimate(
         raise ValueError(f"sample cap must be >= 1, got {max_samples}")
 
     threshold = c * graph.n
+    if threshold == math.inf:
+        raise ValueError(f"threshold constant c {c!r} makes the threshold c * n overflow for n={graph.n}")
     totals: dict[int, Fraction] = {}
     max_total = Fraction(0)
     r = 0

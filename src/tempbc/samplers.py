@@ -14,9 +14,10 @@ and turned into those contributions, a chunk of indices at a time:
 Sample i draws from its own substream ``substream(seed, i)``, so a seeded
 run is reproducible for any worker count. A chunk draws all of its pairs
 before it searches, so that :func:`tempbc.tbfs.pair_searches` can share
-sweeps among them; pair work is cut into whole sweep groups of at most
-``tbfs.GROUP_WIDTH`` pairs (see :func:`tempbc.parallel.chunk_ranges`), and
-source work into about four chunks per worker. Chunk sums fold exactly, so
+sweeps among them; pair work is cut into chunks of at most
+``tbfs.GROUP_WIDTH`` (128) pairs, each one sweep group (see
+:func:`tempbc.parallel.chunk_ranges`), and source work into about four
+chunks per worker. Chunk sums fold exactly, so
 where the chunks are cut does not matter. rtb divides by r(n-1), ob by r,
 and trk multiplies its integer counts by 1/r.
 """

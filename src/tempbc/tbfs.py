@@ -15,9 +15,10 @@ optimality criteria are supported:
 searches. ``sh`` and ``sfm`` run a hop-layered BFS over appearances
 (:func:`_shortest_bfs`). A pair search bounds it by each node's latest
 departure toward the destination (:class:`_LatestDeparture`), which one
-backward sweep finds for a group of pairs (:func:`_group_latest_departure`);
-under ``sfm`` one forward sweep first finds the destinations' earliest
-arrivals (:func:`_group_foremost_arrival`). ``pfm`` needs one sweep of the
+backward sweep finds for a group of up to ``GROUP_WIDTH`` (128) pairs
+(:func:`_group_latest_departure`); under ``sfm`` one forward sweep of the
+same group first finds the destinations' earliest arrivals
+(:func:`_group_foremost_arrival`). ``pfm`` needs one sweep of the
 rows in time order (:func:`_prefix_foremost_sweep`). A :class:`TbfsResult`
 keeps the search state flat: exact integer path counts, predecessors and
 each destination's targets. It computes the exact rational dependencies
@@ -48,8 +49,12 @@ __all__ = [
 
 Appearance = tuple[int, int]
 
-# pairs per shared sweep: pair k of a group is bit k of a node's mask
-GROUP_WIDTH = 64
+# the widest sweep group, and so the widest pair chunk: pair k of a group is
+# bit k of a node's mask. A sweep scans the same rows at any width, so wider
+# groups mean fewer sweeps; 128 keeps each progressive checkpoint batch of up
+# to 256 samples at one group per worker of two, and bounds a group's gain
+# log (about 0.9 MB on the 20,000-row uniform benchmark graph)
+GROUP_WIDTH = 128
 
 
 class PathOptimality(str, Enum):

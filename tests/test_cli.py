@@ -182,6 +182,36 @@ def test_a_stalled_progressive_schedule_is_a_validation_error(g1_path, capsys):
     assert "checkpoints" in captured.err and "--max-samples" in captured.err and "--alpha" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--algo", "ob", "--alpha", "inf"], "alpha must be finite, got inf"),
+        (["--algo", "ob", "--alpha", "nan"], "alpha must be finite, got nan"),
+        # finite, but checkpoint 2's size alpha * 350 overflows to inf
+        (["--algo", "ob", "--alpha", "1e308"], "alpha 1e+308 makes checkpoint 2's sample size"),
+        (["--algo", "prtb", "--c", "nan", "--max-samples", "3"], "c must be finite, got nan"),
+        (["--algo", "prtb", "--c", "inf"], "c must be finite, got inf"),
+        (["--algo", "prtb", "--c", "1e308"], "c 1e+308 makes the threshold c * n overflow"),
+    ],
+    ids=["alpha-inf", "alpha-nan", "alpha-1e308", "c-nan", "c-inf", "c-1e308"],
+)
+def test_a_schedule_or_threshold_that_is_not_finite_is_a_validation_error(
+    g1_path, capsys, monkeypatch, argv, message
+):
+    # prtb is refused before it draws a sample: with an infinite threshold
+    # and no cap its loop would never stop
+    def no_sample(*args):
+        raise AssertionError("prtb drew a sample")
+
+    if "prtb" in argv:
+        monkeypatch.setattr("tempbc.progressive.chunk_contributions", no_sample)
+    code = main(["progressive", str(g1_path), *argv, *_serial(*argv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_progressive_ob_start_size(g1_path, capsys):
     code, report = run(
         capsys, "progressive", g1_path, "--algo", "ob",

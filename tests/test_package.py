@@ -55,7 +55,7 @@ def test_import_tempbc_loads_no_numpy_and_leaves_the_environment_alone():
         "print('OPENBLAS_NUM_THREADS' in os.environ)\n"
         "print(tempbc.tbfs.GROUP_WIDTH, 'numpy' in sys.modules)\n"
     )
-    assert out.split("\n") == ["['tempbc', 'tempbc.__main__']", "False", "64 False", ""]
+    assert out.split("\n") == ["['tempbc', 'tempbc.__main__']", "False", "128 False", ""]
 
 
 def test_main_in_process_leaves_the_environment_alone(tmp_path, capsys, monkeypatch):

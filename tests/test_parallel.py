@@ -25,9 +25,9 @@ from tempbc.samplers import summed_contributions
 SH = PathOptimality.SHORTEST
 
 # (source chunks per worker, pair chunk width): every item in one chunk (pairs
-# up to one full 64-wide sweep group), seven or eight chunks, one item per
+# up to one full 128-wide sweep group), seven or eight chunks, one item per
 # chunk; the pair width also sets the width of the shared sweep groups
-CHUNKINGS = ((1, 64), (7, 7), (10**9, 1))
+CHUNKINGS = ((1, 128), (7, 7), (10**9, 1))
 
 
 @pytest.fixture(scope="module")
@@ -88,20 +88,22 @@ def _widths(total, workers):
 
 def test_pair_chunks_hold_whole_sweep_groups():
     # the fewest chunks no wider than a sweep group whose count is a
-    # multiple of the workers; near-equal widths, the wider first
-    assert tbfs.GROUP_WIDTH == 64
-    assert _widths(184, 2) == [46] * 4
+    # multiple of the workers; near-equal widths, the wider first. Each
+    # progressive-uniform checkpoint batch (184/92/138/207) is one group per
+    # worker; the fixed ob and trk runs of pairs-bursty (266, 512) two
+    assert tbfs.GROUP_WIDTH == 128
+    assert _widths(184, 2) == [92] * 2
     assert _widths(92, 2) == [46] * 2
-    assert _widths(138, 2) == [35, 35, 34, 34]
-    assert _widths(207, 2) == [52, 52, 52, 51]
-    assert _widths(266, 2) == [45, 45] + [44] * 4
-    assert _widths(512, 2) == [64] * 8
+    assert _widths(138, 2) == [69] * 2
+    assert _widths(207, 2) == [104, 103]
+    assert _widths(266, 2) == [67, 67, 66, 66]
+    assert _widths(512, 2) == [128] * 4
     assert _widths(40, 1) == [40]
     # fewer items than workers: one item per chunk
     assert _widths(3, 8) == [1, 1, 1]
     assert _widths(1, 2) == [1]
     assert _widths(0, 2) == []
-    assert parallel.chunk_ranges(92, 64, 2, start=350) == [(350, 396), (396, 442)]
+    assert parallel.chunk_ranges(92, 128, 2, start=350) == [(350, 396), (396, 442)]
 
 
 def test_workers_never_exceed_the_affinity_set(pools, tmp_path):
@@ -136,14 +138,14 @@ def test_worker_is_sent_once_per_pool_process_at_most(pools, monkeypatch):
 
 def test_progressive_starts_one_pool_per_run(pools, graph, tmp_path):
     # four checkpoint batches (350/175/263/394 samples), each fanned out in
-    # chunks of at most 64 pairs, an even number of them
+    # chunks of at most 128 pairs, an even number of them
     graph_file = tmp_path / "graph.txt"
     write_edge_list(graph, graph_file)
     argv = ["progressive", str(graph_file), "--algo", "ob", "--epsilon", "0.1",
             "--delta", "0.1", "--seed", "5", "--threads", "2"]
     assert cli_main(argv + ["--out", str(tmp_path / "report.json")]) == 0
     assert len(pools) == 1 and pools[0]["workers"] == 2
-    assert [len(ranges) for ranges in pools[0]["maps"]] == [6, 4, 6, 8]
+    assert [len(ranges) for ranges in pools[0]["maps"]] == [4, 2, 4, 4]
 
 
 def _no_children() -> bool:

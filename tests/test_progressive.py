@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,47 @@ def test_schedule_sizes():
         Schedule(10, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_schedule_rejects_an_alpha_that_is_not_finite(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        Schedule(10, alpha)
+
+
+@pytest.mark.parametrize("alpha, iteration", [(1e308, 2), (1e200, 3)])
+def test_an_unbounded_checkpoint_size_is_a_value_error_naming_alpha(alpha, iteration):
+    # 1e308 * 10 overflows to inf, and 1e200 ** 2 raises OverflowError
+    sched = Schedule(10, alpha)
+    assert sched.size(1) == 10
+    with pytest.raises(ValueError, match=re.escape(f"alpha {alpha!r} makes checkpoint {iteration}")):
+        sched.size(iteration)
+    # a cap bounds the size before it is rounded
+    assert sched.size(iteration, cap=50) == 50
+    assert Schedule(10, 1.5).size(3, cap=23) == 23
+    assert Schedule(10, 1.5).size(3, cap=24) == 23
+
+
+def test_a_checkpoint_that_adds_no_sample_reuses_the_bound(g1, monkeypatch):
+    # alpha this close to 1 repeats a sample size over about four
+    # checkpoints: the 20 checkpoints up to the cap hold 6 sizes, and the
+    # bound is evaluated once per size; xi still takes each checkpoint's
+    # delta / 2^i
+    bounds = []
+
+    def counted(state, r):
+        bounds.append((r, rademacher_bound(state, r)))
+        return bounds[-1][1]
+
+    monkeypatch.setattr("tempbc.progressive.rademacher_bound", counted)
+    initial = initial_sample_size(0.01, 0.1)
+    sizes = [min(Schedule(initial, 1.00001).size(i), initial + 5) for i in range(1, 21)]
+    scores, report = progressive_estimate(
+        g1, SH, 0.01, 0.1, 1.00001, Algorithm.OB, seed=0, iteration_cap=initial + 5
+    )
+    assert report.iterations == 20 and report.stopped_by is StopReason.ITERATION_CAP
+    assert [r for r, _ in bounds] == sorted(set(sizes)) == list(range(initial, initial + 6))
+    assert report.xi == stopping_xi(bounds[-1][1], initial + 5, 0.1 / 2**20)
+
+
 def test_confidence_budgets_sum_below_delta():
     delta = 0.1
     assert sum(delta / 2**i for i in range(1, 60)) <= delta
@@ -423,6 +465,23 @@ def test_prtb_validates(g1):
     for cap in (0, -3):
         with pytest.raises(ValueError, match="sample cap"):
             prtb_estimate(g1, SH, 2.0, 0, max_samples=cap)
+
+
+@pytest.mark.parametrize(
+    "c, message",
+    [(math.nan, "c must be finite"), (math.inf, "c must be finite"), (1e308, "threshold c \\* n overflow")],
+    ids=["nan", "inf", "1e308"],
+)
+def test_prtb_refuses_a_threshold_that_is_not_finite(g1, monkeypatch, c, message):
+    # refused before the first sample: no sample reaches an infinite or NaN
+    # threshold, so without a cap the loop would never stop (1e308 is
+    # finite, but c * n overflows)
+    def no_sample(*args):
+        raise AssertionError("prtb drew a sample")
+
+    monkeypatch.setattr("tempbc.progressive.chunk_contributions", no_sample)
+    with pytest.raises(ValueError, match=message):
+        prtb_estimate(g1, SH, c, 0)
 
 
 @pytest.mark.parametrize("algorithm", [Algorithm.OB, Algorithm.TRK])

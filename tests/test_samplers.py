@@ -265,7 +265,7 @@ def _check_chunks_match_per_pair_searches(graph, seed):
                     list(_per_pair_contribution(graph, opt, algorithm, seed, fixed, i).items())
                     for i in range(r)
                 ]
-                for width in (1, 2, 7, 64, 65):
+                for width in (1, 2, 7, 64, 65, 128, 129):
                     got = [
                         list(contribution.items())
                         for lo in range(0, r, width)
