@@ -24,8 +24,10 @@ tempbc compare "$dir/exact.csv" "$dir/ob.csv" > /dev/null
 # the same scores in the opposite row order compare by node id
 { head -n 1 "$dir/exact.csv"; tail -n +2 "$dir/exact.csv" | tac; } > "$dir/reversed.csv"
 tempbc compare "$dir/exact.csv" "$dir/reversed.csv" > /dev/null
-# a schedule constant or threshold that is not finite is refused with exit
-# 2; `timeout` ends a run that would never stop (exit 124)
+# a schedule constant or threshold that is not finite, a sample count of
+# 2^63 or more (as a checkpoint size, too) and an epsilon that is not finite
+# are refused with exit 2; `timeout` ends a run that would never stop (exit
+# 124)
 refused() {
   local code=0
   timeout 60 tempbc "$@" > /dev/null 2>&1 || code=$?
@@ -39,3 +41,6 @@ refused progressive "$dir/g.txt" --algo ob --alpha 1e308
 refused progressive "$dir/g.txt" --algo ob --alpha nan
 refused progressive "$dir/g.txt" --algo prtb --c nan --max-samples 3
 refused progressive "$dir/g.txt" --algo prtb --c inf
+refused progressive "$dir/g.txt" --algo ob --alpha 1e100
+refused fixed "$dir/g.txt" --algo ob --samples 9223372036854775808
+refused diameter "$dir/g.txt" --epsilon nan

@@ -3,8 +3,12 @@
 Every graph command runs one pipeline (``_report``): check the flags that
 need no graph, load the graph, derive the parameters and the one library
 call, time that call alone (``wall_seconds``), then emit the JSON report
-(schema_version 1) to stdout or ``--out``. Scores go to the ``--scores``
-CSV (``node_id,score``, 17 significant digits), or inline in the report.
+(schema_version 1) to stdout or ``--out``. Every command checks its flags
+before it reads any input. This module states only the rules about flag
+combinations; for a value (epsilon, delta, alpha, c, tau, vd, k, a sample
+count) it calls the library's check, the one place where that rule and
+its message live. Scores go to the ``--scores`` CSV (``node_id,score``,
+17 significant digits), or inline in the report.
 Through this module every command, ``compare`` too, imports ``bounds``,
 ``exact``, ``graph``, ``parallel``, ``rng``, ``samplers`` and ``tbfs``.
 ``progressive``, ``distances`` and ``evaluation`` load only with their
@@ -24,13 +28,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import sys
 import time
 from functools import partial
 
-from .bounds import check_bound_inputs, hoeffding_size, vc_size
+from .bounds import check_bound_inputs, check_sample_count, hoeffding_size, vc_size
 from .exact import GuardrailError, exact_tbc, work_estimate
 from .graph import ParseError, TemporalGraph, read_edge_list, summarize
 from .samplers import Algorithm, ScoreVector, ob_estimate, rtb_estimate, sampled_n, trk_estimate
@@ -109,17 +112,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """The flag and value checks that need no graph. The pipeline runs them
-    before it loads the graph, so a usage error exits 2 at once, whatever
-    the file; a value check gives the library's message. Fills in the
-    defaults of the flags that the command uses."""
-    if args.command == "compare":
-        if args.k < 1:
-            raise ValueError("k must be >= 1")
-        return
+    """The checks of a graph command that need no graph. The pipeline runs
+    them before it loads the graph, so a usage error exits 2 at once,
+    whatever the file. The rules about flag combinations live here; each
+    value is checked by the library function that holds its rule, so the
+    message is the library's. Fills in the defaults of the flags that the
+    command uses."""
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.command == "progressive":
+        from .progressive import check_schedule_constant, check_threshold_constant
+
         if args.algo == "prtb":
             defaults = {"c": 2.0}
         else:
@@ -130,19 +133,12 @@ def _check_flags(args) -> None:
             elif name not in defaults:
                 raise ValueError(f"--{name} applies only with --algo {'prtb' if name == 'c' else 'ob or trk'}")
         if args.algo == "prtb":
-            if not math.isfinite(args.c):
-                raise ValueError(f"threshold constant c must be finite, got {args.c!r}")
-            if args.c < 2:
-                raise ValueError("threshold constant c must be >= 2")
+            check_threshold_constant(args.c)
         else:
-            check_bound_inputs(args.epsilon, args.delta)
-            if not math.isfinite(args.alpha):
-                raise ValueError(f"schedule constant alpha must be finite, got {args.alpha!r}")
-            if args.alpha <= 1.0:
-                raise ValueError("schedule constant alpha must be > 1")
-        if args.max_samples is not None and args.max_samples < 1:
-            cap = "sample" if args.algo == "prtb" else "iteration"
-            raise ValueError(f"{cap} cap must be >= 1, got {args.max_samples}")
+            check_bound_inputs(args.epsilon, args.delta, vd=None)
+            check_schedule_constant(args.alpha)
+        if args.max_samples is not None:
+            check_sample_count(args.max_samples, "sample cap" if args.algo == "prtb" else "iteration cap")
         return
     if args.threads is None:
         args.threads = default_threads()
@@ -151,23 +147,24 @@ def _check_flags(args) -> None:
             raise ValueError("give either --samples or --bound, not both")
         if args.vd is not None and args.bound != "vc":
             raise ValueError("--vd applies only with --bound vc")
-        if args.samples is not None and args.samples < 1:
-            raise ValueError("--samples must be >= 1")
         if args.samples is None and args.bound is None:
             raise ValueError("one of --samples or --bound is required")
-        if args.bound is not None:  # --samples leaves epsilon and delta unused
+        if args.samples is not None:
+            check_sample_count(args.samples, "--samples")
+        else:  # only a bound reads epsilon, delta and vd
             check_bound_inputs(args.epsilon, args.delta, vd=args.vd)
     elif args.command == "diameter":
+        from .distances import check_epsilon, check_tau
+
         if args.samples is not None and args.epsilon is not None:
             raise ValueError("give either --samples or --epsilon, not both")
         if args.samples is None and args.epsilon is None:
             raise ValueError("one of --samples or --epsilon is required")
-        if args.samples is not None and args.samples < 1:
-            raise ValueError("sample size must be >= 1")
-        if not 0.0 < args.tau <= 1.0:
-            raise ValueError("tau must be in (0, 1]")
-        if args.samples is None and args.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if args.samples is not None:
+            check_sample_count(args.samples, "sample size")
+        else:
+            check_epsilon(args.epsilon)
+        check_tau(args.tau)
 
 
 # Each graph command derives its report parameters from the loaded graph and
@@ -243,10 +240,7 @@ def _progressive(args, graph: TemporalGraph):
 def _diameter(args, graph: TemporalGraph):
     from .distances import estimate_distances, recommended_sample_size
 
-    if args.samples is not None:
-        s = args.samples
-    else:
-        s = recommended_sample_size(sampled_n(graph), args.epsilon)
+    s = args.samples or recommended_sample_size(sampled_n(graph), args.epsilon)
     params = {"samples": s, "tau": args.tau, "seed": args.seed, "threads": args.threads}
     return params, partial(
         estimate_distances, graph, s, args.tau, args.seed,
@@ -258,8 +252,9 @@ _COMMANDS = {"exact": _exact, "fixed": _fixed, "progressive": _progressive, "dia
 
 
 def _evaluation(args) -> dict:
-    from .evaluation import compare
+    from .evaluation import check_k, compare
 
+    check_k(args.k)  # before either score file is read
     exact_vec, exact_ids = ScoreVector.read_csv(args.exact_scores)
     approx_vec, approx_ids = ScoreVector.read_csv(args.approx_scores)
     if exact_ids != approx_ids:  # the same ids in another row order are aligned by id
@@ -298,10 +293,10 @@ def _check_outputs(args) -> None:
 def _report(args, argv: list[str], freeze_heap: bool) -> dict:
     report = {"schema_version": 1, "command": argv, "algorithm": getattr(args, "algo", args.command)}
     _check_outputs(args)
-    _check_flags(args)
     if args.command == "compare":
         report.update(parameters={"k": args.k}, evaluation=_evaluation(args))
         return report
+    _check_flags(args)
     graph = read_edge_list(args.graph, directed=not args.undirected, dedupe=args.dedupe)
     report["parameters"], call = _COMMANDS[args.command](args, graph)
     if freeze_heap:

@@ -17,7 +17,7 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .bounds import epsilon_size
+from .bounds import check_sample_count, epsilon_size
 from .graph import TemporalGraph
 from .parallel import run_chunks
 from .rng import draw_distinct, draw_source, substream
@@ -44,12 +44,23 @@ class DistanceSummary(NamedTuple):
     has_paths: bool
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless epsilon, the error to size samples for, is positive and finite."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+
+
+def check_tau(tau: float) -> None:
+    """Raise ValueError unless tau, the profile share of the effective diameter, is in (0, 1]."""
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("tau must be in (0, 1]")
+
+
 def recommended_sample_size(n: int, epsilon: float) -> int:
     """Source count ceil(ln n / epsilon^2) for additive-error estimates."""
     if n < 2:
         raise ValueError("node count must be >= 2")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     return epsilon_size(epsilon, lambda e2: math.log(n) / e2)
 
 
@@ -109,10 +120,8 @@ def estimate_distances(
     distinct sources). A request of at least n sources runs the exact census
     over all nodes. The diameter estimate never exceeds the true diameter.
     """
-    if sample_size < 1:
-        raise ValueError("sample size must be >= 1")
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must be in (0, 1]")
+    check_sample_count(sample_size, "sample size")
+    check_tau(tau)
     n = graph.n
     if n == 0:
         return DistanceSummary(0, 0, tau, 0.0, 0.0, [0.0], 0, False)

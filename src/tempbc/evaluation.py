@@ -20,6 +20,12 @@ class EvalReport(NamedTuple):
     k: int
 
 
+def check_k(k: int) -> None:
+    """Raise ValueError unless k, the cut of the top-k overlap, is at least 1."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def compare(exact: ScoreVector, approx: ScoreVector, k: int = 50) -> EvalReport:
     """Supremum deviation, mean squared error, rank correlation, and top-k
     overlap between two score vectors over the same node set."""
@@ -31,8 +37,7 @@ def compare(exact: ScoreVector, approx: ScoreVector, k: int = 50) -> EvalReport:
         and exact.optimality is not approx.optimality
     ):
         raise ValueError("score vectors were computed under different optimalities")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(k)
     e, a = [float(v) for v in exact.scores], [float(v) for v in approx.scores]
     sup = max(map(abs, map(operator.sub, e, a)), default=0.0)
     mse = math.fsum(d * d for d in map(operator.sub, e, a)) / len(e) if e else 0.0

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import tbfs
-from .bounds import check_bound_inputs, epsilon_size, hoeffding_size
+from .bounds import SAMPLE_COUNT_LIMIT, check_bound_inputs, check_sample_count, epsilon_size, hoeffding_size
 from .graph import TemporalGraph
 from .parallel import Fanout
 from .rng import draw_source, substream
@@ -76,35 +76,46 @@ class StopReport(NamedTuple):
     stopped_by: StopReason
 
 
+def check_schedule_constant(alpha: float) -> None:
+    """Raise ValueError unless alpha, a :class:`Schedule`'s growth factor, is finite and > 1."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"schedule constant alpha must be finite, got {alpha!r}")
+    if alpha <= 1.0:
+        raise ValueError("schedule constant alpha must be > 1")
+
+
+def check_threshold_constant(c: float) -> None:
+    """Raise ValueError unless c, :func:`prtb_estimate`'s threshold constant, is finite and >= 2."""
+    if not math.isfinite(c):
+        raise ValueError(f"threshold constant c must be finite, got {c!r}")
+    if c < 2:
+        raise ValueError("threshold constant c must be >= 2")
+
+
 class Schedule:
     """Geometric sample schedule: the i-th checkpoint is ceil(alpha^(i-1) * initial)."""
 
     __slots__ = ("initial", "alpha")
 
     def __init__(self, initial: int, alpha: float):
-        if initial < 1:
-            raise ValueError("initial sample size must be >= 1")
-        if not math.isfinite(alpha):
-            raise ValueError(f"schedule constant alpha must be finite, got {alpha!r}")
-        if alpha <= 1.0:
-            raise ValueError("schedule constant alpha must be > 1")
+        check_sample_count(initial, "initial sample size")
+        check_schedule_constant(alpha)
         self.initial = initial
         self.alpha = alpha
 
     def size(self, iteration: int, cap: int | None = None) -> int:
         """The i-th checkpoint, at most ``cap``. Raises ValueError naming alpha
-        when it is no finite integer and the cap does not bound it."""
+        when it is 2^63 or more (infinite included) and the cap does not bound it."""
         try:
             size = self.alpha ** (iteration - 1) * self.initial
         except OverflowError:
             size = math.inf
         if cap is not None and size >= cap:
             return cap
-        if size == math.inf:
+        if size >= SAMPLE_COUNT_LIMIT:
             raise ValueError(
-                f"schedule constant alpha {self.alpha!r} makes checkpoint {iteration}'s sample"
-                " size no finite integer: take a smaller alpha (--alpha) or cap the samples"
-                " (--max-samples)"
+                f"schedule constant alpha {self.alpha!r} makes checkpoint {iteration}'s sample size 2^63"
+                " or more: take a smaller alpha (--alpha) or cap the samples (--max-samples)"
             )
         return math.ceil(size)
 
@@ -135,7 +146,7 @@ class RademacherState:
 def initial_sample_size(epsilon: float, delta: float) -> int:
     """Smallest schedule start at which the zero-complexity stopping bound can
     already reach ``epsilon``: ceil((1 + 8e + sqrt(1 + 16e)) * ln(6/d) / (4e^2))."""
-    check_bound_inputs(epsilon, delta)
+    check_bound_inputs(epsilon, delta, vd=None)
     closed_form = (1 + 8 * epsilon + math.sqrt(1 + 16 * epsilon)) * math.log(6 / delta)
     return epsilon_size(epsilon, lambda e2: closed_form / (4 * e2))
 
@@ -191,8 +202,7 @@ def rademacher_bound(state: RademacherState, r: int) -> float:
     still decreasing at the bracket cap the capped value is returned, which is
     still a valid upper bound.
     """
-    if r < 1:
-        raise ValueError("sample size must be >= 1")
+    check_sample_count(r, "sample size")
     if state.n_nodes <= 0:
         return 0.0
 
@@ -238,8 +248,7 @@ def stopping_xi(R: float, r: int, delta_i: float) -> float:
     """
     if R < 0:
         raise ValueError("Rademacher bound must be nonnegative")
-    if r < 1:
-        raise ValueError("sample size must be >= 1")
+    check_sample_count(r, "sample size")
     if not 0.0 < delta_i < 1.0:
         raise ValueError("confidence budget must be in (0, 1)")
     ln_term = math.log(3.0 / delta_i)
@@ -278,12 +287,11 @@ def progressive_estimate(
     forked once for the whole run, and is folded in sample-index
     order, so the result does not depend on ``threads``.
     """
-    check_bound_inputs(epsilon, delta)
     if algorithm not in (Algorithm.OB, Algorithm.TRK):
         raise ValueError("progressive_estimate supports the ob and trk estimators")
     sampled_n(graph)
-    if iteration_cap is not None and iteration_cap < 1:
-        raise ValueError(f"iteration cap must be >= 1, got {iteration_cap}")
+    if iteration_cap is not None:
+        check_sample_count(iteration_cap, "iteration cap")
 
     cap = iteration_cap
     if cap is None and algorithm is Algorithm.TRK:
@@ -356,13 +364,10 @@ def prtb_estimate(
     report, ``xi`` carries the largest accumulated dependency and ``epsilon``
     the threshold ``c * n``.
     """
-    if not math.isfinite(c):
-        raise ValueError(f"threshold constant c must be finite, got {c!r}")
-    if c < 2:
-        raise ValueError("threshold constant c must be >= 2")
+    check_threshold_constant(c)
     sampled_n(graph)
-    if max_samples is not None and max_samples < 1:
-        raise ValueError(f"sample cap must be >= 1, got {max_samples}")
+    if max_samples is not None:
+        check_sample_count(max_samples, "sample cap")
 
     threshold = c * graph.n
     if threshold == math.inf:

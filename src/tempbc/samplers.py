@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from . import tbfs
+from .bounds import check_sample_count
 from .graph import TemporalGraph
 from .parallel import run_chunks
 from .rng import Substream, draw_pair, draw_source, randbelow, substream
@@ -203,8 +204,7 @@ def sampled_n(graph: TemporalGraph) -> int:
 
 def _require_sampling_pre(graph: TemporalGraph, r: int, fixed, what: str) -> None:
     sampled_n(graph)
-    if r < 1:
-        raise ValueError("sample size must be >= 1")
+    check_sample_count(r, "sample size")
     if fixed is not None and len(fixed) != r:
         raise ValueError(f"explicit {what} list must have length r")
 

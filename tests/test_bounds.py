@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from helpers import random_temporal_graph
 
 from tempbc import PathOptimality, exact_tbc, hoeffding_size, ob_estimate, vc_size
+from tempbc.bounds import check_sample_count
 
 
 def test_hoeffding_examples():
@@ -93,3 +95,12 @@ def test_hoeffding_size_is_empirically_valid():
         if np.max(np.abs(est.values - exact)) <= eps:
             ok += 1
     assert ok >= runs * (1 - delta) - 10  # slack for the finite run count
+
+
+def test_a_sample_count_is_at_least_one_and_below_two_to_the_63():
+    # a sample index must fit a signed 64-bit task field
+    check_sample_count(1, "r")
+    check_sample_count(2**63 - 1, "r")
+    for bad, message in [(0, "r must be >= 1, got 0"), (2**63, "r must be below 2^63")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_sample_count(bad, "r")

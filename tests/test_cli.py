@@ -189,11 +189,13 @@ def test_a_stalled_progressive_schedule_is_a_validation_error(g1_path, capsys):
         (["--algo", "ob", "--alpha", "nan"], "alpha must be finite, got nan"),
         # finite, but checkpoint 2's size alpha * 350 overflows to inf
         (["--algo", "ob", "--alpha", "1e308"], "alpha 1e+308 makes checkpoint 2's sample size"),
+        # finite, but checkpoint 2's size alpha * 350 is no sample index
+        (["--algo", "ob", "--alpha", "1e100"], "alpha 1e+100 makes checkpoint 2's sample size 2^63 or more"),
         (["--algo", "prtb", "--c", "nan", "--max-samples", "3"], "c must be finite, got nan"),
         (["--algo", "prtb", "--c", "inf"], "c must be finite, got inf"),
         (["--algo", "prtb", "--c", "1e308"], "c 1e+308 makes the threshold c * n overflow"),
     ],
-    ids=["alpha-inf", "alpha-nan", "alpha-1e308", "c-nan", "c-inf", "c-1e308"],
+    ids=["alpha-inf", "alpha-nan", "alpha-1e308", "alpha-1e100", "c-nan", "c-inf", "c-1e308"],
 )
 def test_a_schedule_or_threshold_that_is_not_finite_is_a_validation_error(
     g1_path, capsys, monkeypatch, argv, message
@@ -390,6 +392,10 @@ def test_progressive_refuses_flags_its_algorithm_ignores(g1_path, capsys, algo, 
         (["fixed", "--algo", "ob", "--bound", "vc", "--vd", "1"], "vertex diameter must be >= 2"),
         (["fixed", "--algo", "ob", "--bound", "hoeffding", "--epsilon", "0"], "epsilon must be in (0, 1)"),
         (["fixed", "--algo", "ob", "--bound", "vc", "--delta", "1.5"], "delta must be in (0, 1)"),
+        (["fixed", "--algo", "ob", "--samples", str(2**63)], "--samples must be below 2^63, got 9223372036854775808"),
+        (["progressive", "--algo", "ob", "--max-samples", str(2**63)], "iteration cap must be below 2^63"),
+        (["diameter", "--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+        (["diameter", "--epsilon", "inf"], "epsilon must be positive and finite, got inf"),
     ],
     ids=[
         "samples-and-bound", "vd-without-vc", "zero-samples", "no-sample-size",
@@ -397,7 +403,8 @@ def test_progressive_refuses_flags_its_algorithm_ignores(g1_path, capsys, algo, 
         "diameter-zero-samples", "diameter-tau", "diameter-epsilon",
         "diameter-samples-and-epsilon", "ob-zero-cap",
         "prtb-zero-cap", "ob-epsilon", "trk-delta", "trk-alpha", "prtb-c", "vd-below-2",
-        "hoeffding-epsilon", "vc-delta",
+        "hoeffding-epsilon", "vc-delta", "samples-2-63", "ob-cap-2-63", "diameter-epsilon-nan",
+        "diameter-epsilon-inf",
     ],
 )
 def test_flag_errors_come_before_the_graph_is_read(tmp_path, capsys, monkeypatch, argv, message):
@@ -505,6 +512,15 @@ def test_diameter_epsilon_may_exceed_one(g1_path, capsys):
     code, report = run(capsys, "diameter", g1_path, "--epsilon", "3", "--threads", "1")
     assert code == 0
     assert report["parameters"]["samples"] == 1
+
+
+def test_a_diameter_epsilon_too_large_for_one_sample_is_a_validation_error(g1_path, capsys):
+    # epsilon^2 overflows, so ln(n) / epsilon^2 rounds up to no sample
+    code = main(["diameter", str(g1_path), "--epsilon", "1e300", "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "epsilon 1e+300 is too large" in captured.err
 
 
 def test_diameter_validates_tau(g1_path, capsys):

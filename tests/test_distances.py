@@ -121,6 +121,12 @@ def test_recommended_sample_size_tiny_epsilon_is_a_value_error(eps):
         recommended_sample_size(4, eps)
 
 
+def test_recommended_sample_size_huge_epsilon_is_a_value_error():
+    # 1e300 squared overflows to inf, so ln(10) / epsilon^2 is 0
+    with pytest.raises(ValueError, match=r"epsilon 1e\+300 is too large"):
+        recommended_sample_size(10, 1e300)
+
+
 def test_recommended_sample_size():
     assert recommended_sample_size(1899, 0.25) == 121
     assert recommended_sample_size(2, 1.0) == 1
